@@ -9,13 +9,12 @@ adjacent edge lengths, and an angle-gated smoothing term that relaxes kinks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .density import DensityField, KernelDensity, gradient_constant
+from .density import DensityField, _resolve_c
 from .errors import ConstructionError, DegenerateTangentError, InvalidInputError
 from .maxima import ZeroCell, _single_linkage_from_dists
 
@@ -127,17 +126,6 @@ def _interior_forces(
     smooth = h[:, None] * (up - um)
 
     return c * grad_perp + spring + smooth, hairpin
-
-
-def _resolve_c(field: DensityField, params: NebParams) -> float:
-    if params.gradient_constant is not None:
-        return params.gradient_constant
-    sigma = getattr(field, "sigma", None)
-    if sigma is None:
-        raise InvalidInputError(
-            "gradient_constant must be set explicitly for fields without sigma"
-        )
-    return gradient_constant(field.dimension, sigma)
 
 
 def total_force(field: DensityField, band: Band, params: NebParams, i: int) -> np.ndarray:
@@ -358,41 +346,28 @@ def band_density(field: DensityField, band: Band) -> float:
     return float(field.value_batch(band.nodes).min())
 
 
-def _evolve_trial(args):
-    field, p, q, params, rng = args
-    if params.sphere_mode:
-        initial = initial_band_sphere(p, q, params.node_count, rng)
-    else:
-        initial = initial_band_general(p, q, params.node_count, rng)
-    return evolve(field, initial, params)
-
-
 def find_one_cells(
     field: DensityField,
     zero_cells: list[ZeroCell],
     params: NebParams,
     rng: np.random.Generator,
-    n_workers: int = 1,
 ) -> list[OneCell]:
     """Evolve trial bands between every 0-cell pair and keep one per cluster.
 
     Convergent bands passing within discard_radius of a third 0-cell are
     dropped; survivors are single-linkage clustered under the band metric and
     the densest band of each cluster becomes a 1-cell.  Deterministic given
-    the rng state, independent of worker count.
+    the rng state.
     """
     positions = np.array([z.position for z in zero_cells])
+    initial_band = initial_band_sphere if params.sphere_mode else initial_band_general
     cells: list[OneCell] = []
 
     for a, b in combinations(range(len(zero_cells)), 2):
         p, q = positions[a], positions[b]
         others = np.delete(positions, [a, b], axis=0)
-        jobs = [(field, p, q, params, r) for r in rng.spawn(params.trials_per_pair)]
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                evolved = list(pool.map(_evolve_trial, jobs))
-        else:
-            evolved = [_evolve_trial(j) for j in jobs]
+        evolved = [evolve(field, initial_band(p, q, params.node_count, r), params)
+                   for r in rng.spawn(params.trials_per_pair)]
 
         survivors = []
         for band in evolved:

@@ -19,8 +19,8 @@ from . import ingestion
 from .band import NebParams
 from .cwcomplex import Cell, MorseFiltration, betti, loop_persistence, superlevel_complex
 from .density import PointCloud
-from .errors import (ConstructionError, DataError, InvalidInputError,
-                     MorseCellsError, NoMaximaError)
+from .errors import (ConstructionError, DataError, InvalidComplexError,
+                     InvalidInputError, MorseCellsError, NoMaximaError)
 from .maxima import AscentParams
 from .pipeline import PipelineConfig, run
 from .sheet import SheetParams
@@ -41,7 +41,7 @@ _CONFIG_KEYS = {
     "sphere_mode": lambda s: s.lower() in ("1", "true", "yes"),
     "cluster_threshold": float,
     "max_loop_length": int,
-    "threads": int,
+    "threads": int,  # accepted for interface uniformity; runs are single-threaded
     "ascent.tolerance": float,
     "ascent.max_iterations": int,
     "ascent.seed_count": int,
@@ -100,7 +100,6 @@ def build_pipeline_config(values: dict) -> PipelineConfig:
             ascent=AscentParams(**sub("ascent")),
             neb=NebParams(**neb),
             sheet=SheetParams(**sub("sheet")),
-            n_workers=values.get("threads", 1),
             **top,
         )
     except InvalidInputError as exc:
@@ -109,11 +108,6 @@ def build_pipeline_config(values: dict) -> PipelineConfig:
 
 # ---------------------------------------------------------------------------
 # Filtration documents
-
-def _fmt(x: float) -> float:
-    # round-trip-exact float for JSON; repr of a float is shortest exact form
-    return float(x)
-
 
 def filtration_to_document(filtration: MorseFiltration, config: PipelineConfig) -> dict:
     return {
@@ -132,9 +126,9 @@ def filtration_to_document(filtration: MorseFiltration, config: PipelineConfig) 
             {
                 "id": c.id,
                 "dim": c.dimension,
-                "density": _fmt(c.density),
+                "density": c.density,
                 "boundary": list(c.boundary),
-                "geometry": [[_fmt(x) for x in row] for row in c.geometry],
+                "geometry": c.geometry.tolist(),
             }
             for c in filtration.cells
         ],
@@ -143,15 +137,16 @@ def filtration_to_document(filtration: MorseFiltration, config: PipelineConfig) 
 
 def document_to_filtration(doc: dict) -> MorseFiltration:
     try:
+        if doc["version"] != DOCUMENT_VERSION:
+            raise DataError(f"unsupported filtration document version {doc['version']!r}")
         cells = [
             Cell(id=c["id"], dimension=c["dim"], density=c["density"],
                  boundary=tuple(c["boundary"]), geometry=np.array(c["geometry"]))
             for c in doc["cells"]
         ]
-        meta = doc.get("config", {})
-    except (KeyError, TypeError) as exc:
+        return MorseFiltration.build(cells, metadata=doc.get("config", {}))
+    except (KeyError, TypeError, ValueError, InvalidComplexError) as exc:
         raise DataError(f"malformed filtration document: {exc}") from None
-    return MorseFiltration.build(cells, metadata=meta)
 
 
 def load_document(path: str) -> dict:
@@ -175,8 +170,6 @@ def cmd_analyze(args) -> int:
         values["seed"] = args.seed
     if args.sigma is not None:
         values["sigma"] = args.sigma
-    if args.threads is not None:
-        values["threads"] = args.threads
     config = build_pipeline_config(values)
 
     filtration, report = run(cloud, config)
@@ -350,7 +343,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--sigma", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int,
+                   help="accepted for interface uniformity; runs are single-threaded")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("betti", help="Betti numbers of a superlevel model")

@@ -73,6 +73,30 @@ def superlevel_complex(filtration: MorseFiltration, a: float) -> list[Cell]:
     return [c for c in filtration.cells if c.density >= a]
 
 
+def components(n: int, pairs) -> list[list[int]]:
+    """Connected components of the graph on vertices 0..n-1 with edges pairs.
+
+    Union-find with path halving.  Components are ordered by their smallest
+    member and list their members in ascending order.
+    """
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+    clusters: dict[int, list[int]] = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append(i)
+    return list(clusters.values())
+
+
 def _check_closure(cells: list[Cell]) -> dict[int, Cell]:
     by_id = {c.id: c for c in cells}
     for cell in cells:
@@ -104,7 +128,7 @@ def _gf2_rank(columns: list[int]) -> int:
 def betti(cells: list[Cell]) -> tuple[int, int]:
     """(b0, b1) of a closed cell collection over GF(2).
 
-    b0 by union-find on the 1-skeleton; b1 as the cycle rank of the
+    b0 from the components of the 1-skeleton; b1 as the cycle rank of the
     1-skeleton minus the rank of the 2-boundary map.
     """
     by_id = _check_closure(cells)
@@ -113,21 +137,8 @@ def betti(cells: list[Cell]) -> tuple[int, int]:
     twos = [c for c in cells if c.dimension == 2]
 
     index = {c.id: i for i, c in enumerate(zeros)}
-    parent = list(range(len(zeros)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for edge in ones:
-        ends = [index[f] for f in edge.boundary]
-        if len(ends) == 2:
-            ra, rb = find(ends[0]), find(ends[1])
-            if ra != rb:
-                parent[rb] = ra
-    b0 = len({find(i) for i in range(len(zeros))})
+    b0 = len(components(len(zeros), [[index[f] for f in edge.boundary]
+                                     for edge in ones if len(edge.boundary) == 2]))
 
     one_index = {c.id: i for i, c in enumerate(ones)}
     columns = []

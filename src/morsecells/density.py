@@ -42,7 +42,7 @@ class DensityField:
     """Differentiable scalar field on R^n.
 
     ``gradient`` must be the true derivative of ``value`` (finite-difference
-    checkable).  Implementations are immutable and safe to query concurrently.
+    checkable).  Implementations are immutable.
     """
 
     dimension: int
@@ -79,6 +79,19 @@ def gradient_constant(n: int, sigma: float) -> float:
     if n < 1 or sigma <= 0:
         raise InvalidInputError("need n >= 1 and sigma > 0")
     return sigma * (sigma * math.sqrt(2.0 * math.pi)) ** n * math.sqrt(math.e)
+
+
+def _resolve_c(field: DensityField, params) -> float:
+    """The solvers' gradient constant: params.gradient_constant when set,
+    else gradient_constant for the field's dimension and sigma."""
+    if params.gradient_constant is not None:
+        return params.gradient_constant
+    sigma = getattr(field, "sigma", None)
+    if sigma is None:
+        raise InvalidInputError(
+            "gradient_constant must be set explicitly for fields without sigma"
+        )
+    return gradient_constant(field.dimension, sigma)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cwcomplex import components
 from .density import KernelDensity
 from .errors import InvalidInputError, NoMassError, NoMaximaError
 
@@ -51,27 +51,8 @@ def ascend(field: KernelDensity, y0: np.ndarray, params: AscentParams) -> np.nda
 
 
 def _single_linkage_from_dists(dists: np.ndarray, threshold: float) -> list[list[int]]:
-    """Union-find over all pairs with distance <= threshold."""
-    m = dists.shape[0]
-    parent = list(range(m))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if dists[i, j] <= threshold:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-
-    clusters: dict[int, list[int]] = {}
-    for i in range(m):
-        clusters.setdefault(find(i), []).append(i)
-    return list(clusters.values())
+    """Components of the graph joining every pair with distance <= threshold."""
+    return components(len(dists), zip(*np.nonzero(np.triu(dists <= threshold, 1))))
 
 
 def single_linkage(points: list[np.ndarray] | np.ndarray, threshold: float) -> list[list[int]]:
@@ -91,14 +72,13 @@ def find_zero_cells(
     params: AscentParams,
     cluster_threshold: float,
     rng: np.random.Generator,
-    n_workers: int = 1,
 ) -> list[ZeroCell]:
     """Ascend from a random sample of cloud points and keep one mode per cluster.
 
     Seeds are drawn from the cloud itself without replacement.  Convergent
     points are clustered by single linkage and the densest member of each
     cluster is returned, sorted by density descending (ties by lexicographic
-    position).  Deterministic for a fixed rng state and any worker count.
+    position).  Deterministic for a fixed rng state.
     """
     cloud = field.cloud
     count = params.seed_count if params.seed_count is not None else min(len(cloud), 500)
@@ -106,12 +86,7 @@ def find_zero_cells(
     idx = rng.choice(len(cloud), size=count, replace=False)
     seeds = cloud.points[idx]
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(lambda s: ascend(field, s, params), seeds))
-    else:
-        results = [ascend(field, s, params) for s in seeds]
-
+    results = [ascend(field, s, params) for s in seeds]
     converged = [r for r in results if r is not None]
     if not converged:
         raise NoMaximaError(seeds_attempted=count, non_convergent=count)

@@ -3,13 +3,13 @@
 Stages: kernel density estimate, mean-shift maxima (0-cells), elastic-band
 paths (1-cells), candidate boundary loops from a cycle basis of the
 1-skeleton, sheet relaxation (2-cells), and assembly into a clamped
-filtration.  Fully deterministic for a fixed master seed, independent of
-worker count.
+filtration.  Fully deterministic for a fixed master seed.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -29,7 +29,6 @@ class PipelineConfig:
     seed: int = 0
     cluster_threshold: float = 0.3
     max_loop_length: int = 6
-    n_workers: int = 1
     ascent: AscentParams = dataclass_field(default_factory=AscentParams)
     neb: NebParams = dataclass_field(default_factory=NebParams)
     sheet: SheetParams = dataclass_field(default_factory=SheetParams)
@@ -68,15 +67,13 @@ def _cycle_basis(n_vertices: int, edges: list[tuple[int, int]],
     parent_vertex = [-1] * n_vertices
     depth = [-1] * n_vertices
     tree_edges: set[int] = set()
-    order = []
     for root in range(n_vertices):
         if depth[root] >= 0:
             continue
         depth[root] = 0
-        queue = [root]
+        queue = deque([root])
         while queue:
-            u = queue.pop(0)
-            order.append(u)
+            u = queue.popleft()
             for w, idx in adj[u]:
                 if depth[w] < 0:
                     depth[w] = depth[u] + 1
@@ -144,14 +141,13 @@ def run(cloud: PointCloud, config: PipelineConfig) -> tuple[MorseFiltration, Run
 
     t0 = time.perf_counter()
     zero_cells = find_zero_cells(field, config.ascent, config.cluster_threshold,
-                                 rng_zero, n_workers=config.n_workers)
+                                 rng_zero)
     report.stage_seconds["zero_cells"] = time.perf_counter() - t0
     report.counts["zero_cells"] = len(zero_cells)
 
     t0 = time.perf_counter()
     if len(zero_cells) >= 2:
-        one_cells = find_one_cells(field, zero_cells, config.neb, rng_band,
-                                   n_workers=config.n_workers)
+        one_cells = find_one_cells(field, zero_cells, config.neb, rng_band)
     else:
         one_cells = []
         report.notes.append("fewer than two 0-cells; skipped the 1-cell stage")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityField, gradient_constant
+from .density import DensityField, _resolve_c
 from .errors import ConstructionError, InvalidInputError
 
 TANGENT_DIM = 2  # 2-cells only; the general-k construction is not run
@@ -151,17 +151,6 @@ def sheet_force(field: DensityField, sheet: WebSheet, alpha: int,
     neighbors = sheet.neighbor_lists()[alpha]
     spring = (sheet.positions[neighbors] - sheet.positions[alpha]).sum(axis=0)
     return c * g_perp + spring
-
-
-def _resolve_c(field: DensityField, params: SheetParams) -> float:
-    if params.gradient_constant is not None:
-        return params.gradient_constant
-    sigma = getattr(field, "sigma", None)
-    if sigma is None:
-        raise InvalidInputError(
-            "gradient_constant must be set explicitly for fields without sigma"
-        )
-    return gradient_constant(field.dimension, sigma)
 
 
 def _degree_groups(adj: list[list[int]], interior: np.ndarray

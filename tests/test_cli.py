@@ -189,6 +189,37 @@ def test_betti_invalid_document_exit_2(tmp_path, capsys):
     assert run_cli("betti", str(bad), "0.5") == 2
 
 
+def edited_document(tmp_path, edit):
+    """Path of a two-vertex, one-edge document after edit(doc) changes it."""
+    from test_cwcomplex import edge, vert
+    filt = MorseFiltration.build([vert(0), vert(1), edge(2, 0, 1)])
+    doc = filtration_to_document(filt, PipelineConfig())
+    edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_betti_missing_face_exit_2(tmp_path, capsys):
+    doc = edited_document(tmp_path,
+                          lambda d: d["cells"][2].update(boundary=[0, 7]))
+    assert run_cli("betti", doc, "0.1") == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_betti_ragged_geometry_exit_2(tmp_path, capsys):
+    doc = edited_document(
+        tmp_path, lambda d: d["cells"][0].update(geometry=[[0.0, 0.0], [1.0]]))
+    assert run_cli("betti", doc, "0.1") == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_betti_unknown_version_exit_2(tmp_path, capsys):
+    doc = edited_document(tmp_path, lambda d: d.update(version=99))
+    assert run_cli("betti", doc, "0.1") == 2
+    assert "version" in capsys.readouterr().err
+
+
 def test_persistence_output(tmp_path, capsys):
     from test_cwcomplex import edge, face, vert
     cells = [vert(0, 1.0), vert(1, 1.0),

@@ -2,9 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from morsecells import (Cell, MorseFiltration, betti, loop_persistence,
                         superlevel_complex)
+from morsecells.cwcomplex import components
 from morsecells.errors import InvalidComplexError, InvalidInputError
 
 
@@ -313,3 +317,43 @@ def test_persistence_interval_count_equals_loop_births(rng):
     intervals = loop_persistence(filt)
     assert len(intervals) == 5
     assert all(death == 0.0 for _, death, _ in intervals)
+
+
+# ---------------------------------------------------------------------------
+# shared union-find against scipy's connected components
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 25))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=50))
+
+
+def scipy_partition(n, pairs):
+    rows = [i for i, _ in pairs]
+    cols = [j for _, j in pairs]
+    graph = coo_matrix((np.ones(len(pairs)), (rows, cols)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    groups = {}
+    for v, label in enumerate(labels):
+        groups.setdefault(label, []).append(v)
+    return sorted(groups.values())  # by smallest member, members ascending
+
+
+@settings(deadline=None)
+@given(random_graphs())
+def test_components_match_scipy(graph):
+    n, pairs = graph
+    assert components(n, pairs) == scipy_partition(n, pairs)
+
+
+@settings(deadline=None)
+@given(random_graphs(), st.randoms(use_true_random=False))
+def test_betti_b0_matches_scipy_on_random_one_skeletons(graph, shuffle):
+    n, pairs = graph
+    ids = list(range(n))
+    shuffle.shuffle(ids)  # vertex v gets cell id ids[v]
+    cells = [vert(ids[v]) for v in range(n)]
+    cells += [edge(n + k, ids[i], ids[j]) for k, (i, j) in enumerate(pairs)]
+    shuffle.shuffle(cells)
+    assert betti(cells)[0] == len(scipy_partition(n, pairs))

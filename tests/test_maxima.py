@@ -131,12 +131,12 @@ def test_zero_cell_invariants(rng):
     assert densities == sorted(densities, reverse=True)
 
 
-def test_find_zero_cells_deterministic_across_workers(rng):
+def test_find_zero_cells_deterministic_across_repeats(rng):
     cloud = two_gaussian_cloud(rng)
     f = KernelDensity(cloud, 1.0)
     outs = []
-    for workers in (1, 2, 8):
-        cells = find_zero_cells(f, AscentParams(), 0.3,
-                                np.random.default_rng(9), n_workers=workers)
-        outs.append([(tuple(c.position), c.density) for c in cells])
+    for _ in range(3):
+        cells = find_zero_cells(f, AscentParams(), 0.3, np.random.default_rng(9))
+        outs.append([(c.position.tobytes(), np.float64(c.density).tobytes())
+                     for c in cells])
     assert outs[0] == outs[1] == outs[2]

@@ -159,21 +159,6 @@ def test_pipeline_config_syncs_sphere_mode():
     assert config.neb.sphere_mode is True
 
 
-def test_run_deterministic_across_worker_counts():
-    cloud = synth_gaussian_mixture([[0.0, 0.0], [5.0, 0.0]], 1.0, [1.0, 1.0],
-                                   300, np.random.default_rng(11))
-    snapshots = []
-    for workers in (1, 2, 8):
-        config = PipelineConfig(sigma=1.0, seed=11, n_workers=workers,
-                                neb=NebParams(trials_per_pair=4))
-        filtration, _ = run(cloud, config)
-        snapshots.append([
-            (c.id, c.dimension, c.density, c.boundary, c.geometry.tobytes())
-            for c in filtration.cells
-        ])
-    assert snapshots[0] == snapshots[1] == snapshots[2]
-
-
 def test_run_deterministic_across_repeats():
     cloud = synth_gaussian_mixture([[0.0, 0.0], [5.0, 0.0]], 1.0, [1.0, 1.0],
                                    300, np.random.default_rng(12))
