@@ -95,35 +95,39 @@ def smoothing_weight(theta: float, alpha: float, beta: float) -> float:
 def _interior_forces(
     field: DensityField, nodes: np.ndarray, params: NebParams, c: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Forces on all interior nodes at once.
+    """Forces on all interior nodes of one (N, n) band or a (B, N, n) stack.
 
-    Returns (forces, hairpin_mask).  Hairpin nodes fall back to the forward
-    difference tangent and are flagged so the caller can track persistence.
+    Returns (forces, hairpin_mask) shaped like the interior nodes and their
+    first axes; the density gradient of every band comes from one batched
+    call.  Hairpin nodes fall back to the forward difference tangent and are
+    flagged so the caller can track persistence.
     """
-    up = nodes[2:] - nodes[1:-1]
-    um = nodes[1:-1] - nodes[:-2]
+    up = nodes[..., 2:, :] - nodes[..., 1:-1, :]
+    um = nodes[..., 1:-1, :] - nodes[..., :-2, :]
     s = up + um
-    s_norm = np.linalg.norm(s, axis=1)
+    s_norm = np.linalg.norm(s, axis=-1)
     hairpin = s_norm <= _HAIRPIN_EPS
 
-    up_norm = np.linalg.norm(up, axis=1)
-    um_norm = np.linalg.norm(um, axis=1)
-    tau = np.where(hairpin[:, None],
-                   up / np.maximum(up_norm, _HAIRPIN_EPS)[:, None],
-                   s / np.maximum(s_norm, _HAIRPIN_EPS)[:, None])
+    up_norm = np.linalg.norm(up, axis=-1)
+    um_norm = np.linalg.norm(um, axis=-1)
+    tau = np.where(hairpin[..., None],
+                   up / np.maximum(up_norm, _HAIRPIN_EPS)[..., None],
+                   s / np.maximum(s_norm, _HAIRPIN_EPS)[..., None])
 
-    grad = field.gradient_batch(nodes[1:-1])
-    grad_perp = grad - np.einsum("in,in->i", grad, tau)[:, None] * tau
-    spring = (up_norm - um_norm)[:, None] * tau
+    interior = nodes[..., 1:-1, :]
+    grad = field.gradient_batch(interior.reshape(-1, nodes.shape[-1]))
+    grad = grad.reshape(interior.shape)
+    grad_perp = grad - np.einsum("...in,...in->...i", grad, tau)[..., None] * tau
+    spring = (up_norm - um_norm)[..., None] * tau
 
     denom = np.maximum(up_norm * um_norm, _HAIRPIN_EPS)
-    cos_theta = np.clip(np.einsum("in,in->i", up, um) / denom, -1.0, 1.0)
+    cos_theta = np.clip(np.einsum("...in,...in->...i", up, um) / denom, -1.0, 1.0)
     theta = np.arccos(cos_theta)
     ramp = (1.0 - np.cos(np.pi * (theta - params.alpha)
                          / (params.beta - params.alpha))) / 2.0
     h = np.where(theta <= params.alpha, 0.0,
                  np.where(theta >= params.beta, 1.0, ramp))
-    smooth = h[:, None] * (up - um)
+    smooth = h[..., None] * (up - um)
 
     return c * grad_perp + spring + smooth, hairpin
 
@@ -136,6 +140,39 @@ def total_force(field: DensityField, band: Band, params: NebParams, i: int) -> n
     return forces[i - 1]
 
 
+def _evolve_bands(field: DensityField, bands: list[Band],
+                  params: NebParams) -> list[Band | None]:
+    """Evolve equal-shaped bands side by side, as ``evolve`` does each alone.
+
+    Every step makes one force evaluation over the bands still active.  A
+    band leaves the active set when it converges or fails; each keeps its
+    own hairpin count.
+    """
+    if not bands:
+        return []
+    c = _resolve_c(field, params)
+    nodes = np.stack([b.nodes for b in bands])
+    out: list[Band | None] = [None] * len(bands)
+    active = np.arange(len(bands))
+    hairpin_steps = np.zeros(len(bands), dtype=int)
+    for step in range(params.max_steps + 1):
+        forces, hairpin = _interior_forces(field, nodes[active], params, c)
+        hairpin_steps[active] += hairpin.any(axis=1)
+        mean_norm = np.linalg.norm(forces, axis=-1).mean(axis=1)
+        done = mean_norm < params.convergence_tolerance
+        for k in active[done]:
+            if hairpin_steps[k] <= 0.01 * (step + 1):
+                out[k] = Band(nodes[k].copy())  # endpoints were never written
+        if step == params.max_steps:
+            break
+        active, forces = active[~done], forces[~done]
+        nodes[active, 1:-1] += params.step_size * forces
+        active = active[np.isfinite(nodes[active]).all(axis=(1, 2))]
+        if not len(active):
+            break
+    return out
+
+
 def evolve(field: DensityField, band: Band, params: NebParams) -> Band | None:
     """Fixed-step first-order integration of v_i' = F_i on interior nodes.
 
@@ -144,26 +181,7 @@ def evolve(field: DensityField, band: Band, params: NebParams) -> Band | None:
     on max_steps exhaustion, non-finite coordinates, or persistent hairpins
     (flagged on more than 1% of steps).
     """
-    c = _resolve_c(field, params)
-    nodes = band.nodes.copy()
-    hairpin_steps = 0
-    for step in range(params.max_steps + 1):
-        forces, hairpin = _interior_forces(field, nodes, params, c)
-        if hairpin.any():
-            hairpin_steps += 1
-        mean_norm = np.linalg.norm(forces, axis=1).mean()
-        if mean_norm < params.convergence_tolerance:
-            if hairpin_steps > 0.01 * (step + 1):
-                return None
-            out = band.nodes.copy()
-            out[1:-1] = nodes[1:-1]
-            return Band(out)
-        if step == params.max_steps:
-            break
-        nodes[1:-1] += params.step_size * forces
-        if not np.all(np.isfinite(nodes)):
-            return None
-    return None
+    return _evolve_bands(field, [band], params)[0]
 
 
 def _unit_orthogonal(direction: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -363,14 +381,17 @@ def find_one_cells(
     initial_band = initial_band_sphere if params.sphere_mode else initial_band_general
     cells: list[OneCell] = []
 
-    for a, b in combinations(range(len(zero_cells)), 2):
-        p, q = positions[a], positions[b]
-        others = np.delete(positions, [a, b], axis=0)
-        evolved = [evolve(field, initial_band(p, q, params.node_count, r), params)
-                   for r in rng.spawn(params.trials_per_pair)]
+    pairs = list(combinations(range(len(zero_cells)), 2))
+    # every pair's trial bands, drawn in pair order and evolved together
+    initial = [initial_band(positions[a], positions[b], params.node_count, r)
+               for a, b in pairs for r in rng.spawn(params.trials_per_pair)]
+    evolved = _evolve_bands(field, initial, params)
 
+    for k, (a, b) in enumerate(pairs):
+        others = np.delete(positions, [a, b], axis=0)
+        trials = evolved[k * params.trials_per_pair:(k + 1) * params.trials_per_pair]
         survivors = []
-        for band in evolved:
+        for band in trials:
             if band is None:
                 continue
             if len(others) > 0:

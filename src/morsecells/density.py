@@ -94,27 +94,63 @@ def _resolve_c(field: DensityField, params) -> float:
     return gradient_constant(field.dimension, sigma)
 
 
+# Largest (queries x points) weight array formed at once, in entries: batches
+# with more rows are evaluated in row blocks (8 MB of float64 per block).
+_BLOCK_ENTRIES = 1 << 20
+
+
 @dataclass(frozen=True)
 class KernelDensity(DensityField):
     """Mean of isotropic Gaussian kernels centered at the cloud points.
 
     f(y) = |X|^-1 sum_x (2 pi sigma^2)^(-n/2) exp(-||y - x||^2 / (2 sigma^2))
+
+    Squared distances are formed as ||y||^2 + ||x||^2 - 2 y.x with BLAS, in
+    coordinates centred once at the cloud mean rounded to integers, so that a
+    cloud far from the origin loses no precision to cancellation.
     """
 
     cloud: PointCloud
     sigma: float
     dimension: int = field(init=False)
+    _centre: np.ndarray = field(init=False, repr=False, compare=False)
+    _points: np.ndarray = field(init=False, repr=False, compare=False)
+    _sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise InvalidInputError("sigma must be positive")
         object.__setattr__(self, "dimension", self.cloud.dimension)
+        centre = np.round(self.cloud.points.mean(axis=0))
+        points = self.cloud.points - centre
+        object.__setattr__(self, "_centre", centre)
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_sq_norms", np.einsum("mn,mn->m", points, points))
 
-    def _offsets(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # (q, m, n) offsets x - y from queries to cloud points, and their
-        # (q, m) squared lengths
-        diff = self.cloud.points[None, :, :] - ys[:, None, :]
-        return diff, np.einsum("qmn,qmn->qm", diff, diff)
+    def _weights(self, ys: np.ndarray, nearest: bool = False
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel weights of centred queries against the centred cloud.
+
+        Returns the (q, m) weights exp(-(||y - x||^2 - s) / (2 sigma^2)) and
+        the (q,) shifts s: zero, or with ``nearest`` each row's smallest
+        squared distance, which scales the nearest point's weight to 1.
+        """
+        sq = ys @ self._points.T
+        sq *= -2.0
+        sq += self._sq_norms
+        sq += np.einsum("qn,qn->q", ys, ys)[:, None]
+        np.maximum(sq, 0.0, out=sq)  # rounding can leave tiny negatives
+        shift = np.zeros(len(ys))
+        if nearest:
+            shift = sq.min(axis=1)
+            sq -= shift[:, None]
+        sq *= -0.5 / self.sigma**2
+        return np.exp(sq, out=sq), shift
+
+    def _row_blocks(self, ys: np.ndarray):
+        """Slices of at most _BLOCK_ENTRIES / m rows covering ys."""
+        step = max(1, _BLOCK_ENTRIES // len(self._points))
+        return (slice(i, i + step) for i in range(0, len(ys), step))
 
     @property
     def _norm_const(self) -> float:
@@ -126,22 +162,24 @@ class KernelDensity(DensityField):
         return float(self.value_batch(y[None, :])[0])
 
     def value_batch(self, ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        _, sq = self._offsets(ys)
-        w = np.exp(-sq / (2.0 * self.sigma**2))
-        return self._norm_const * w.mean(axis=1)
+        ys = np.asarray(ys, dtype=float) - self._centre
+        out = np.empty(len(ys))
+        for rows in self._row_blocks(ys):
+            out[rows] = self._weights(ys[rows])[0].mean(axis=1)
+        return self._norm_const * out
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
         y = self._check_query(y)
         return self.gradient_batch(y[None, :])[0]
 
     def gradient_batch(self, ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        diff, sq = self._offsets(ys)
-        w = np.exp(-sq / (2.0 * self.sigma**2))
-        # d/dy of each kernel is psi * (x - y) / sigma^2
-        grad = np.einsum("qm,qmn->qn", w, diff)
-        return self._norm_const * grad / (len(self.cloud) * self.sigma**2)
+        ys = np.asarray(ys, dtype=float) - self._centre
+        out = np.empty_like(ys)
+        for rows in self._row_blocks(ys):
+            w = self._weights(ys[rows])[0]
+            # d/dy of each kernel is psi * (x - y) / sigma^2
+            out[rows] = w @ self._points - w.sum(axis=1)[:, None] * ys[rows]
+        return self._norm_const * out / (len(self.cloud) * self.sigma**2)
 
     def mean_shift(self, y: np.ndarray) -> np.ndarray:
         """Kernel-weighted average of the cloud at y.
@@ -151,10 +189,9 @@ class KernelDensity(DensityField):
         weight underflows to zero in double precision.
         """
         y = self._check_query(y)
-        sq = self._offsets(y[None, :])[1][0]
-        raw = np.exp(-sq / (2.0 * self.sigma**2))
-        if raw.sum() == 0.0:
-            raise NoMassError("all kernel weights underflowed at the query point")
         # Shift by the nearest point for numerical headroom; ratios are unchanged.
-        w = np.exp(-(sq - sq.min()) / (2.0 * self.sigma**2))
-        return w @ self.cloud.points / w.sum()
+        w, shift = self._weights((y - self._centre)[None, :], nearest=True)
+        if math.exp(-0.5 * shift[0] / self.sigma**2) == 0.0:
+            raise NoMassError("all kernel weights underflowed at the query point")
+        w = w[0]
+        return w @ self._points / w.sum() + self._centre

@@ -62,8 +62,10 @@ def single_linkage(points: list[np.ndarray] | np.ndarray, threshold: float) -> l
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         return []
-    diff = pts[:, None, :] - pts[None, :, :]
-    dists = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dists = np.empty((len(pts), len(pts)))
+    for i, p in enumerate(pts):  # row by row: no (m, m, n) offset array
+        diff = pts - p
+        dists[i] = np.sqrt(np.einsum("jk,jk->j", diff, diff))
     return _single_linkage_from_dists(dists, threshold)
 
 

@@ -7,7 +7,8 @@ from morsecells import (Band, KernelDensity, NebParams, PointCloud, ZeroCell,
                         band_density, band_distance, evolve, find_one_cells,
                         initial_band_general, initial_band_sphere,
                         smoothing_weight, tangent, total_force)
-from morsecells.band import arc_band, sphere_arc_band
+from morsecells.band import _evolve_bands, _interior_forces, arc_band, sphere_arc_band
+from morsecells.density import DensityField
 from morsecells.errors import (ConstructionError, DegenerateTangentError,
                                InvalidInputError)
 
@@ -147,6 +148,86 @@ def test_evolve_convergence_certificate():
     from morsecells.band import _interior_forces, _resolve_c
     forces, _ = _interior_forces(field, out.nodes, params, _resolve_c(field, params))
     assert np.linalg.norm(forces, axis=1).mean() < params.convergence_tolerance
+
+
+class RimField(DensityField):
+    """f = -||y||^2 inside radius 5 and ||y||^2 - 50 outside: a basin ringed by
+    a region that pushes bands outward until they overflow.  Records the
+    largest coordinate it is queried at."""
+
+    def __init__(self):
+        self.dimension = 2
+        self.largest = 0.0
+
+    def value_batch(self, ys):
+        r2 = np.einsum("qn,qn->q", ys, ys)
+        return np.where(r2 < 25.0, -r2, r2 - 50.0)
+
+    def gradient_batch(self, ys):
+        ys = np.asarray(ys, dtype=float)
+        self.largest = max(self.largest, float(np.abs(ys).max()))
+        inside = np.einsum("qn,qn->q", ys, ys) < 25.0
+        return np.where(inside[:, None], -2.0, 2.0) * ys
+
+
+def _on_x_axis(xs):
+    return Band(np.stack([np.asarray(xs, float), np.zeros(len(xs))], axis=1))
+
+
+def test_evolve_bands_together_match_each_alone():
+    params = NebParams(gradient_constant=40.0, convergence_tolerance=1e-3,
+                       max_steps=1500)
+    p, q = np.array([0.0, 0.0]), np.array([0.0, 0.05])
+    bands = [
+        # converges at step 21: nearly even spacing on an axis of the basin
+        _on_x_axis(np.linspace(-2, 2, 7) + [0, 1e-3, -1e-3, 0, 1e-3, 0, 0]),
+        # converges at step 621
+        arc_band(np.array([-2.0, 0.0]), np.array([2.0, 0.0]), np.array([0.0, 1.0]), 3.0, 7),
+        # skewed spacing: needs 2591 steps, so it exhausts max_steps
+        _on_x_axis([-4.5, 4.0, 4.1, 4.2, 4.3, 4.4, 4.5]),
+        # a palindrome zigzag keeps its middle node a hairpin on every step;
+        # it converges at step 695 and is rejected for the hairpins
+        Band(np.array([p, q, p, q, p, q, p])),
+        # outside the rim the gradient drives it to overflow by step 611
+        arc_band(np.array([10.0, 0.0]), np.array([10.0, 10.0]), np.array([1.0, 0.0]), 4.0, 7),
+    ]
+    field = RimField()
+    with np.errstate(over="ignore", invalid="ignore"):
+        together = _evolve_bands(field, bands, params)
+        reversed_order = _evolve_bands(field, bands[::-1], params)[::-1]
+        alone = [evolve(field, b, params) for b in bands]
+        # each failing band fails for its own reason
+        assert evolve(field, bands[2], NebParams(**{**params.__dict__,
+                                                    "max_steps": 5000})) is not None
+        assert _interior_forces(field, bands[3].nodes, params, 40.0)[1].all()
+        overflow = RimField()
+        evolve(overflow, bands[4], params)
+        assert overflow.largest > 1e150  # squares of its coordinates overflow
+
+    expected = [False, False, True, True, True]
+    for run in (together, reversed_order, alone):
+        assert [b is None for b in run] == expected
+    for t, r, a, b in zip(together, reversed_order, alone, bands):
+        if a is not None:
+            assert np.abs(t.nodes - a.nodes).max() <= 1e-12
+            assert np.abs(r.nodes - a.nodes).max() <= 1e-12
+            assert np.array_equal(t.nodes[[0, -1]], b.nodes[[0, -1]])
+    assert _evolve_bands(field, [], params) == []
+
+
+def test_evolve_bands_together_match_each_alone_on_kde():
+    field = KernelDensity(PointCloud([[-2.0, 0.0], [2.0, 0.0], [0.0, 2.5]]), 1.0)
+    p, q = np.array([-2.0, 0.0]), np.array([2.0, 0.0])
+    bands = [arc_band(p, q, np.array([0.0, s]), r, 11)
+             for s, r in [(1.0, 0.5), (1.0, 2.0), (-1.0, 1.5), (1.0, 3.5)]]
+    params = NebParams()
+    together = _evolve_bands(field, bands, params)
+    for t, b in zip(together, bands):
+        a = evolve(field, b, params)
+        assert (t is None) == (a is None)
+        if a is not None:
+            assert np.abs(t.nodes - a.nodes).max() <= 1e-12
+            assert np.array_equal(t.nodes[[0, -1]], b.nodes[[0, -1]])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morsecells import KernelDensity, PointCloud, gradient_constant
 from morsecells.errors import InvalidInputError, NoMassError
@@ -43,6 +44,81 @@ def test_value_matches_extended_precision_oracle(rng):
         y = rng.normal(size=3)
         expected = mp_kde_value(pts, 0.35, y)
         assert f.value(y) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("offset", [1e4, -3.7e4, 1e6])
+def test_value_matches_oracle_for_translated_cloud(offset):
+    # criterion 01 on a cloud far from the origin: the squared distances are
+    # formed in centred coordinates, so the translation costs no precision
+    rng = np.random.default_rng(101)
+    pts = rng.normal(size=(50, 3)) + offset
+    f = KernelDensity(PointCloud(pts), 0.35)
+    for _ in range(20):
+        y = rng.normal(size=3) + offset
+        expected = mp_kde_value(pts, 0.35, y)
+        assert f.value(y) == pytest.approx(expected, rel=1e-12)
+
+
+def direct_value_and_gradient(points, sigma, ys):
+    """Reference sums over the explicit offsets x - y."""
+    diff = points[None, :, :] - ys[:, None, :]
+    w = np.exp(-np.einsum("qmn,qmn->qm", diff, diff) / (2 * sigma**2))
+    norm = (2 * math.pi * sigma**2) ** (-points.shape[1] / 2)
+    value = norm * w.mean(axis=1)
+    grad = norm * np.einsum("qm,qmn->qn", w, diff) / (len(points) * sigma**2)
+    return value, grad
+
+
+@settings(deadline=None, max_examples=200)
+@given(m=st.integers(1, 40), n=st.integers(1, 6), q=st.integers(1, 12),
+       sigma=st.floats(0.3, 3.0), offset=st.floats(-1e6, 1e6),
+       seed=st.integers(0, 2**32 - 1))
+def test_batches_match_direct_sums(m, n, q, sigma, offset, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(m, n)) + offset
+    ys = rng.normal(size=(q, n)) + offset
+    f = KernelDensity(PointCloud(pts), sigma)
+    value, grad = direct_value_and_gradient(pts, sigma, ys)
+    assert f.value_batch(ys) == pytest.approx(value, rel=1e-12, abs=0.0)
+    scale = np.abs(grad).max()
+    assert np.abs(f.gradient_batch(ys) - grad).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, -3.7e4, 1e6])
+def test_query_on_data_point_has_unit_weight(offset):
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=(30, 4)) * 2.0 + offset
+    f = KernelDensity(PointCloud(pts), 0.5)
+    w, _ = f._weights(pts - f._centre)  # rounding must not make any sq negative
+    assert np.isfinite(w).all() and w.max() <= 1.0
+    assert np.diag(w) == pytest.approx(np.ones(30), abs=1e-12)
+    value, grad = direct_value_and_gradient(pts, 0.5, pts)
+    assert f.value_batch(pts) == pytest.approx(value, rel=1e-12)
+    assert np.abs(f.gradient_batch(pts) - grad).max() <= 1e-10 * np.abs(grad).max()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_far_query_has_no_mass(offset):
+    f = KernelDensity(PointCloud(np.array([[0.0, 0.0], [1.0, 0.5]]) + offset), 0.5)
+    y = np.array([offset + 1e3, offset - 2e3])
+    assert f.value(y) == 0.0
+    assert np.array_equal(f.gradient(y), np.zeros(2))
+    with pytest.raises(NoMassError):
+        f.mean_shift(y)
+
+
+def test_batches_in_row_blocks_match_single_rows(rng, monkeypatch):
+    import morsecells.density as density
+    pts = rng.normal(size=(40, 2))
+    ys = rng.normal(size=(25, 2))
+    f = KernelDensity(PointCloud(pts), 0.6)
+    whole = f.value_batch(ys), f.gradient_batch(ys)
+    monkeypatch.setattr(density, "_BLOCK_ENTRIES", 3 * 40)  # blocks of 3 rows
+    blocked = f.value_batch(ys), f.gradient_batch(ys)
+    assert blocked[0] == pytest.approx(whole[0], rel=1e-14)
+    assert np.abs(blocked[1] - whole[1]).max() <= 1e-14 * np.abs(whole[1]).max()
+    assert f.value_batch(np.empty((0, 2))).shape == (0,)
+    assert f.gradient_batch(np.empty((0, 2))).shape == (0, 2)
 
 
 def test_value_dimension_mismatch():
