@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .density import DensityField, _resolve_c
+from .density import DensityField, _require_positive, _resolve_c
 from .errors import ConstructionError, DegenerateTangentError, InvalidInputError
 from .maxima import ZeroCell, _single_linkage_from_dists
 
@@ -57,9 +57,13 @@ class NebParams:
             raise InvalidInputError("need 0 <= alpha < beta <= pi")
         if self.node_count < 3:
             raise InvalidInputError("node_count must be >= 3")
-        if min(self.step_size, self.convergence_tolerance, self.discard_radius,
-               self.cluster_threshold) <= 0:
-            raise InvalidInputError("step sizes, tolerances and radii must be positive")
+        _require_positive(step_size=self.step_size,
+                          convergence_tolerance=self.convergence_tolerance,
+                          discard_radius=self.discard_radius,
+                          cluster_threshold=self.cluster_threshold,
+                          gradient_constant=self.gradient_constant)
+        if self.trials_per_pair < 1 or self.max_steps < 0:
+            raise InvalidInputError("need trials_per_pair >= 1 and max_steps >= 0")
 
 
 @dataclass(frozen=True)
@@ -102,17 +106,16 @@ def _interior_forces(
     call.  Hairpin nodes fall back to the forward difference tangent and are
     flagged so the caller can track persistence.
     """
-    up = nodes[..., 2:, :] - nodes[..., 1:-1, :]
-    um = nodes[..., 1:-1, :] - nodes[..., :-2, :]
+    edges = np.diff(nodes, axis=-2)
+    edge_norm = np.sqrt(np.einsum("...in,...in->...i", edges, edges))
+    up, um = edges[..., 1:, :], edges[..., :-1, :]
+    up_norm, um_norm = edge_norm[..., 1:], edge_norm[..., :-1]
     s = up + um
-    s_norm = np.linalg.norm(s, axis=-1)
+    s_norm = np.sqrt(np.einsum("...in,...in->...i", s, s))
     hairpin = s_norm <= _HAIRPIN_EPS
-
-    up_norm = np.linalg.norm(up, axis=-1)
-    um_norm = np.linalg.norm(um, axis=-1)
-    tau = np.where(hairpin[..., None],
-                   up / np.maximum(up_norm, _HAIRPIN_EPS)[..., None],
-                   s / np.maximum(s_norm, _HAIRPIN_EPS)[..., None])
+    tau = s / np.maximum(s_norm, _HAIRPIN_EPS)[..., None]
+    if hairpin.any():
+        tau[hairpin] = up[hairpin] / np.maximum(up_norm[hairpin], _HAIRPIN_EPS)[:, None]
 
     interior = nodes[..., 1:-1, :]
     grad = field.gradient_batch(interior.reshape(-1, nodes.shape[-1]))
@@ -122,11 +125,10 @@ def _interior_forces(
 
     denom = np.maximum(up_norm * um_norm, _HAIRPIN_EPS)
     cos_theta = np.clip(np.einsum("...in,...in->...i", up, um) / denom, -1.0, 1.0)
-    theta = np.arccos(cos_theta)
-    ramp = (1.0 - np.cos(np.pi * (theta - params.alpha)
-                         / (params.beta - params.alpha))) / 2.0
-    h = np.where(theta <= params.alpha, 0.0,
-                 np.where(theta >= params.beta, 1.0, ramp))
+    # raised-cosine gate: 0 up to alpha, 1 from beta on
+    phase = np.clip(np.pi * (np.arccos(cos_theta) - params.alpha)
+                    / (params.beta - params.alpha), 0.0, np.pi)
+    h = (1.0 - np.cos(phase)) / 2.0
     smooth = h[..., None] * (up - um)
 
     return c * grad_perp + spring + smooth, hairpin
@@ -151,25 +153,27 @@ def _evolve_bands(field: DensityField, bands: list[Band],
     if not bands:
         return []
     c = _resolve_c(field, params)
-    nodes = np.stack([b.nodes for b in bands])
     out: list[Band | None] = [None] * len(bands)
-    active = np.arange(len(bands))
+    # the active bands as one contiguous stack, with their indices into bands
+    nodes = np.stack([b.nodes for b in bands])
+    ids = np.arange(len(bands))
     hairpin_steps = np.zeros(len(bands), dtype=int)
     for step in range(params.max_steps + 1):
-        forces, hairpin = _interior_forces(field, nodes[active], params, c)
-        hairpin_steps[active] += hairpin.any(axis=1)
-        mean_norm = np.linalg.norm(forces, axis=-1).mean(axis=1)
+        forces, hairpin = _interior_forces(field, nodes, params, c)
+        hairpin_steps += hairpin.any(axis=1)
+        mean_norm = np.sqrt(np.einsum("bin,bin->bi", forces, forces)).mean(axis=1)
         done = mean_norm < params.convergence_tolerance
-        for k in active[done]:
+        for k in np.flatnonzero(done):
             if hairpin_steps[k] <= 0.01 * (step + 1):
-                out[k] = Band(nodes[k].copy())  # endpoints were never written
+                out[ids[k]] = Band(nodes[k].copy())  # endpoints were never written
         if step == params.max_steps:
             break
-        active, forces = active[~done], forces[~done]
-        nodes[active, 1:-1] += params.step_size * forces
-        active = active[np.isfinite(nodes[active]).all(axis=(1, 2))]
-        if not len(active):
-            break
+        nodes[:, 1:-1] += params.step_size * forces
+        keep = ~done & np.isfinite(nodes).all(axis=(1, 2))
+        if not keep.all():
+            nodes, ids, hairpin_steps = nodes[keep], ids[keep], hairpin_steps[keep]
+            if not len(ids):
+                break
     return out
 
 

@@ -92,7 +92,10 @@ def build_pipeline_config(values: dict) -> PipelineConfig:
     top = {k: v for k, v in values.items() if "." not in k and k != "threads"}
     seed_env = os.environ.get("MORSE_SEED")
     if seed_env is not None:
-        top["seed"] = int(seed_env)
+        try:
+            top["seed"] = int(seed_env)
+        except ValueError:
+            raise UsageError(f"MORSE_SEED must be an integer, got {seed_env!r}") from None
     neb = sub("neb")
     neb.setdefault("sphere_mode", top.get("sphere_mode", False))
     try:
@@ -144,8 +147,12 @@ def document_to_filtration(doc: dict) -> MorseFiltration:
                  boundary=tuple(c["boundary"]), geometry=np.array(c["geometry"]))
             for c in doc["cells"]
         ]
+        widths = {c.geometry.shape[1] if c.geometry.ndim == 2 else None for c in cells}
+        if None in widths or len(widths) > 1:
+            raise DataError("cell geometry must be (m, n) rows of one common width n")
         return MorseFiltration.build(cells, metadata=doc.get("config", {}))
-    except (KeyError, TypeError, ValueError, InvalidComplexError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidComplexError,
+            InvalidInputError) as exc:
         raise DataError(f"malformed filtration document: {exc}") from None
 
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cwcomplex import components
-from .density import KernelDensity
-from .errors import InvalidInputError, NoMassError, NoMaximaError
+from .density import KernelDensity, _require_positive
+from .errors import InvalidInputError, NoMaximaError
 
 
 @dataclass(frozen=True)
@@ -18,8 +18,9 @@ class AscentParams:
     seed_count: int | None = None  # None -> min(|X|, 500)
 
     def __post_init__(self):
-        if self.tolerance <= 0 or self.max_iterations < 1:
-            raise InvalidInputError("tolerance and max_iterations must be positive")
+        _require_positive(tolerance=self.tolerance)
+        if self.max_iterations < 1:
+            raise InvalidInputError("max_iterations must be positive")
         if self.seed_count is not None and self.seed_count < 1:
             raise InvalidInputError("seed_count must be positive")
 
@@ -32,22 +33,38 @@ class ZeroCell:
     density: float
 
 
+def _ascend_seeds(field: KernelDensity, seeds: np.ndarray,
+                  params: AscentParams) -> list[np.ndarray | None]:
+    """Ascend every row of an (S, n) seed array together, as ``ascend`` does
+    each alone.
+
+    Every iteration makes one mean-shift call over the seeds still moving.  A
+    seed leaves the stack when it converges or loses all kernel mass.
+    """
+    ys = np.array(seeds, dtype=float)
+    out: list[np.ndarray | None] = [None] * len(ys)
+    ids = np.arange(len(ys))
+    for _ in range(params.max_iterations):
+        shifted, has_mass = field.mean_shift_batch(ys)
+        diff = shifted - ys
+        done = has_mass & (np.sqrt(np.einsum("sn,sn->s", diff, diff))
+                           < params.tolerance)
+        for k, y in zip(ids[done], ys[done]):  # ys[done] copies: out pins no ys
+            out[k] = y
+        moving = has_mass & ~done
+        ids, ys = ids[moving], shifted[moving]
+        if not len(ids):
+            break
+    return out
+
+
 def ascend(field: KernelDensity, y0: np.ndarray, params: AscentParams) -> np.ndarray | None:
     """Iterate y <- m(y) until ||m(y) - y|| < tolerance.
 
     Returns the converged point, or None when the trajectory exceeds
     max_iterations or loses all kernel mass.
     """
-    y = np.asarray(y0, dtype=float)
-    for _ in range(params.max_iterations):
-        try:
-            m = field.mean_shift(y)
-        except NoMassError:
-            return None
-        if np.linalg.norm(m - y) < params.tolerance:
-            return y
-        y = m
-    return None
+    return _ascend_seeds(field, field._check_query(y0)[None, :], params)[0]
 
 
 def _single_linkage_from_dists(dists: np.ndarray, threshold: float) -> list[list[int]]:
@@ -88,7 +105,7 @@ def find_zero_cells(
     idx = rng.choice(len(cloud), size=count, replace=False)
     seeds = cloud.points[idx]
 
-    results = [ascend(field, s, params) for s in seeds]
+    results = _ascend_seeds(field, seeds, params)
     converged = [r for r in results if r is not None]
     if not converged:
         raise NoMaximaError(seeds_attempted=count, non_convergent=count)

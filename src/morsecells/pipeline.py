@@ -16,7 +16,7 @@ import numpy as np
 
 from .band import NebParams, OneCell, find_one_cells
 from .cwcomplex import Cell, MorseFiltration
-from .density import KernelDensity, PointCloud
+from .density import KernelDensity, PointCloud, _require_positive
 from .errors import ConstructionError, InvalidInputError
 from .maxima import AscentParams, find_zero_cells
 from .sheet import SheetParams, initial_sheet, relax_sheet, sheet_density
@@ -34,8 +34,9 @@ class PipelineConfig:
     sheet: SheetParams = dataclass_field(default_factory=SheetParams)
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise InvalidInputError("sigma must be positive")
+        _require_positive(sigma=self.sigma, cluster_threshold=self.cluster_threshold)
+        if self.seed < 0 or self.max_loop_length < 1:
+            raise InvalidInputError("need seed >= 0 and max_loop_length >= 1")
         if self.sphere_mode != self.neb.sphere_mode:
             object.__setattr__(self, "neb",
                                NebParams(**{**self.neb.__dict__,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityField, _resolve_c
+from .density import DensityField, _require_positive, _resolve_c
 from .errors import ConstructionError, InvalidInputError
 
 TANGENT_DIM = 2  # 2-cells only; the general-k construction is not run
@@ -31,8 +31,10 @@ class SheetParams:
     def __post_init__(self):
         if self.rings < 1 or self.nodes_per_ring < 3:
             raise InvalidInputError("need rings >= 1 and nodes_per_ring >= 3")
-        if min(self.step_size, self.tolerance) <= 0:
-            raise InvalidInputError("step size and tolerance must be positive")
+        _require_positive(step_size=self.step_size, tolerance=self.tolerance,
+                          gradient_constant=self.gradient_constant)
+        if self.max_steps < 0:
+            raise InvalidInputError("max_steps must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from morsecells import (MorseFiltration, PipelineConfig, read_point_cloud,
                         synth_gaussian_mixture, write_point_cloud)
-from morsecells.cli import (UsageError, build_pipeline_config,
+from morsecells.cli import (_CONFIG_KEYS, UsageError, build_pipeline_config,
                             document_to_filtration, filtration_to_document,
                             main, parse_config_text)
+from morsecells.errors import DataError, MorseCellsError
 
 
 def run_cli(*argv):
@@ -397,3 +399,107 @@ def test_morse_seed_env_changes_analyze(tmp_path, two_blob_csv, fast_config,
     assert run_cli("analyze", two_blob_csv, out2, "--sigma", "1.0",
                    "--seed", "555", "--config", fast_config) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+@pytest.mark.parametrize("line", [
+    "neb.step_size = nan",
+    "neb.convergence_tolerance = nan",
+    "neb.gradient_constant = nan",
+    "sigma = inf",
+    "sigma = nan",
+    "neb.trials_per_pair = -1",
+    "neb.trials_per_pair = 0",
+    "ascent.tolerance = inf",
+    "sheet.tolerance = nan",
+    "seed = -1",
+])
+def test_analyze_invalid_number_in_config_exit_1(tmp_path, two_blob_csv, capsys, line):
+    cfg = tmp_path / "bad.conf"
+    cfg.write_text(line + "\n")
+    assert run_cli("analyze", two_blob_csv, str(tmp_path / "o.json"),
+                   "--config", str(cfg)) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_analyze_bad_morse_seed_exit_1(tmp_path, two_blob_csv, capsys, monkeypatch):
+    monkeypatch.setenv("MORSE_SEED", "abc")
+    assert run_cli("analyze", two_blob_csv, str(tmp_path / "o.json")) == 1
+    assert "MORSE_SEED" in capsys.readouterr().err
+
+
+def test_project_mixed_geometry_widths_exit_2(tmp_path, capsys):
+    doc = edited_document(
+        tmp_path, lambda d: d["cells"][0].update(geometry=[[0.0, 0.0, 0.0]]))
+    assert run_cli("project", doc, str(tmp_path / "p.csv")) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: malformed input raises the package's own errors, never another
+
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "0", "-0.0", "-1", "1e-320",
+                     "1e308", "1e999", "10" * 40, "-" + "9" * 30, "true", ""]),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from(sorted(_CONFIG_KEYS)), _FUZZ_VALUES),
+                max_size=6))
+def test_fuzz_config_raises_only_package_errors(lines):
+    text = "\n".join(f"{key} = {value}" for key, value in lines)
+    try:
+        build_pipeline_config(parse_config_text(text))
+    except MorseCellsError:
+        pass
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.text())
+def test_fuzz_config_text_raises_only_package_errors(text):
+    try:
+        build_pipeline_config(parse_config_text(text))
+    except MorseCellsError:
+        pass
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+_FUZZ_CELL = st.fixed_dictionaries({
+    "id": st.integers(-1, 4) | _JSON,
+    "dim": st.integers(-1, 3) | _JSON,
+    "density": st.floats() | _JSON,
+    "boundary": st.lists(st.integers(-1, 4), max_size=3) | _JSON,
+    "geometry": st.lists(st.lists(st.floats() | st.integers(), min_size=1, max_size=3),
+                         max_size=3) | _JSON,
+})
+_FUZZ_DOCUMENT = _JSON | st.fixed_dictionaries(
+    {"version": st.just(1) | _JSON, "cells": st.lists(_FUZZ_CELL, max_size=4) | _JSON},
+    optional={"config": _JSON},
+)
+
+
+def _one_cell_document(**cell):
+    return {"version": 1, "cells": [{"id": 0, "dim": 0, "density": 1.0,
+                                     "boundary": [], "geometry": [[0.0, 0.0]], **cell}]}
+
+
+@settings(deadline=None, max_examples=500)
+@given(_FUZZ_DOCUMENT)
+@example(_one_cell_document(dim=7))
+@example(_one_cell_document(boundary=[0]))
+@example(_one_cell_document(geometry=[[10**400, 0.0]]))
+@example(_one_cell_document(geometry=5.0))
+def test_fuzz_document_raises_only_data_error(doc):
+    try:
+        filtration = document_to_filtration(doc)
+    except DataError:
+        return
+    assert isinstance(filtration, MorseFiltration)

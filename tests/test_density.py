@@ -113,10 +113,14 @@ def test_batches_in_row_blocks_match_single_rows(rng, monkeypatch):
     ys = rng.normal(size=(25, 2))
     f = KernelDensity(PointCloud(pts), 0.6)
     whole = f.value_batch(ys), f.gradient_batch(ys)
+    whole_shift, whole_mass = f.mean_shift_batch(ys)
     monkeypatch.setattr(density, "_BLOCK_ENTRIES", 3 * 40)  # blocks of 3 rows
     blocked = f.value_batch(ys), f.gradient_batch(ys)
     assert blocked[0] == pytest.approx(whole[0], rel=1e-14)
     assert np.abs(blocked[1] - whole[1]).max() <= 1e-14 * np.abs(whole[1]).max()
+    blocked_shift, blocked_mass = f.mean_shift_batch(ys)
+    assert np.array_equal(blocked_mass, whole_mass)
+    assert np.abs(blocked_shift - whole_shift).max() <= 1e-14 * np.abs(whole_shift).max()
     assert f.value_batch(np.empty((0, 2))).shape == (0,)
     assert f.gradient_batch(np.empty((0, 2))).shape == (0, 2)
 
@@ -185,6 +189,26 @@ def test_mean_shift_no_mass_far_away():
     f = KernelDensity(PointCloud([[0.0]]), 0.01)
     with pytest.raises(NoMassError):
         f.mean_shift(np.array([1000.0]))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_mean_shift_batch_matches_single_rows(rng, offset):
+    pts = rng.normal(size=(30, 3)) + offset
+    f = KernelDensity(PointCloud(pts), 0.05)
+    ys = np.vstack([pts[:4] + 0.01 * rng.normal(size=(4, 3)),
+                    rng.normal(size=(4, 3)) + offset,
+                    [[offset + 50.0, offset, offset]]])  # no kernel mass
+    shifted, has_mass = f.mean_shift_batch(ys)
+    assert shifted.shape == ys.shape and has_mass.shape == (len(ys),)
+    assert not has_mass[-1] and np.isnan(shifted[-1]).all()
+    for y, row, mass in zip(ys, shifted, has_mass):
+        if not mass:
+            with pytest.raises(NoMassError):
+                f.mean_shift(y)
+            continue
+        assert np.abs(row - f.mean_shift(y)).max() <= 1e-12 * max(1.0, abs(offset))
+    with pytest.raises(InvalidInputError):
+        f.mean_shift_batch(ys[:, :2])
 
 
 def test_mean_shift_parallel_to_gradient(rng):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from morsecells import AscentParams, KernelDensity, PointCloud, ascend, find_zero_cells, single_linkage
-from morsecells.errors import InvalidInputError, NoMaximaError
+from morsecells.errors import InvalidInputError, NoMassError, NoMaximaError
+from morsecells.maxima import _ascend_seeds
 
 from conftest import grid_search_mode
 
@@ -39,6 +40,47 @@ def test_ascend_no_mass_returns_none():
     f = KernelDensity(PointCloud([[0.0]]), 0.01)
     out = ascend(f, np.array([500.0]), AscentParams())
     assert out is None
+
+
+def loop_ascend(field, y, params):
+    """Reference ascent: one mean_shift call per step."""
+    for _ in range(params.max_iterations):
+        try:
+            m = field.mean_shift(y)
+        except NoMassError:
+            return None
+        if np.linalg.norm(m - y) < params.tolerance:
+            return y
+        y = m
+    return None
+
+
+def test_ascend_seeds_together_match_each_alone(rng):
+    cloud = two_gaussian_cloud(rng)
+    f = KernelDensity(cloud, 1.0)
+    params = AscentParams(max_iterations=12)
+    seeds = np.vstack([cloud.points[:20], [[500.0, 500.0]]])  # the last has no mass
+    alone = [ascend(f, s, params) for s in seeds]
+    reference = [loop_ascend(f, s, params) for s in seeds]
+    together = _ascend_seeds(f, seeds, params)
+    # the mix holds converged seeds and seeds that used up max_iterations
+    assert 0 < sum(a is None for a in alone[:-1]) < len(alone) - 1
+    assert alone[-1] is None
+    for a, r, b in zip(alone, reference, together):
+        assert (a is None) == (r is None) == (b is None)
+        if a is not None:
+            assert np.abs(a - b).max() <= 1e-12 and np.abs(r - b).max() <= 1e-12
+
+
+def test_ascend_seeds_no_mass_among_converged():
+    f = KernelDensity(PointCloud([[0.0]]), 0.01)
+    seeds = np.array([[0.0], [500.0], [0.001], [2e-5]])
+    out = _ascend_seeds(f, seeds, AscentParams(max_iterations=1))
+    # 0.001 moves to 0.0 in its only iteration: not yet converged
+    assert out[0] == pytest.approx([0.0]) and out[3] == pytest.approx([2e-5])
+    assert out[1] is None and out[2] is None
+    assert [ascend(f, s, AscentParams(max_iterations=1)) is None
+            for s in seeds] == [False, True, True, False]
 
 
 def test_ascend_finds_grid_search_modes(rng):
