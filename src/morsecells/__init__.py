@@ -13,8 +13,7 @@ from .cwcomplex import (Cell, MorseFiltration, betti, loop_persistence,
 from .density import (DensityField, KernelDensity, PointCloud, gradient_constant)
 from .ingestion import (MdsResult, PatchConfig, UnweightedGraph, dct_basis,
                         mds_embed, preprocess_patches, read_graph,
-                        read_point_cloud, read_raster, read_series,
-                        shortest_path_distances, sliding_window,
+                        read_point_cloud, shortest_path_distances, sliding_window,
                         synth_bumpy_circle, synth_gaussian_mixture,
                         synth_noisy_circle, write_point_cloud)
 from .maxima import AscentParams, ZeroCell, ascend, find_zero_cells, single_linkage
@@ -30,12 +29,12 @@ __all__ = [
     "band_distance", "betti", "dct_basis", "evolve", "find_one_cells",
     "find_zero_cells", "gradient_constant", "initial_band_general",
     "initial_band_sphere", "initial_sheet", "loop_persistence", "mds_embed",
-    "preprocess_patches", "read_graph", "read_point_cloud", "read_raster",
-    "read_series", "relax_sheet", "run", "sheet_density", "sheet_force",
-    "shortest_path_distances", "single_linkage", "sliding_window",
-    "smoothing_weight", "superlevel_complex", "synth_bumpy_circle",
-    "synth_gaussian_mixture", "synth_noisy_circle", "tangent",
-    "tangent_space", "total_force", "write_point_cloud",
+    "preprocess_patches", "read_graph", "read_point_cloud", "relax_sheet",
+    "run", "sheet_density", "sheet_force", "shortest_path_distances",
+    "single_linkage", "sliding_window", "smoothing_weight",
+    "superlevel_complex", "synth_bumpy_circle", "synth_gaussian_mixture",
+    "synth_noisy_circle", "tangent", "tangent_space", "total_force",
+    "write_point_cloud",
 ]
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import numpy as np
 from . import ingestion
 from .band import NebParams
 from .cwcomplex import Cell, MorseFiltration, betti, loop_persistence, superlevel_complex
-from .density import PointCloud
+from .density import PointCloud, _kernel_constants
 from .errors import (ConstructionError, DataError, InvalidComplexError,
                      InvalidInputError, MorseCellsError, NoMaximaError)
 from .maxima import AscentParams
@@ -160,7 +160,7 @@ def load_document(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: not a valid filtration document ({exc})") from None
 
 
@@ -178,6 +178,10 @@ def cmd_analyze(args) -> int:
     if args.sigma is not None:
         values["sigma"] = args.sigma
     config = build_pipeline_config(values)
+    try:
+        _kernel_constants(config.sigma, cloud.dimension)
+    except InvalidInputError as exc:
+        raise UsageError(str(exc)) from None
 
     filtration, report = run(cloud, config)
     doc = filtration_to_document(filtration, config)
@@ -315,18 +319,20 @@ def cmd_preprocess_patches(args) -> int:
                                    sample_size=args.samples)
     if args.modality == "flow":
         rasters = [
-            (ingestion.read_raster(p + ".u"), ingestion.read_raster(p + ".v"))
+            (ingestion.read_point_cloud(p + ".u").points,
+             ingestion.read_point_cloud(p + ".v").points)
             for p in args.rasters
         ]
     else:
-        rasters = [ingestion.read_raster(p) for p in args.rasters]
+        rasters = [ingestion.read_point_cloud(p).points for p in args.rasters]
     cloud = ingestion.preprocess_patches(rasters, config, rng)
     ingestion.write_point_cloud(cloud, args.output)
     return 0
 
 
 def cmd_sliding_window(args) -> int:
-    series = ingestion.read_series(args.input)
+    # one row per variable, columns as time points
+    series = ingestion.read_point_cloud(args.input).points
     cloud = ingestion.sliding_window(series, args.window)
     ingestion.write_point_cloud(cloud, args.output)
     return 0
@@ -417,10 +423,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, InvalidInputError, ConstructionError) as exc:
+    except (OSError, UnicodeDecodeError, DataError, InvalidInputError,
+            ConstructionError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NoMaximaError as exc:

@@ -89,6 +89,26 @@ def _require_positive(**values: float | None) -> None:
             raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _kernel_constants(sigma: float, n: int) -> tuple[float, float]:
+    """(sigma^2, (2 pi sigma^2)^(-n/2)) of the Gaussian kernel in R^n.
+
+    Raises InvalidInputError unless sigma is finite and positive and these
+    two, 1 / sigma^2 and ``gradient_constant`` are finite and nonzero: far
+    from 1, sigma^2 and its powers under- or overflow.
+    """
+    _require_positive(sigma=sigma)
+    try:
+        constants = (sigma**2, (2.0 * math.pi * sigma**2) ** (-n / 2.0),
+                     1.0 / sigma**2, gradient_constant(n, sigma))
+    except (OverflowError, ZeroDivisionError):
+        constants = (0.0,)
+    if not all(0.0 < c < math.inf for c in constants):
+        raise InvalidInputError(
+            f"sigma = {sigma!r} is out of range: the Gaussian kernel's constants "
+            f"in R^{n} are not all finite and nonzero")
+    return constants[0], constants[1]
+
+
 def _resolve_c(field: DensityField, params) -> float:
     """The solvers' gradient constant: params.gradient_constant when set,
     else gradient_constant for the field's dimension and sigma."""
@@ -125,18 +145,19 @@ class KernelDensity(DensityField):
     sigma: float
     dimension: int = field(init=False)
     _centre: np.ndarray = field(init=False, repr=False, compare=False)
+    _norm_const: float = field(init=False, repr=False, compare=False)
     _exponent_cols: np.ndarray = field(init=False, repr=False, compare=False)
     _points1: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_positive(sigma=self.sigma)
         object.__setattr__(self, "dimension", self.cloud.dimension)
+        s2, norm = _kernel_constants(self.sigma, self.dimension)
         centre = np.round(self.cloud.points.mean(axis=0))
         points = self.cloud.points - centre
-        s2 = self.sigma**2
         cols = np.vstack([points.T / s2,
                           np.einsum("mn,mn->m", points, points) / (-2.0 * s2),
                           np.full(len(points), -0.5 / s2)])
+        object.__setattr__(self, "_norm_const", norm)
         object.__setattr__(self, "_centre", centre)
         object.__setattr__(self, "_exponent_cols", cols)
         object.__setattr__(self, "_points1",
@@ -174,11 +195,6 @@ class KernelDensity(DensityField):
             w, top[i:i + step] = self._weights(ys[i:i + step], nearest)
             np.matmul(w, self._points1, out=out[i:i + step])
         return out, top
-
-    @property
-    def _norm_const(self) -> float:
-        n = self.dimension
-        return (2.0 * math.pi * self.sigma**2) ** (-n / 2.0)
 
     def value(self, y: np.ndarray) -> float:
         y = self._check_query(y)

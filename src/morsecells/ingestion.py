@@ -27,22 +27,25 @@ def read_point_cloud(path: str) -> PointCloud:
     """One point per row, comma-separated decimal coordinates."""
     rows: list[list[float]] = []
     arity = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if arity is None:
-                arity = len(fields)
-            elif len(fields) != arity:
-                raise ParseError(
-                    f"expected {arity} fields, found {len(fields)}", line=lineno
-                )
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                fields = line.split(",")
+                if arity is None:
+                    arity = len(fields)
+                elif len(fields) != arity:
+                    raise ParseError(
+                        f"expected {arity} fields, found {len(fields)}", line=lineno
+                    )
+                try:
+                    rows.append([float(f) for f in fields])
+                except ValueError as exc:
+                    raise ParseError(str(exc), line=lineno) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot decode as text ({exc})") from None
     if not rows:
         raise ParseError(f"{path}: no points found")
     return PointCloud(np.array(rows))
@@ -375,16 +378,6 @@ def sliding_window(series: np.ndarray, window: int) -> PointCloud:
         series[:, s:s + window].flatten(order="F") for s in range(t - window + 1)
     ])
     return PointCloud(points)
-
-
-def read_series(path: str) -> np.ndarray:
-    """CSV with one row per variable, columns as time points."""
-    cloud = read_point_cloud(path)
-    return cloud.points
-
-
-def read_raster(path: str) -> np.ndarray:
-    return read_point_cloud(path).points
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,35 @@ def test_analyze_bad_morse_seed_exit_1(tmp_path, two_blob_csv, capsys, monkeypat
     assert "MORSE_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", ["1e-200", "1e-160", "1e200"])
+def test_analyze_sigma_out_of_kernel_range_exit_1(tmp_path, two_blob_csv, capsys,
+                                                  sigma):
+    # sigma^2 underflows to 0, 1 / sigma^2 overflows, or sigma^2 overflows
+    assert run_cli("analyze", two_blob_csv, str(tmp_path / "o.json"),
+                   "--sigma", sigma) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("betti", "{dir}", "0.1"),
+    ("betti", "{bad}", "0.1"),
+    ("persistence", "{dir}"),
+    ("persistence", "{bad}"),
+    ("project", "{bad}", "{out}"),
+    ("analyze", "{dir}", "{out}"),
+    ("analyze", "{bad}", "{out}"),
+    ("analyze", "{csv}", "{out}", "--config", "{dir}"),
+])
+def test_unreadable_file_exit_2(tmp_path, two_blob_csv, capsys, argv):
+    # a directory where a file is expected, or a file that is not UTF-8 text
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe1,2\n")
+    paths = {"dir": str(tmp_path), "bad": str(bad), "csv": two_blob_csv,
+             "out": str(tmp_path / "o.out")}
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_project_mixed_geometry_widths_exit_2(tmp_path, capsys):
     doc = edited_document(
         tmp_path, lambda d: d["cells"][0].update(geometry=[[0.0, 0.0, 0.0]]))

@@ -310,6 +310,73 @@ def test_betti_matches_dense_oracle_on_random_filtrations(rng):
             assert betti(cells)[1] == dense_gf2_b1(cells)
 
 
+def _tree_path(tree, a, b):
+    """Edge ids on the forest path from a to b, or None when not connected."""
+    stack, seen = [(a, frozenset())], {a}
+    while stack:
+        v, path = stack.pop()
+        if v == b:
+            return path
+        for w, eid in tree[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append((w, path | {eid}))
+    return None
+
+
+@st.composite
+def random_complexes(draw):
+    """Cells of a random 2-complex with tied and clamped densities.
+
+    Edges may be parallel or self-loops.  Each face is glued along a GF(2)
+    sum of fundamental cycles of the 1-skeleton, so its boundary is closed.
+    """
+    n = draw(st.integers(1, 6))
+    density = st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]) | st.floats(0.05, 1.0)
+    cells = [vert(v, draw(density)) for v in range(n)]
+    tree = {v: [] for v in range(n)}  # spanning forest: vertex -> [(vertex, edge)]
+    cycles = []
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=10))
+    for eid, (a, b) in enumerate(pairs, start=n):
+        cells.append(edge(eid, a, b, draw(density)))
+        path = _tree_path(tree, a, b)
+        if path is None:
+            tree[a].append((b, eid))
+            tree[b].append((a, eid))
+        else:
+            cycles.append(path ^ {eid})
+    next_id = n + len(pairs)
+    for _ in range(draw(st.integers(0, 4)) if cycles else 0):
+        picks = draw(st.lists(st.sampled_from(cycles), min_size=1, max_size=3))
+        boundary = frozenset()
+        for cycle in picks:
+            boundary ^= cycle
+        if boundary:
+            cells.append(face(next_id, sorted(boundary), draw(density)))
+            next_id += 1
+    return cells
+
+
+@settings(deadline=None, max_examples=300)
+@given(random_complexes())
+def test_betti_matches_dense_oracle_on_hypothesis_complexes(cells):
+    filt = MorseFiltration.build(cells)
+    for a in sorted({c.density for c in filt.cells} | {0.0}):
+        sub = superlevel_complex(filt, a)
+        assert betti(sub)[1] == dense_gf2_b1(sub)
+
+
+@settings(deadline=None, max_examples=300)
+@given(random_complexes())
+def test_persistence_matches_dense_oracle_on_hypothesis_complexes(cells):
+    filt = MorseFiltration.build(cells)
+    intervals = loop_persistence(filt)
+    for a in sorted({c.density for c in filt.cells} | {0.0}):
+        assert (b1_from_intervals(intervals, a)
+                == dense_gf2_b1(superlevel_complex(filt, a)))
+
+
 def test_persistence_interval_count_equals_loop_births(rng):
     # every unfilled loop persists to 0; total interval count equals b1 at the
     # lowest positive threshold plus the number of filled loops

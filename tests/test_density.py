@@ -131,6 +131,15 @@ def test_value_dimension_mismatch():
         f.value(np.array([0.0]))
 
 
+@pytest.mark.parametrize("sigma, n", [(1e-200, 1), (1e200, 1), (1e-160, 1),
+                                      (1e-100, 4), (1e40, 8)])
+def test_sigma_out_of_kernel_range_rejected(sigma, n):
+    # sigma^2, 1 / sigma^2, the normalizing constant or the gradient constant
+    # under- or overflows; sigma itself is finite and positive
+    with pytest.raises(InvalidInputError):
+        KernelDensity(PointCloud(np.zeros((1, n))), sigma)
+
+
 def test_gradient_zero_at_symmetric_midpoint():
     f = KernelDensity(PointCloud([[-1.0], [1.0]]), 1.0)
     assert f.gradient(np.array([0.0])) == pytest.approx([0.0], abs=1e-15)

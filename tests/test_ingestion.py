@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morsecells import (PatchConfig, PointCloud, UnweightedGraph, dct_basis,
                         mds_embed, preprocess_patches, read_graph,
-                        read_point_cloud, read_series, shortest_path_distances,
+                        read_point_cloud, shortest_path_distances,
                         sliding_window, synth_bumpy_circle,
                         synth_gaussian_mixture, synth_noisy_circle,
                         write_point_cloud)
-from morsecells.errors import DataError, InvalidInputError, ParseError
+from morsecells.errors import (DataError, InvalidInputError, MorseCellsError,
+                               ParseError)
 from morsecells.ingestion import _grid_laplacian
 
 
@@ -52,6 +54,34 @@ def test_read_point_cloud_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ParseError):
         read_point_cloud(str(path))
+
+
+def test_read_point_cloud_not_utf8_is_parse_error(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"\xff\xfe1,2\n")
+    with pytest.raises(ParseError):
+        read_point_cloud(str(path))
+
+
+# CSV-like fragments, so that random files often parse partway or fully
+_CSV_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.sampled_from([b"1", b"-2.5", b"1e308", b"1e999", b"nan", b"inf",
+                              b",", b"\n", b"\r", b" ", b"\x00", b"\xff",
+                              b"\xe2\x82", b"x"]), max_size=24).map(b"".join))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_CSV_BYTES)
+def test_read_point_cloud_random_bytes_raise_only_package_errors(tmp_path_factory,
+                                                                 data):
+    path = tmp_path_factory.mktemp("fuzz") / "c.csv"
+    path.write_bytes(data)
+    try:
+        cloud = read_point_cloud(str(path))
+    except MorseCellsError:
+        return
+    assert cloud.points.ndim == 2 and np.isfinite(cloud.points).all()
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +381,10 @@ def test_sliding_window_validation():
 
 
 def test_read_series(tmp_path):
+    # a series CSV (one row per variable) reads as its (variables, time) matrix
     path = tmp_path / "s.csv"
     path.write_text("1,2,3\n4,5,6\n")
-    assert np.array_equal(read_series(str(path)),
+    assert np.array_equal(read_point_cloud(str(path)).points,
                           np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
 
 

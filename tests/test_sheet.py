@@ -234,3 +234,58 @@ def test_batched_forces_match_single_node(rng):
     for row, alpha in enumerate(interior):
         single = sheet_force(field, jittered, int(alpha), 2.0)
         assert batched[row] == pytest.approx(single, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# semi-implicit step against the exact spring-only equilibrium
+
+def web_laplacian(sheet):
+    """Graph Laplacian of the web, built node by node from its edges."""
+    lap = np.zeros((len(sheet.positions),) * 2)
+    for a, b in sheet.edges:
+        lap[a, b] -= 1.0
+        lap[b, a] -= 1.0
+        lap[a, a] += 1.0
+        lap[b, b] += 1.0
+    return lap
+
+
+def harmonic_interior(sheet):
+    """Interior of the spring-only equilibrium: L_II x_I = -L_IB x_B."""
+    lap = web_laplacian(sheet)
+    inner, outer = ~sheet.boundary, sheet.boundary
+    return np.linalg.solve(lap[np.ix_(inner, inner)],
+                           -lap[np.ix_(inner, outer)] @ sheet.positions[outer])
+
+
+def test_implicit_step_matrix_is_scaled_inverse():
+    from morsecells.sheet import _implicit_step_matrix
+    sheet = initial_sheet(circle_loop(), rings=4, nodes_per_ring=7)
+    interior = np.flatnonzero(~sheet.boundary)
+    lap = web_laplacian(sheet)[np.ix_(interior, interior)]
+    h = 0.7
+    expected = h * np.linalg.inv(np.eye(len(interior)) + h * lap)
+    assert np.abs(_implicit_step_matrix(sheet, interior, h) - expected).max() < 1e-12
+
+
+def test_relax_sheet_criterion_10_disk_reaches_harmonic_solve_in_few_steps():
+    sheet = initial_sheet(circle_loop(40), rings=10, nodes_per_ring=20)
+    out = relax_sheet(ConstantField(2), sheet,
+                      SheetParams(gradient_constant=1.0, max_steps=100))
+    assert out is not None
+    interior = ~sheet.boundary
+    gap = np.linalg.norm(out.positions[interior] - harmonic_interior(sheet), axis=1)
+    assert gap.max() < 1e-2
+
+
+def test_relax_sheet_planar_web_in_eight_dimensions(rng):
+    frame, _ = np.linalg.qr(rng.normal(size=(8, 2)))  # orthonormal columns
+    sheet = initial_sheet(circle_loop(40) @ frame.T, rings=10, nodes_per_ring=20)
+    out = relax_sheet(ConstantField(8), sheet,
+                      SheetParams(gradient_constant=1.0, max_steps=100))
+    assert out is not None
+    interior = ~sheet.boundary
+    gap = np.linalg.norm(out.positions[interior] - harmonic_interior(sheet), axis=1)
+    assert gap.max() < 1e-2
+    drift = out.positions - (out.positions @ frame) @ frame.T
+    assert np.abs(drift).max() <= 1e-9
