@@ -50,7 +50,6 @@ class NebParams:
     discard_radius: float = 0.5
     cluster_threshold: float = 0.3
     trials_per_pair: int = 20
-    sphere_mode: bool = False
 
     def __post_init__(self):
         if not (0 <= self.alpha < self.beta <= math.pi):
@@ -87,13 +86,11 @@ def tangent(band: Band, i: int) -> np.ndarray:
     return s / norm
 
 
-def smoothing_weight(theta: float, alpha: float, beta: float) -> float:
-    """Gate in [0,1]: 0 below alpha, 1 above beta, raised-cosine ramp between."""
-    if theta <= alpha:
-        return 0.0
-    if theta >= beta:
-        return 1.0
-    return (1.0 - math.cos(math.pi * (theta - alpha) / (beta - alpha))) / 2.0
+def smoothing_weight(theta: np.ndarray | float, alpha: float,
+                     beta: float) -> np.ndarray | float:
+    """Gate in [0,1], elementwise: 0 below alpha, 1 above beta, raised-cosine between."""
+    phase = np.clip(np.pi * (theta - alpha) / (beta - alpha), 0.0, np.pi)
+    return (1.0 - np.cos(phase)) / 2.0
 
 
 def _interior_forces(
@@ -125,10 +122,7 @@ def _interior_forces(
 
     denom = np.maximum(up_norm * um_norm, _HAIRPIN_EPS)
     cos_theta = np.clip(np.einsum("...in,...in->...i", up, um) / denom, -1.0, 1.0)
-    # raised-cosine gate: 0 up to alpha, 1 from beta on
-    phase = np.clip(np.pi * (np.arccos(cos_theta) - params.alpha)
-                    / (params.beta - params.alpha), 0.0, np.pi)
-    h = (1.0 - np.cos(phase)) / 2.0
+    h = smoothing_weight(np.arccos(cos_theta), params.alpha, params.beta)
     smooth = h[..., None] * (up - um)
 
     return c * grad_perp + spring + smooth, hairpin
@@ -373,16 +367,18 @@ def find_one_cells(
     zero_cells: list[ZeroCell],
     params: NebParams,
     rng: np.random.Generator,
+    sphere_mode: bool = False,
 ) -> list[OneCell]:
     """Evolve trial bands between every 0-cell pair and keep one per cluster.
 
+    Trials start on sphere arcs in sphere mode and on plane arcs otherwise.
     Convergent bands passing within discard_radius of a third 0-cell are
     dropped; survivors are single-linkage clustered under the band metric and
     the densest band of each cluster becomes a 1-cell.  Deterministic given
     the rng state.
     """
     positions = np.array([z.position for z in zero_cells])
-    initial_band = initial_band_sphere if params.sphere_mode else initial_band_general
+    initial_band = initial_band_sphere if sphere_mode else initial_band_general
     cells: list[OneCell] = []
 
     pairs = list(combinations(range(len(zero_cells)), 2))

@@ -9,6 +9,7 @@ overrides any configured seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,14 +17,11 @@ import sys
 import numpy as np
 
 from . import ingestion
-from .band import NebParams
 from .cwcomplex import Cell, MorseFiltration, betti, loop_persistence, superlevel_complex
 from .density import PointCloud, _kernel_constants
 from .errors import (ConstructionError, DataError, InvalidComplexError,
                      InvalidInputError, MorseCellsError, NoMaximaError)
-from .maxima import AscentParams
 from .pipeline import PipelineConfig, run
-from .sheet import SheetParams
 
 DOCUMENT_VERSION = 1
 
@@ -35,32 +33,32 @@ class UsageError(MorseCellsError):
 # ---------------------------------------------------------------------------
 # Config files: flat "key = value" lines with dotted keys.
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(raw: str) -> bool:
+    try:
+        return _BOOLEANS[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+# field type string -> parser; an optional field takes a value of its type
+_PARSERS = {"float": float, "int": int, "bool": _parse_bool,
+            "float | None": float, "int | None": int}
+
+# the nested params dataclasses of PipelineConfig, by field name
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)
+             if dataclasses.is_dataclass(f.default_factory)}
+
+# every PipelineConfig field, nested ones as "section.field", plus threads,
+# which is accepted for interface uniformity; runs are single-threaded
 _CONFIG_KEYS = {
-    "sigma": float,
-    "seed": int,
-    "sphere_mode": lambda s: s.lower() in ("1", "true", "yes"),
-    "cluster_threshold": float,
-    "max_loop_length": int,
-    "threads": int,  # accepted for interface uniformity; runs are single-threaded
-    "ascent.tolerance": float,
-    "ascent.max_iterations": int,
-    "ascent.seed_count": int,
-    "neb.node_count": int,
-    "neb.alpha": float,
-    "neb.beta": float,
-    "neb.gradient_constant": float,
-    "neb.step_size": float,
-    "neb.convergence_tolerance": float,
-    "neb.max_steps": int,
-    "neb.discard_radius": float,
-    "neb.cluster_threshold": float,
-    "neb.trials_per_pair": int,
-    "sheet.rings": int,
-    "sheet.nodes_per_ring": int,
-    "sheet.step_size": float,
-    "sheet.tolerance": float,
-    "sheet.max_steps": int,
-    "sheet.gradient_constant": float,
+    **{f.name: _PARSERS[f.type] for f in dataclasses.fields(PipelineConfig)
+       if f.name not in _SECTIONS},
+    **{f"{name}.{f.name}": _PARSERS[f.type] for name, cls in _SECTIONS.items()
+       for f in dataclasses.fields(cls)},
+    "threads": int,
 }
 
 
@@ -85,26 +83,23 @@ def parse_config_text(text: str) -> dict:
 
 
 def build_pipeline_config(values: dict) -> PipelineConfig:
-    def sub(prefix: str) -> dict:
-        return {k.split(".", 1)[1]: v for k, v in values.items()
-                if k.startswith(prefix + ".")}
-
-    top = {k: v for k, v in values.items() if "." not in k and k != "threads"}
+    kwargs: dict = {name: {} for name in _SECTIONS}
+    for key, value in values.items():
+        if "." in key:
+            section, name = key.split(".", 1)
+            kwargs[section][name] = value
+        elif key != "threads":
+            kwargs[key] = value
     seed_env = os.environ.get("MORSE_SEED")
     if seed_env is not None:
         try:
-            top["seed"] = int(seed_env)
+            kwargs["seed"] = int(seed_env)
         except ValueError:
             raise UsageError(f"MORSE_SEED must be an integer, got {seed_env!r}") from None
-    neb = sub("neb")
-    neb.setdefault("sphere_mode", top.get("sphere_mode", False))
     try:
-        return PipelineConfig(
-            ascent=AscentParams(**sub("ascent")),
-            neb=NebParams(**neb),
-            sheet=SheetParams(**sub("sheet")),
-            **top,
-        )
+        for name, cls in _SECTIONS.items():
+            kwargs[name] = cls(**kwargs[name])
+        return PipelineConfig(**kwargs)
     except InvalidInputError as exc:
         raise UsageError(str(exc)) from None
 
@@ -115,16 +110,7 @@ def build_pipeline_config(values: dict) -> PipelineConfig:
 def filtration_to_document(filtration: MorseFiltration, config: PipelineConfig) -> dict:
     return {
         "version": DOCUMENT_VERSION,
-        "config": {
-            "sigma": config.sigma,
-            "seed": config.seed,
-            "sphere_mode": config.sphere_mode,
-            "cluster_threshold": config.cluster_threshold,
-            "max_loop_length": config.max_loop_length,
-            "ascent": vars(config.ascent).copy(),
-            "neb": vars(config.neb).copy(),
-            "sheet": vars(config.sheet).copy(),
-        },
+        "config": dataclasses.asdict(config),
         "cells": [
             {
                 "id": c.id,

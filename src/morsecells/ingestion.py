@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cwcomplex import components
 from .density import PointCloud
 from .errors import DataError, InvalidInputError, ParseError
 
@@ -66,6 +67,8 @@ class UnweightedGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.vertex_count < 1:
+            raise DataError(f"graph needs at least one vertex, got {self.vertex_count}")
         seen = set()
         for a, b in self.edges:
             if a == b:
@@ -119,29 +122,9 @@ def shortest_path_distances(graph: UnweightedGraph) -> np.ndarray:
                     dist[src, w] = dist[src, u] + 1
                     queue.append(w)
     if (dist < 0).any():
-        sizes = _component_sizes(adj)
+        sizes = [len(c) for c in components(n, graph.edges)]
         raise DataError(f"graph is disconnected; component sizes {sorted(sizes)}")
     return dist
-
-
-def _component_sizes(adj: list[list[int]]) -> list[int]:
-    n = len(adj)
-    seen = [False] * n
-    sizes = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        queue, count = deque([start]), 0
-        seen[start] = True
-        while queue:
-            u = queue.popleft()
-            count += 1
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        sizes.append(count)
-    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +256,23 @@ class PatchConfig:
             raise InvalidInputError("contrast_quantile must be in (0, 1]")
         if self.side < 2:
             raise InvalidInputError("side must be >= 2")
+        if self.sample_size < 1:
+            raise InvalidInputError("sample_size must be >= 1")
 
 
 def _sample_patches(rasters: list[np.ndarray], side: int, count: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """(count, side, side, #rasters-per-item) patch stack from random positions."""
+                    rng: np.random.Generator, depth: tuple = ()) -> np.ndarray:
+    """(count, side, side, *depth) patch stack from random positions.
+
+    Each raster is (H, W, *depth): one image, or channels sampled together.
+    """
     usable = [np.asarray(r, dtype=float) for r in rasters]
     for k, r in enumerate(usable):
-        if r.ndim != 2 or r.shape[0] < side or r.shape[1] < side:
+        if (r.ndim != 2 + len(depth) or r.shape[2:] != depth
+                or r.shape[0] < side or r.shape[1] < side):
             raise DataError(f"raster {k} is too small for {side}x{side} patches")
     picks = rng.integers(0, len(usable), size=count)
-    out = np.empty((count, side, side))
+    out = np.empty((count, side, side) + depth)
     for t, k in enumerate(picks):
         r = usable[k]
         i = rng.integers(0, r.shape[0] - side + 1)
@@ -307,21 +296,15 @@ def preprocess_patches(rasters, config: PatchConfig,
     m = side * side
 
     if config.modality == "flow":
-        u_rasters = [np.asarray(u, dtype=float) for u, _ in rasters]
-        v_rasters = [np.asarray(v, dtype=float) for _, v in rasters]
-        picks = rng.integers(0, len(u_rasters), size=config.sample_size)
-        u_pat = np.empty((config.sample_size, m))
-        v_pat = np.empty((config.sample_size, m))
-        for t, k in enumerate(picks):
-            ur, vr = u_rasters[k], v_rasters[k]
-            if ur.shape != vr.shape:
+        pairs = []
+        for k, (u, v) in enumerate(rasters):
+            u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+            if u.shape != v.shape:
                 raise DataError(f"flow raster pair {k} has mismatched shapes")
-            if ur.shape[0] < side or ur.shape[1] < side:
-                raise DataError(f"raster {k} is too small for {side}x{side} patches")
-            i = rng.integers(0, ur.shape[0] - side + 1)
-            j = rng.integers(0, ur.shape[1] - side + 1)
-            u_pat[t] = ur[i:i + side, j:j + side].flatten(order="F")
-            v_pat[t] = vr[i:i + side, j:j + side].flatten(order="F")
+            pairs.append(np.stack([u, v], axis=-1))
+        patches = _sample_patches(pairs, side, config.sample_size, rng, depth=(2,))
+        # each channel of each patch flattened column-major, as below
+        u_pat, v_pat = patches.transpose(3, 0, 2, 1).reshape(2, -1, m)
         # Joint contrast: sum over adjacent pixels of ||(u_i,v_i) - (u_j,v_j)||^2
         contrast = np.sqrt(np.einsum("ti,ij,tj->t", u_pat, lap, u_pat)
                            + np.einsum("ti,ij,tj->t", v_pat, lap, v_pat))
@@ -391,6 +374,8 @@ def synth_gaussian_mixture(centers, scales, weights, count: int,
     weights = np.asarray(weights, dtype=float) if weights is not None else np.ones(k)
     if weights.shape != (k,) or (weights < 0).any() or weights.sum() <= 0:
         raise InvalidInputError("weights must be nonnegative with positive sum")
+    if count < 1:
+        raise InvalidInputError("need count >= 1")
     probs = weights / weights.sum()
     picks = rng.choice(k, size=count, p=probs)
     noise = rng.standard_normal((count, centers.shape[1]))
@@ -399,8 +384,8 @@ def synth_gaussian_mixture(centers, scales, weights, count: int,
 
 def synth_noisy_circle(radius: float, noise: float, count: int,
                        rng: np.random.Generator) -> PointCloud:
-    if radius <= 0 or noise < 0:
-        raise InvalidInputError("need radius > 0 and noise >= 0")
+    if count < 1 or radius <= 0 or noise < 0:
+        raise InvalidInputError("need count >= 1, radius > 0 and noise >= 0")
     angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
     pts = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     if noise > 0:
@@ -413,8 +398,9 @@ def synth_bumpy_circle(bumps: int, radius: float, count: int,
                        angular_spread: float = 0.45,
                        radial_noise: float = 0.0) -> PointCloud:
     """Circle-supported cloud with ``bumps`` equally spaced angular modes."""
-    if bumps < 1 or radius <= 0 or angular_spread <= 0:
-        raise InvalidInputError("need bumps >= 1, radius > 0, angular_spread > 0")
+    if bumps < 1 or count < 1 or radius <= 0 or angular_spread <= 0:
+        raise InvalidInputError(
+            "need bumps >= 1, count >= 1, radius > 0, angular_spread > 0")
     centers = 2.0 * math.pi * np.arange(bumps) / bumps
     picks = rng.integers(0, bumps, size=count)
     angles = centers[picks] + angular_spread * rng.standard_normal(count)

@@ -37,10 +37,6 @@ class PipelineConfig:
         _require_positive(sigma=self.sigma, cluster_threshold=self.cluster_threshold)
         if self.seed < 0 or self.max_loop_length < 1:
             raise InvalidInputError("need seed >= 0 and max_loop_length >= 1")
-        if self.sphere_mode != self.neb.sphere_mode:
-            object.__setattr__(self, "neb",
-                               NebParams(**{**self.neb.__dict__,
-                                            "sphere_mode": self.sphere_mode}))
 
 
 @dataclass
@@ -148,7 +144,8 @@ def run(cloud: PointCloud, config: PipelineConfig) -> tuple[MorseFiltration, Run
 
     t0 = time.perf_counter()
     if len(zero_cells) >= 2:
-        one_cells = find_one_cells(field, zero_cells, config.neb, rng_band)
+        one_cells = find_one_cells(field, zero_cells, config.neb, rng_band,
+                                   sphere_mode=config.sphere_mode)
     else:
         one_cells = []
         report.notes.append("fewer than two 0-cells; skipped the 1-cell stage")

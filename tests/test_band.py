@@ -60,6 +60,21 @@ def test_smoothing_weight_continuous_and_nondecreasing():
     assert vals.min() >= 0 and vals.max() <= 1
 
 
+def test_smoothing_weight_elementwise_matches_scalar_gate():
+    a, b = math.pi / 6, math.pi / 2
+
+    def scalar_gate(theta):
+        if theta <= a:
+            return 0.0
+        if theta >= b:
+            return 1.0
+        return (1.0 - math.cos(math.pi * (theta - a) / (b - a))) / 2.0
+
+    grid = np.linspace(0.0, math.pi, 1001)
+    expected = np.array([scalar_gate(t) for t in grid])
+    assert smoothing_weight(grid, a, b) == pytest.approx(expected, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # total force
 

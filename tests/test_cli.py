@@ -1,11 +1,12 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morsecells import (MorseFiltration, PipelineConfig, read_point_cloud,
-                        synth_gaussian_mixture, write_point_cloud)
+from morsecells import (Cell, MorseFiltration, NebParams, PipelineConfig,
+                        read_point_cloud, synth_gaussian_mixture, write_point_cloud)
 from morsecells.cli import (_CONFIG_KEYS, UsageError, build_pipeline_config,
                             document_to_filtration, filtration_to_document,
                             main, parse_config_text)
@@ -58,7 +59,7 @@ def test_parse_config_full():
     config = build_pipeline_config(values)
     assert config.sigma == 0.8
     assert config.neb.trials_per_pair == 4
-    assert config.neb.sphere_mode is True
+    assert config.sphere_mode is True
     assert config.sheet.rings == 6
 
 
@@ -86,6 +87,57 @@ def test_morse_seed_env_overrides(monkeypatch):
 def test_invalid_config_value_is_usage_error():
     with pytest.raises(UsageError):
         build_pipeline_config({"sigma": -1.0})
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("1", True), ("true", True), ("Yes", True), ("TRUE", True),
+    ("0", False), ("false", False), ("no", False), ("No", False),
+])
+def test_parse_config_boolean_spellings(raw, value):
+    assert parse_config_text(f"sphere_mode = {raw}\n") == {"sphere_mode": value}
+
+
+@pytest.mark.parametrize("raw", ["ture", "on", "off", "2", "-1", "y", ""])
+def test_parse_config_bad_boolean_is_usage_error(raw):
+    with pytest.raises(UsageError, match="sphere_mode"):
+        parse_config_text(f"sphere_mode = {raw}\n")
+
+
+def _flat_fields(config: PipelineConfig) -> dict:
+    """Every config value under its config-file key."""
+    flat = {}
+    for name, value in asdict(config).items():
+        if isinstance(value, dict):
+            flat.update((f"{name}.{sub}", v) for sub, v in value.items())
+        else:
+            flat[name] = value
+    return flat
+
+
+def test_every_config_key_sets_its_field():
+    defaults = _flat_fields(PipelineConfig())
+    assert set(_CONFIG_KEYS) == set(defaults) | {"threads"}
+    for key, default in defaults.items():
+        if isinstance(default, bool):
+            value = not default
+        elif default is None:
+            value = 3
+        elif isinstance(default, int):
+            value = default + 1
+        else:
+            value = default * 2
+        config = build_pipeline_config(parse_config_text(f"{key} = {value}\n"))
+        assert _flat_fields(config) == {**defaults, key: value}, key
+
+
+def test_document_config_is_full_config():
+    config = PipelineConfig(sigma=0.7, seed=4, sphere_mode=True,
+                            neb=NebParams(trials_per_pair=3))
+    filtration = MorseFiltration.build(
+        [Cell(id=0, dimension=0, density=1.0, boundary=(), geometry=[[0.0, 1.0]])])
+    doc = filtration_to_document(filtration, config)
+    assert doc["config"] == asdict(config)
+    assert json.loads(json.dumps(doc, sort_keys=True))["config"] == asdict(config)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +370,12 @@ def test_synth_bad_centers_exit_1(tmp_path, capsys):
                    "--centers", "zero;nine") == 1
 
 
+@pytest.mark.parametrize("kind", ["noisy_circle", "gaussian_mixture", "bumpy_circle"])
+def test_synth_negative_count_exit_2(tmp_path, capsys, kind):
+    assert run_cli("synth", kind, str(tmp_path / "c.csv"), "--count", "-1") == 2
+    assert "count >= 1" in capsys.readouterr().err
+
+
 def test_embed_graph(tmp_path, capsys):
     g = tmp_path / "g.txt"
     g.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
@@ -332,6 +390,14 @@ def test_embed_graph_disconnected_exit_2(tmp_path, capsys):
     g.write_text("4 2\n0 1\n2 3\n")
     assert run_cli("embed-graph", str(g), str(tmp_path / "o.csv")) == 2
     assert "component sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ["0 0", "-2 0"])
+def test_embed_graph_without_vertices_exit_2(tmp_path, capsys, header):
+    g = tmp_path / "g.txt"
+    g.write_text(header + "\n")
+    assert run_cli("embed-graph", str(g), str(tmp_path / "o.csv")) == 2
+    assert "at least one vertex" in capsys.readouterr().err
 
 
 def test_sliding_window_cli(tmp_path):
@@ -367,6 +433,15 @@ def test_preprocess_patches_flow_cli(tmp_path, rng):
     assert run_cli("preprocess-patches", out, str(base), "--modality", "flow",
                    "--samples", "100", "--seed", "0") == 0
     assert read_point_cloud(out).points.shape[1] == 16
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_preprocess_patches_no_samples_exit_2(tmp_path, capsys, samples):
+    src = tmp_path / "img.csv"
+    src.write_text("1,2,3\n4,5,6\n7,8,9\n")
+    assert run_cli("preprocess-patches", str(tmp_path / "pts.csv"), str(src),
+                   "--samples", samples) == 2
+    assert "sample_size must be >= 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +487,9 @@ def test_morse_seed_env_changes_analyze(tmp_path, two_blob_csv, fast_config,
     "ascent.tolerance = inf",
     "sheet.tolerance = nan",
     "seed = -1",
+    "sphere_mode = ture",
+    "sphere_mode = on",
+    "sphere_mode = 2",
 ])
 def test_analyze_invalid_number_in_config_exit_1(tmp_path, two_blob_csv, capsys, line):
     cfg = tmp_path / "bad.conf"

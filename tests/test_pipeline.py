@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from morsecells import (AscentParams, NebParams, PipelineConfig, PointCloud,
-                        betti, run, synth_bumpy_circle, synth_gaussian_mixture)
+                        band, betti, run, synth_bumpy_circle, synth_gaussian_mixture)
 from morsecells.errors import InvalidInputError, NoMaximaError
 from morsecells.pipeline import _cycle_basis, _loop_polyline
 
@@ -154,9 +154,24 @@ def test_pipeline_config_validation():
         PipelineConfig(sigma=0.0)
 
 
-def test_pipeline_config_syncs_sphere_mode():
-    config = PipelineConfig(sphere_mode=True)
-    assert config.neb.sphere_mode is True
+@pytest.mark.parametrize("sphere_mode, used, unused", [
+    (True, "initial_band_sphere", "initial_band_general"),
+    (False, "initial_band_general", "initial_band_sphere"),
+])
+def test_run_sphere_mode_picks_initial_band(monkeypatch, sphere_mode, used, unused):
+    calls = {used: 0, unused: 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(band, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(band, name, counted)
+    cloud = synth_gaussian_mixture([[3.0, 0.0], [0.0, 3.0]], 0.5, [1.0, 1.0],
+                                   200, np.random.default_rng(2))
+    config = PipelineConfig(sigma=1.0, seed=2, sphere_mode=sphere_mode,
+                            neb=NebParams(trials_per_pair=3, max_steps=10))
+    _, report = run(cloud, config)
+    assert report.counts["zero_cells"] == 2
+    assert calls == {used: 3, unused: 0}
 
 
 def test_run_deterministic_across_repeats():
