@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .density import DensityField, _require_positive, _resolve_c
+from .density import DensityField, _require_positive
 from .errors import ConstructionError, DegenerateTangentError, InvalidInputError
 from .maxima import ZeroCell, _single_linkage_from_dists
 
@@ -43,7 +43,6 @@ class NebParams:
     node_count: int = 11
     alpha: float = math.pi / 6
     beta: float = math.pi / 2
-    gradient_constant: float | None = None  # None -> sigma * (sigma*sqrt(2pi))^n * sqrt(e)
     step_size: float = 0.01
     convergence_tolerance: float = 1e-4
     max_steps: int = 200_000
@@ -59,8 +58,7 @@ class NebParams:
         _require_positive(step_size=self.step_size,
                           convergence_tolerance=self.convergence_tolerance,
                           discard_radius=self.discard_radius,
-                          cluster_threshold=self.cluster_threshold,
-                          gradient_constant=self.gradient_constant)
+                          cluster_threshold=self.cluster_threshold)
         if self.trials_per_pair < 1 or self.max_steps < 0:
             raise InvalidInputError("need trials_per_pair >= 1 and max_steps >= 0")
 
@@ -94,7 +92,7 @@ def smoothing_weight(theta: np.ndarray | float, alpha: float,
 
 
 def _interior_forces(
-    field: DensityField, nodes: np.ndarray, params: NebParams, c: float
+    field: DensityField, nodes: np.ndarray, params: NebParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forces on all interior nodes of one (N, n) band or a (B, N, n) stack.
 
@@ -125,14 +123,13 @@ def _interior_forces(
     h = smoothing_weight(np.arccos(cos_theta), params.alpha, params.beta)
     smooth = h[..., None] * (up - um)
 
-    return c * grad_perp + spring + smooth, hairpin
+    return field.c * grad_perp + spring + smooth, hairpin
 
 
 def total_force(field: DensityField, band: Band, params: NebParams, i: int) -> np.ndarray:
     """Total force at interior node i (0-based); raises on a hairpin tangent."""
     tangent(band, i)  # raise DegenerateTangentError before computing anything
-    c = _resolve_c(field, params)
-    forces, _ = _interior_forces(field, band.nodes, params, c)
+    forces, _ = _interior_forces(field, band.nodes, params)
     return forces[i - 1]
 
 
@@ -146,14 +143,13 @@ def _evolve_bands(field: DensityField, bands: list[Band],
     """
     if not bands:
         return []
-    c = _resolve_c(field, params)
     out: list[Band | None] = [None] * len(bands)
     # the active bands as one contiguous stack, with their indices into bands
     nodes = np.stack([b.nodes for b in bands])
     ids = np.arange(len(bands))
     hairpin_steps = np.zeros(len(bands), dtype=int)
     for step in range(params.max_steps + 1):
-        forces, hairpin = _interior_forces(field, nodes, params, c)
+        forces, hairpin = _interior_forces(field, nodes, params)
         hairpin_steps += hairpin.any(axis=1)
         mean_norm = np.sqrt(np.einsum("bin,bin->bi", forces, forces)).mean(axis=1)
         done = mean_norm < params.convergence_tolerance

@@ -44,8 +44,7 @@ def _parse_bool(raw: str) -> bool:
 
 
 # field type string -> parser; an optional field takes a value of its type
-_PARSERS = {"float": float, "int": int, "bool": _parse_bool,
-            "float | None": float, "int | None": int}
+_PARSERS = {"float": float, "int": int, "bool": _parse_bool, "int | None": int}
 
 # the nested params dataclasses of PipelineConfig, by field name
 _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)

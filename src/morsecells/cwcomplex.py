@@ -97,6 +97,16 @@ def components(n: int, pairs) -> list[list[int]]:
     return list(clusters.values())
 
 
+def laplacian(n: int, pairs) -> np.ndarray:
+    """Graph Laplacian (degree minus adjacency) of the graph on vertices
+    0..n-1 with edges pairs, as a dense (n, n) float array."""
+    a, b = np.array(pairs, dtype=int).reshape(-1, 2).T
+    lap = np.zeros((n, n))
+    np.add.at(lap, (np.r_[a, b], np.r_[b, a]), -1.0)
+    lap.flat[::n + 1] -= lap.sum(axis=1)
+    return lap
+
+
 def _check_closure(cells: list[Cell]) -> dict[int, Cell]:
     by_id = {c.id: c for c in cells}
     for cell in cells:

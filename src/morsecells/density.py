@@ -39,34 +39,21 @@ class PointCloud:
 
 
 class DensityField:
-    """Differentiable scalar field on R^n.
+    """Differentiable scalar field on R^n, evaluated on (q, n) arrays of rows.
 
-    ``gradient`` must be the true derivative of ``value`` (finite-difference
-    checkable).  Implementations are immutable.
+    ``gradient_batch`` must be the true derivative of ``value_batch``
+    (finite-difference checkable); ``c`` scales the gradient in the band and
+    sheet forces.  Implementations are immutable.
     """
 
     dimension: int
+    c: float
 
-    def value(self, y: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def gradient(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    # Batched variants; subclasses override when they can vectorize.
     def value_batch(self, ys: np.ndarray) -> np.ndarray:
-        return np.array([self.value(y) for y in np.asarray(ys, dtype=float)])
+        raise NotImplementedError
 
     def gradient_batch(self, ys: np.ndarray) -> np.ndarray:
-        return np.array([self.gradient(y) for y in np.asarray(ys, dtype=float)])
-
-    def _check_query(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.dimension,):
-            raise InvalidInputError(
-                f"query has shape {y.shape}, field dimension is {self.dimension}"
-            )
-        return y
+        raise NotImplementedError
 
 
 def gradient_constant(n: int, sigma: float) -> float:
@@ -81,20 +68,20 @@ def gradient_constant(n: int, sigma: float) -> float:
     return sigma * (sigma * math.sqrt(2.0 * math.pi)) ** n * math.sqrt(math.e)
 
 
-def _require_positive(**values: float | None) -> None:
-    """Raise InvalidInputError unless every value given is finite and
-    positive; None stands for an unset option and passes."""
+def _require_positive(**values: float) -> None:
+    """Raise InvalidInputError unless every value given is finite and positive."""
     for name, value in values.items():
-        if value is not None and not (math.isfinite(value) and value > 0):
+        if not (math.isfinite(value) and value > 0):
             raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _kernel_constants(sigma: float, n: int) -> tuple[float, float]:
-    """(sigma^2, (2 pi sigma^2)^(-n/2)) of the Gaussian kernel in R^n.
+def _kernel_constants(sigma: float, n: int) -> tuple[float, float, float]:
+    """(sigma^2, (2 pi sigma^2)^(-n/2), gradient_constant(n, sigma)) of the
+    Gaussian kernel in R^n.
 
     Raises InvalidInputError unless sigma is finite and positive and these
-    two, 1 / sigma^2 and ``gradient_constant`` are finite and nonzero: far
-    from 1, sigma^2 and its powers under- or overflow.
+    three and 1 / sigma^2 are finite and nonzero: far from 1, sigma^2 and its
+    powers under- or overflow.
     """
     _require_positive(sigma=sigma)
     try:
@@ -106,20 +93,7 @@ def _kernel_constants(sigma: float, n: int) -> tuple[float, float]:
         raise InvalidInputError(
             f"sigma = {sigma!r} is out of range: the Gaussian kernel's constants "
             f"in R^{n} are not all finite and nonzero")
-    return constants[0], constants[1]
-
-
-def _resolve_c(field: DensityField, params) -> float:
-    """The solvers' gradient constant: params.gradient_constant when set,
-    else gradient_constant for the field's dimension and sigma."""
-    if params.gradient_constant is not None:
-        return params.gradient_constant
-    sigma = getattr(field, "sigma", None)
-    if sigma is None:
-        raise InvalidInputError(
-            "gradient_constant must be set explicitly for fields without sigma"
-        )
-    return gradient_constant(field.dimension, sigma)
+    return constants[0], constants[1], constants[3]
 
 
 # Largest (queries x points) weight array formed at once, in entries: batches
@@ -138,12 +112,14 @@ class KernelDensity(DensityField):
     precision to cancellation.  Rows [y, 1, ||y||^2] times the stored columns
     [x / sigma^2, -||x||^2 / (2 sigma^2), -1 / (2 sigma^2)] give the exponents
     -||y - x||^2 / (2 sigma^2); the weights times the rows [x, 1] give
-    sum w x and sum w together.
+    sum w x and sum w together.  The force scale c is
+    ``gradient_constant(n, sigma)``.
     """
 
     cloud: PointCloud
     sigma: float
     dimension: int = field(init=False)
+    c: float = field(init=False)
     _centre: np.ndarray = field(init=False, repr=False, compare=False)
     _norm_const: float = field(init=False, repr=False, compare=False)
     _exponent_cols: np.ndarray = field(init=False, repr=False, compare=False)
@@ -151,7 +127,8 @@ class KernelDensity(DensityField):
 
     def __post_init__(self):
         object.__setattr__(self, "dimension", self.cloud.dimension)
-        s2, norm = _kernel_constants(self.sigma, self.dimension)
+        s2, norm, c = _kernel_constants(self.sigma, self.dimension)
+        object.__setattr__(self, "c", c)
         centre = np.round(self.cloud.points.mean(axis=0))
         points = self.cloud.points - centre
         cols = np.vstack([points.T / s2,
@@ -195,6 +172,14 @@ class KernelDensity(DensityField):
             w, top[i:i + step] = self._weights(ys[i:i + step], nearest)
             np.matmul(w, self._points1, out=out[i:i + step])
         return out, top
+
+    def _check_query(self, y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.dimension,):
+            raise InvalidInputError(
+                f"query has shape {y.shape}, field dimension is {self.dimension}"
+            )
+        return y
 
     def value(self, y: np.ndarray) -> float:
         y = self._check_query(y)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cwcomplex import components
+from .cwcomplex import components, laplacian
 from .density import PointCloud
 from .errors import DataError, InvalidInputError, ParseError
 
@@ -192,22 +192,10 @@ def _grid_laplacian(side: int) -> np.ndarray:
     Pixels are indexed column-major to match patch vectorization; the D-inner
     product of patches is <x, y>_D = x^T L y.
     """
-    def idx(r: int, c: int) -> int:
-        return c * side + r
-
-    m = side * side
-    lap = np.zeros((m, m))
-    for r in range(side):
-        for c in range(side):
-            i = idx(r, c)
-            for rr, cc in ((r + 1, c), (r, c + 1)):
-                if rr < side and cc < side:
-                    j = idx(rr, cc)
-                    lap[i, i] += 1
-                    lap[j, j] += 1
-                    lap[i, j] -= 1
-                    lap[j, i] -= 1
-    return lap
+    idx = np.arange(side * side).reshape(side, side)  # [c, r] -> c * side + r
+    down = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
+    right = np.stack([idx[:-1].ravel(), idx[1:].ravel()], axis=1)
+    return laplacian(side * side, np.vstack([down, right]))
 
 
 # Mode orderings (row frequency, column frequency), skipping the constant mode.
@@ -371,6 +359,8 @@ def synth_gaussian_mixture(centers, scales, weights, count: int,
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     k = centers.shape[0]
     scales = np.broadcast_to(np.asarray(scales, dtype=float), (k,))
+    if not (scales >= 0).all():
+        raise InvalidInputError("scales must be >= 0")
     weights = np.asarray(weights, dtype=float) if weights is not None else np.ones(k)
     if weights.shape != (k,) or (weights < 0).any() or weights.sum() <= 0:
         raise InvalidInputError("weights must be nonnegative with positive sum")
@@ -398,9 +388,9 @@ def synth_bumpy_circle(bumps: int, radius: float, count: int,
                        angular_spread: float = 0.45,
                        radial_noise: float = 0.0) -> PointCloud:
     """Circle-supported cloud with ``bumps`` equally spaced angular modes."""
-    if bumps < 1 or count < 1 or radius <= 0 or angular_spread <= 0:
-        raise InvalidInputError(
-            "need bumps >= 1, count >= 1, radius > 0, angular_spread > 0")
+    if bumps < 1 or count < 1 or radius <= 0 or angular_spread <= 0 or radial_noise < 0:
+        raise InvalidInputError("need bumps >= 1, count >= 1, radius > 0, "
+                                "angular_spread > 0 and radial_noise >= 0")
     centers = 2.0 * math.pi * np.arange(bumps) / bumps
     picks = rng.integers(0, bumps, size=count)
     angles = centers[picks] + angular_spread * rng.standard_normal(count)

@@ -9,11 +9,12 @@ force norm is small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .density import DensityField, _require_positive, _resolve_c
+from .cwcomplex import laplacian
+from .density import DensityField, _require_positive
 from .errors import ConstructionError, InvalidInputError
 
 TANGENT_DIM = 2  # 2-cells only; the general-k construction is not run
@@ -26,13 +27,11 @@ class SheetParams:
     step_size: float = 1.0  # implicit step h of relax_sheet
     tolerance: float = 1e-3
     max_steps: int = 200_000
-    gradient_constant: float | None = None
 
     def __post_init__(self):
         if self.rings < 1 or self.nodes_per_ring < 3:
             raise InvalidInputError("need rings >= 1 and nodes_per_ring >= 3")
-        _require_positive(step_size=self.step_size, tolerance=self.tolerance,
-                          gradient_constant=self.gradient_constant)
+        _require_positive(step_size=self.step_size, tolerance=self.tolerance)
         if self.max_steps < 0:
             raise InvalidInputError("max_steps must be >= 0")
 
@@ -44,8 +43,6 @@ class WebSheet:
     positions: np.ndarray            # (V, n)
     edges: tuple[tuple[int, int], ...]
     boundary: np.ndarray             # (V,) bool, True = fixed
-    rings: int
-    nodes_per_ring: int
 
     def __post_init__(self):
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
@@ -119,40 +116,49 @@ def initial_sheet(boundary_loop: np.ndarray, rings: int = 10,
 
     boundary = np.zeros(n_nodes, dtype=bool)
     boundary[1 + (rings - 1) * npr:] = True
-    return WebSheet(positions=positions, edges=tuple(edges), boundary=boundary,
-                    rings=rings, nodes_per_ring=npr)
+    return WebSheet(positions=positions, edges=tuple(edges), boundary=boundary)
 
 
-def tangent_space(sheet: WebSheet, alpha: int, k: int = TANGENT_DIM
-                  ) -> tuple[np.ndarray, bool]:
-    """Top-k principal directions of the centered neighbor offsets at node alpha.
+def _tangent_bases(offsets: np.ndarray) -> np.ndarray:
+    """Top-TANGENT_DIM principal directions of each node's neighbor offsets.
 
-    Returns (basis, deficient); basis rows are orthonormal.  When the offsets
-    have rank below k, the available directions are returned and the
-    deficiency flag is set.
+    offsets is (r, d, n): d neighbor offsets for each of r nodes.  Returns
+    (r, TANGENT_DIM, n) orthonormal rows, with the directions past each
+    node's numerical rank zeroed instead of projecting onto noise.
     """
-    neighbors = sheet.neighbor_lists()[alpha]
-    if len(neighbors) < k:
-        raise InvalidInputError(f"node {alpha} has fewer than {k} neighbors")
-    offsets = sheet.positions[neighbors] - sheet.positions[alpha]
-    centered = offsets - offsets.mean(axis=0)
+    centered = offsets - offsets.mean(axis=1, keepdims=True)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int((s > max(s[0], 1e-300) * 1e-10).sum()) if s.size else 0
-    take = min(k, rank)
-    return vt[:take], take < k
+    ok = s[:, :TANGENT_DIM] > np.maximum(s[:, :1], 1e-300) * 1e-10
+    return vt[:, :TANGENT_DIM, :] * ok[:, :, None]
 
 
-def sheet_force(field: DensityField, sheet: WebSheet, alpha: int,
-                c: float) -> np.ndarray:
-    """Perpendicular gradient force plus the neighbor-difference spring sum."""
+def _neighbors(sheet: WebSheet, alpha: int) -> list[int]:
+    neighbors = sheet.neighbor_lists()[alpha]
+    if len(neighbors) < TANGENT_DIM:
+        raise InvalidInputError(f"node {alpha} has fewer than {TANGENT_DIM} neighbors")
+    return neighbors
+
+
+def tangent_space(sheet: WebSheet, alpha: int) -> tuple[np.ndarray, bool]:
+    """Tangent-plane basis of node alpha, as used by the sheet force.
+
+    Returns (basis, deficient); basis rows are orthonormal.  When the
+    neighbor offsets have rank below TANGENT_DIM, the available directions
+    are returned and the deficiency flag is set.
+    """
+    offsets = sheet.positions[_neighbors(sheet, alpha)] - sheet.positions[alpha]
+    basis = _tangent_bases(offsets[None])[0]
+    basis = basis[basis.any(axis=1)]
+    return basis, len(basis) < TANGENT_DIM
+
+
+def sheet_force(field: DensityField, sheet: WebSheet, alpha: int) -> np.ndarray:
+    """Perpendicular gradient force plus the neighbor-difference spring sum
+    at interior node alpha: its row of the batched force."""
     if sheet.boundary[alpha]:
         raise InvalidInputError("forces are defined at interior nodes only")
-    basis, _ = tangent_space(sheet, alpha)
-    g = field.gradient(sheet.positions[alpha])
-    g_perp = g - basis.T @ (basis @ g)
-    neighbors = sheet.neighbor_lists()[alpha]
-    spring = (sheet.positions[neighbors] - sheet.positions[alpha]).sum(axis=0)
-    return c * g_perp + spring
+    group = (np.array([0]), np.array([_neighbors(sheet, alpha)]))
+    return _interior_forces(field, sheet.positions, np.array([alpha]), [group])[0]
 
 
 def _degree_groups(adj: list[list[int]], interior: np.ndarray
@@ -174,21 +180,15 @@ def _degree_groups(adj: list[list[int]], interior: np.ndarray
 
 def _interior_forces(field: DensityField, positions: np.ndarray,
                      interior: np.ndarray,
-                     groups: list[tuple[np.ndarray, np.ndarray]],
-                     c: float) -> np.ndarray:
+                     groups: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     grads = field.gradient_batch(positions[interior])
     forces = np.empty_like(grads)
     for rows, nbrs in groups:
         offsets = positions[nbrs] - positions[interior[rows]][:, None, :]
-        centered = offsets - offsets.mean(axis=1, keepdims=True)
-        _, s, vt = np.linalg.svd(centered, full_matrices=False)
-        basis = vt[:, :TANGENT_DIM, :]
-        # zero out rank-deficient directions instead of projecting onto noise
-        ok = s[:, :TANGENT_DIM] > np.maximum(s[:, :1], 1e-300) * 1e-10
-        basis = basis * ok[:, :, None]
+        basis = _tangent_bases(offsets)
         g = grads[rows]
         proj = np.einsum("ikn,in,ikm->im", basis, g, basis)
-        forces[rows] = c * (g - proj) + offsets.sum(axis=1)
+        forces[rows] = field.c * (g - proj) + offsets.sum(axis=1)
     return forces
 
 
@@ -200,11 +200,7 @@ def _implicit_step_matrix(sheet: WebSheet, interior: np.ndarray,
     x_I += S @ force solves (I + h L_II) x_I' = x_I + h (c g_perp - L_IB x_B):
     the springs step implicitly and the gradient explicitly.
     """
-    a, b = np.array(sheet.edges, dtype=int).reshape(-1, 2).T
-    m = np.zeros((len(sheet.boundary),) * 2)
-    np.add.at(m, (np.r_[a, b], np.r_[b, a]), -h)
-    m.flat[::len(m) + 1] -= m.sum(axis=1)  # h L, whose rows sum to zero
-    m = m[np.ix_(interior, interior)]
+    m = h * laplacian(len(sheet.boundary), sheet.edges)[np.ix_(interior, interior)]
     m.flat[::len(m) + 1] += 1.0
     m = np.linalg.inv(m)
     m *= h
@@ -222,19 +218,17 @@ def relax_sheet(field: DensityField, sheet: WebSheet,
     exhaustion or non-finite coordinates.  Boundary positions are bitwise
     untouched.
     """
-    c = _resolve_c(field, params)
     adj = sheet.neighbor_lists()
     interior = np.flatnonzero(~sheet.boundary)
     groups = _degree_groups(adj, interior)
     implicit = _implicit_step_matrix(sheet, interior, params.step_size)
     positions = sheet.positions.copy()
     for step in range(params.max_steps + 1):
-        forces = _interior_forces(field, positions, interior, groups, c)
+        forces = _interior_forces(field, positions, interior, groups)
         if np.linalg.norm(forces, axis=1).mean() < params.tolerance:
             out = sheet.positions.copy()
             out[interior] = positions[interior]
-            return WebSheet(positions=out, edges=sheet.edges, boundary=sheet.boundary,
-                            rings=sheet.rings, nodes_per_ring=sheet.nodes_per_ring)
+            return replace(sheet, positions=out)
         if step == params.max_steps:
             break
         positions[interior] += implicit @ forces

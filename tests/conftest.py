@@ -9,15 +9,10 @@ from morsecells.density import DensityField
 class ConstantField(DensityField):
     """f = const; zero gradient everywhere."""
 
-    def __init__(self, dimension: int, level: float = 1.0):
+    def __init__(self, dimension: int, level: float = 1.0, c: float = 1.0):
         self.dimension = dimension
         self.level = level
-
-    def value(self, y):
-        return self.level
-
-    def gradient(self, y):
-        return np.zeros(self.dimension)
+        self.c = c
 
     def gradient_batch(self, ys):
         return np.zeros_like(np.asarray(ys, dtype=float))
@@ -29,16 +24,11 @@ class ConstantField(DensityField):
 class LinearField(DensityField):
     """f = <w, y> + offset."""
 
-    def __init__(self, w, offset: float = 0.0):
+    def __init__(self, w, offset: float = 0.0, c: float = 1.0):
         self.w = np.asarray(w, dtype=float)
         self.dimension = self.w.shape[0]
         self.offset = offset
-
-    def value(self, y):
-        return float(self.w @ y) + self.offset
-
-    def gradient(self, y):
-        return self.w.copy()
+        self.c = c
 
     def gradient_batch(self, ys):
         return np.tile(self.w, (len(ys), 1))
@@ -50,14 +40,9 @@ class LinearField(DensityField):
 class RadialBowlField(DensityField):
     """f = -||y||^2; single maximum at the origin."""
 
-    def __init__(self, dimension: int):
+    def __init__(self, dimension: int, c: float = 1.0):
         self.dimension = dimension
-
-    def value(self, y):
-        return -float(np.dot(y, y))
-
-    def gradient(self, y):
-        return -2.0 * np.asarray(y, dtype=float)
+        self.c = c
 
     def gradient_batch(self, ys):
         return -2.0 * np.asarray(ys, dtype=float)

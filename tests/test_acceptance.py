@@ -301,7 +301,7 @@ def test_criterion_10_sheet_equilibrium():
 
     sheet = initial_sheet(loop2, rings=10, nodes_per_ring=20)
     out = relax_sheet(ConstantField(2), sheet,
-                      SheetParams(gradient_constant=1.0))
+                      SheetParams())
     ok = out is not None
     residual = float("inf")
     if ok:
@@ -316,7 +316,7 @@ def test_criterion_10_sheet_equilibrium():
     loop3 = np.hstack([loop2, np.zeros((40, 1))])
     sheet3 = initial_sheet(loop3, rings=10, nodes_per_ring=20)
     out3 = relax_sheet(ConstantField(3), sheet3,
-                       SheetParams(gradient_constant=1.0))
+                       SheetParams())
     planar = float("inf")
     if out3 is not None:
         planar = float(np.abs(out3.positions[:, 2]).max())

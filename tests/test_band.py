@@ -81,7 +81,7 @@ def test_smoothing_weight_elementwise_matches_scalar_gate():
 def test_total_force_zero_on_straight_even_band():
     field = ConstantField(2)
     b = straight_band([0.0, 0.0], [4.0, 0.0])
-    params = NebParams(gradient_constant=1.0)
+    params = NebParams()
     for i in (1, 2, 3):
         assert total_force(field, b, params, i) == pytest.approx([0.0, 0.0], abs=1e-14)
 
@@ -90,28 +90,28 @@ def test_total_force_pure_spring():
     # straight band with edge lengths 1 then 2: force = (2-1) * tau
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     field = ConstantField(2)
-    force = total_force(field, Band(nodes), NebParams(gradient_constant=1.0), 1)
+    force = total_force(field, Band(nodes), NebParams(), 1)
     assert force == pytest.approx([1.0, 0.0])
 
 
 def test_total_force_perpendicular_gradient():
     # f(x, y) = y on a horizontal band: gradient is wholly perpendicular
-    field = LinearField([0.0, 1.0])
+    field = LinearField([0.0, 1.0], c=1.0)
     b = straight_band([0.0, 0.0], [4.0, 0.0], count=5)
-    params = NebParams(gradient_constant=1.0)
+    params = NebParams()
     for i in (1, 2, 3):
         assert total_force(field, b, params, i) == pytest.approx([0.0, 1.0])
 
 
 def test_total_force_gradient_component_perpendicular_to_tangent(rng):
-    field = LinearField(rng.normal(size=3))
+    field = LinearField(rng.normal(size=3), c=2.5)
     nodes = rng.normal(size=(7, 3))
     b = Band(nodes)
-    spring_smooth_field = ConstantField(3)
+    spring_smooth_field = ConstantField(3, c=2.5)
     for i in range(1, 6):
         tau = tangent(b, i)
-        full = total_force(field, b, NebParams(gradient_constant=2.5), i)
-        rest = total_force(spring_smooth_field, b, NebParams(gradient_constant=2.5), i)
+        full = total_force(field, b, NebParams(), i)
+        rest = total_force(spring_smooth_field, b, NebParams(), i)
         grad_part = full - rest
         assert abs(grad_part @ tau) <= 1e-10 * max(np.linalg.norm(grad_part), 1e-300)
 
@@ -122,7 +122,7 @@ def test_total_force_gradient_component_perpendicular_to_tangent(rng):
 def test_evolve_returns_unchanged_at_equilibrium():
     field = ConstantField(2)
     b = straight_band([0.0, 0.0], [4.0, 0.0], count=7)
-    out = evolve(field, b, NebParams(gradient_constant=1.0))
+    out = evolve(field, b, NebParams())
     assert np.array_equal(out.nodes, b.nodes)
 
 
@@ -139,11 +139,10 @@ def test_evolve_two_gaussian_saddle():
 
 
 def test_evolve_keeps_endpoints_bitwise_fixed():
-    field = RadialBowlField(2)
+    field = RadialBowlField(2, c=0.5)
     p, q = np.array([1.0, 1.0]), np.array([-1.0, 2.0])
     initial = arc_band(p, q, _unit_perp(q - p), 1.0, 9)
-    out = evolve(field, initial, NebParams(gradient_constant=0.5, max_steps=500,
-                                           convergence_tolerance=1e-12))
+    out = evolve(field, initial, NebParams(max_steps=500, convergence_tolerance=1e-12))
     nodes = out.nodes if out is not None else initial.nodes
     assert np.array_equal(nodes[0], initial.nodes[0])
     assert np.array_equal(nodes[-1], initial.nodes[-1])
@@ -160,8 +159,7 @@ def test_evolve_convergence_certificate():
     initial = arc_band(np.array([-2.0, 0.0]), np.array([2.0, 0.0]),
                        np.array([0.0, 1.0]), 1.5, 11)
     out = evolve(field, initial, params)
-    from morsecells.band import _interior_forces, _resolve_c
-    forces, _ = _interior_forces(field, out.nodes, params, _resolve_c(field, params))
+    forces, _ = _interior_forces(field, out.nodes, params)
     assert np.linalg.norm(forces, axis=1).mean() < params.convergence_tolerance
 
 
@@ -170,8 +168,9 @@ class RimField(DensityField):
     a region that pushes bands outward until they overflow.  Records the
     largest coordinate it is queried at."""
 
-    def __init__(self):
+    def __init__(self, c):
         self.dimension = 2
+        self.c = c
         self.largest = 0.0
 
     def value_batch(self, ys):
@@ -190,8 +189,7 @@ def _on_x_axis(xs):
 
 
 def test_evolve_bands_together_match_each_alone():
-    params = NebParams(gradient_constant=40.0, convergence_tolerance=1e-3,
-                       max_steps=1500)
+    params = NebParams(convergence_tolerance=1e-3, max_steps=1500)
     p, q = np.array([0.0, 0.0]), np.array([0.0, 0.05])
     bands = [
         # converges at step 21: nearly even spacing on an axis of the basin
@@ -206,7 +204,7 @@ def test_evolve_bands_together_match_each_alone():
         # outside the rim the gradient drives it to overflow by step 611
         arc_band(np.array([10.0, 0.0]), np.array([10.0, 10.0]), np.array([1.0, 0.0]), 4.0, 7),
     ]
-    field = RimField()
+    field = RimField(c=40.0)
     with np.errstate(over="ignore", invalid="ignore"):
         together = _evolve_bands(field, bands, params)
         reversed_order = _evolve_bands(field, bands[::-1], params)[::-1]
@@ -214,8 +212,8 @@ def test_evolve_bands_together_match_each_alone():
         # each failing band fails for its own reason
         assert evolve(field, bands[2], NebParams(**{**params.__dict__,
                                                     "max_steps": 5000})) is not None
-        assert _interior_forces(field, bands[3].nodes, params, 40.0)[1].all()
-        overflow = RimField()
+        assert _interior_forces(field, bands[3].nodes, params)[1].all()
+        overflow = RimField(c=40.0)
         evolve(overflow, bands[4], params)
         assert overflow.largest > 1e150  # squares of its coordinates overflow
 

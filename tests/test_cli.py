@@ -376,6 +376,16 @@ def test_synth_negative_count_exit_2(tmp_path, capsys, kind):
     assert "count >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, flag", [("gaussian_mixture", "--scale"),
+                                        ("bumpy_circle", "--noise"),
+                                        ("noisy_circle", "--noise")])
+def test_synth_negative_noise_exit_2(tmp_path, capsys, kind, flag):
+    out = tmp_path / "c.csv"
+    assert run_cli("synth", kind, str(out), flag, "-1") == 2
+    assert ">= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_embed_graph(tmp_path, capsys):
     g = tmp_path / "g.txt"
     g.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
@@ -462,6 +472,18 @@ def test_analyze_unknown_config_key_exit_1(tmp_path, two_blob_csv, capsys):
                    "--config", str(cfg)) == 1
 
 
+@pytest.mark.parametrize("line", ["neb.gradient_constant = 1.0",
+                                  "sheet.gradient_constant = 1.0"])
+def test_analyze_gradient_constant_key_is_unknown_exit_1(tmp_path, two_blob_csv,
+                                                         capsys, line):
+    # the force scale c comes from the density field, not from the config
+    cfg = tmp_path / "bad.conf"
+    cfg.write_text(line + "\n")
+    assert run_cli("analyze", two_blob_csv, str(tmp_path / "o.json"),
+                   "--config", str(cfg)) == 1
+    assert "unknown key" in capsys.readouterr().err
+
+
 def test_morse_seed_env_changes_analyze(tmp_path, two_blob_csv, fast_config,
                                         monkeypatch):
     out1 = str(tmp_path / "a.json")
@@ -479,7 +501,7 @@ def test_morse_seed_env_changes_analyze(tmp_path, two_blob_csv, fast_config,
 @pytest.mark.parametrize("line", [
     "neb.step_size = nan",
     "neb.convergence_tolerance = nan",
-    "neb.gradient_constant = nan",
+    "neb.discard_radius = nan",
     "sigma = inf",
     "sigma = nan",
     "neb.trials_per_pair = -1",

@@ -8,7 +8,7 @@ from scipy.sparse.csgraph import connected_components
 
 from morsecells import (Cell, MorseFiltration, betti, loop_persistence,
                         superlevel_complex)
-from morsecells.cwcomplex import components
+from morsecells.cwcomplex import components, laplacian
 from morsecells.errors import InvalidComplexError, InvalidInputError
 
 
@@ -412,6 +412,18 @@ def scipy_partition(n, pairs):
 def test_components_match_scipy(graph):
     n, pairs = graph
     assert components(n, pairs) == scipy_partition(n, pairs)
+
+
+@settings(deadline=None)
+@given(random_graphs())
+def test_laplacian_matches_edge_by_edge_sum(graph):
+    n, pairs = graph
+    expected = np.zeros((n, n))
+    for i, j in pairs:
+        if i != j:  # a self-loop adds to neither degree nor adjacency
+            expected[[i, j], [j, i]] -= 1.0
+            expected[[i, j], [i, j]] += 1.0
+    assert np.array_equal(laplacian(n, pairs), expected)
 
 
 @settings(deadline=None)

@@ -275,6 +275,12 @@ def test_gradient_constant_known_values():
     assert gradient_constant(1, 2.0) == pytest.approx(4 * math.sqrt(2 * math.pi * math.e))
 
 
+@pytest.mark.parametrize("n,sigma", [(1, 0.5), (2, 0.8), (8, 0.4)])
+def test_kernel_density_supplies_gradient_constant(rng, n, sigma):
+    f = KernelDensity(PointCloud(rng.normal(size=(5, n))), sigma)
+    assert f.c == gradient_constant(n, sigma)
+
+
 def test_gradient_constant_rejects_bad_args():
     with pytest.raises(InvalidInputError):
         gradient_constant(0, 1.0)

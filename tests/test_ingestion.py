@@ -405,6 +405,16 @@ def test_synth_gaussian_mixture_rejects_bad_weights(rng):
         synth_gaussian_mixture([[0.0]], 1.0, [-1.0], 10, rng)
 
 
+def test_synth_gaussian_mixture_rejects_negative_scale(rng):
+    with pytest.raises(InvalidInputError):
+        synth_gaussian_mixture([[0.0], [3.0]], [1.0, -0.5], None, 10, rng)
+
+
+def test_synth_bumpy_circle_rejects_negative_radial_noise(rng):
+    with pytest.raises(InvalidInputError):
+        synth_bumpy_circle(3, 2.0, 10, rng, radial_noise=-0.1)
+
+
 def test_synth_noisy_circle_radii(rng):
     cloud = synth_noisy_circle(3.0, 0.0, 500, rng)
     assert np.linalg.norm(cloud.points, axis=1) == pytest.approx(

@@ -86,8 +86,7 @@ def test_tangent_space_planar_neighbors():
 def test_tangent_space_collinear_neighbors_deficient():
     positions = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]])
     sheet = WebSheet(positions=positions, edges=((0, 1), (0, 2), (0, 3)),
-                     boundary=np.array([False, True, True, True]),
-                     rings=1, nodes_per_ring=3)
+                     boundary=np.array([False, True, True, True]))
     basis, deficient = tangent_space(sheet, 0)
     assert deficient
     assert basis.shape == (1, 2)
@@ -104,8 +103,7 @@ def test_tangent_space_plane_in_five_dimensions(rng):
     positions = np.vstack([np.zeros(5), neighbors])
     edges = tuple((0, i) for i in range(1, 7))
     sheet = WebSheet(positions=positions, edges=edges,
-                     boundary=np.array([False] + [True] * 6),
-                     rings=1, nodes_per_ring=6)
+                     boundary=np.array([False] + [True] * 6))
     basis, deficient = tangent_space(sheet, 0)
     assert not deficient
     # residual of projecting the true plane onto the recovered basis
@@ -116,9 +114,11 @@ def test_tangent_space_plane_in_five_dimensions(rng):
 def test_tangent_space_too_few_neighbors_raises():
     positions = np.array([[0.0, 0.0], [1.0, 0.0]])
     sheet = WebSheet(positions=positions, edges=((0, 1),),
-                     boundary=np.array([False, True]), rings=1, nodes_per_ring=3)
+                     boundary=np.array([False, True]))
     with pytest.raises(InvalidInputError):
         tangent_space(sheet, 0)
+    with pytest.raises(InvalidInputError):
+        sheet_force(ConstantField(2), sheet, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,35 +130,35 @@ def test_sheet_force_constant_field_is_spring_only():
     adj = sheet.neighbor_lists()
     for alpha in np.flatnonzero(~sheet.boundary):
         expected = (sheet.positions[adj[alpha]] - sheet.positions[alpha]).sum(axis=0)
-        assert sheet_force(field, sheet, alpha, 1.0) == pytest.approx(expected)
+        assert sheet_force(field, sheet, alpha) == pytest.approx(expected)
 
 
 def test_sheet_force_linear_field_perpendicular_component():
     # planar web in R^3 with gradient along z: g_perp = g, so force gains c*w
     sheet = initial_sheet(circle_loop(dim=3), rings=3, nodes_per_ring=8)
     w = np.array([0.0, 0.0, 2.0])
-    field = LinearField(w)
+    c = 1.5
+    field = LinearField(w, c=c)
     adj = sheet.neighbor_lists()
     alpha = 1 + 8  # middle-ring interior node
     spring = (sheet.positions[adj[alpha]] - sheet.positions[alpha]).sum(axis=0)
-    c = 1.5
-    assert sheet_force(field, sheet, alpha, c) == pytest.approx(spring + c * w)
+    assert sheet_force(field, sheet, alpha) == pytest.approx(spring + c * w)
 
 
 def test_sheet_force_in_plane_gradient_removed():
     # gradient parallel to the web plane projects away entirely
     sheet = initial_sheet(circle_loop(dim=3), rings=3, nodes_per_ring=8)
-    field = LinearField([1.0, -2.0, 0.0])
+    field = LinearField([1.0, -2.0, 0.0], c=3.0)
     adj = sheet.neighbor_lists()
     alpha = 1 + 8
     spring = (sheet.positions[adj[alpha]] - sheet.positions[alpha]).sum(axis=0)
-    assert sheet_force(field, sheet, alpha, 3.0) == pytest.approx(spring, abs=1e-12)
+    assert sheet_force(field, sheet, alpha) == pytest.approx(spring, abs=1e-12)
 
 
 def test_sheet_force_boundary_node_raises():
     sheet = initial_sheet(circle_loop(), rings=2, nodes_per_ring=6)
     with pytest.raises(InvalidInputError):
-        sheet_force(ConstantField(2), sheet, int(np.flatnonzero(sheet.boundary)[0]), 1.0)
+        sheet_force(ConstantField(2), sheet, int(np.flatnonzero(sheet.boundary)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +167,7 @@ def test_sheet_force_boundary_node_raises():
 def test_relax_sheet_constant_field_reaches_harmonic_equilibrium():
     sheet = initial_sheet(circle_loop(), rings=5, nodes_per_ring=12)
     out = relax_sheet(ConstantField(2), sheet,
-                      SheetParams(rings=5, nodes_per_ring=12,
-                                  gradient_constant=1.0, tolerance=1e-6))
+                      SheetParams(rings=5, nodes_per_ring=12, tolerance=1e-6))
     assert out is not None
     adj = out.neighbor_lists()
     for alpha in np.flatnonzero(~out.boundary):
@@ -219,21 +218,33 @@ def test_relax_sheet_two_gaussian_density_floor():
 # ---------------------------------------------------------------------------
 # batched force path agrees with the single-node reference
 
+def single_node_force(field, sheet, alpha):
+    """The sheet force at one node, from its own SVD of the centered
+    neighbor offsets: the reference for the batched path."""
+    neighbors = sheet.neighbor_lists()[alpha]
+    offsets = sheet.positions[neighbors] - sheet.positions[alpha]
+    _, s, vt = np.linalg.svd(offsets - offsets.mean(axis=0), full_matrices=False)
+    rank = int((s > max(s[0], 1e-300) * 1e-10).sum())
+    basis = vt[:min(2, rank)]
+    g = field.gradient_batch(sheet.positions[alpha][None, :])[0]
+    return field.c * (g - basis.T @ (basis @ g)) + offsets.sum(axis=0)
+
+
 def test_batched_forces_match_single_node(rng):
     from morsecells.sheet import _degree_groups, _interior_forces
     sheet = initial_sheet(circle_loop(dim=3), rings=4, nodes_per_ring=9)
     positions = sheet.positions + 0.05 * rng.normal(size=sheet.positions.shape)
     jittered = WebSheet(positions=positions, edges=sheet.edges,
-                        boundary=sheet.boundary, rings=sheet.rings,
-                        nodes_per_ring=sheet.nodes_per_ring)
+                        boundary=sheet.boundary)
     field = KernelDensity(PointCloud(rng.normal(size=(20, 3))), 0.9)
     adj = jittered.neighbor_lists()
     interior = np.flatnonzero(~jittered.boundary)
     groups = _degree_groups(adj, interior)
-    batched = _interior_forces(field, positions, interior, groups, 2.0)
+    batched = _interior_forces(field, positions, interior, groups)
     for row, alpha in enumerate(interior):
-        single = sheet_force(field, jittered, int(alpha), 2.0)
+        single = single_node_force(field, jittered, int(alpha))
         assert batched[row] == pytest.approx(single, abs=1e-10)
+        assert sheet_force(field, jittered, int(alpha)) == pytest.approx(single, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +282,7 @@ def test_implicit_step_matrix_is_scaled_inverse():
 def test_relax_sheet_criterion_10_disk_reaches_harmonic_solve_in_few_steps():
     sheet = initial_sheet(circle_loop(40), rings=10, nodes_per_ring=20)
     out = relax_sheet(ConstantField(2), sheet,
-                      SheetParams(gradient_constant=1.0, max_steps=100))
+                      SheetParams(max_steps=100))
     assert out is not None
     interior = ~sheet.boundary
     gap = np.linalg.norm(out.positions[interior] - harmonic_interior(sheet), axis=1)
@@ -282,7 +293,7 @@ def test_relax_sheet_planar_web_in_eight_dimensions(rng):
     frame, _ = np.linalg.qr(rng.normal(size=(8, 2)))  # orthonormal columns
     sheet = initial_sheet(circle_loop(40) @ frame.T, rings=10, nodes_per_ring=20)
     out = relax_sheet(ConstantField(8), sheet,
-                      SheetParams(gradient_constant=1.0, max_steps=100))
+                      SheetParams(max_steps=100))
     assert out is not None
     interior = ~sheet.boundary
     gap = np.linalg.norm(out.positions[interior] - harmonic_interior(sheet), axis=1)
