@@ -3,11 +3,13 @@
 Cells carry a density value; the model at threshold a is the union of cells
 with density >= a.  Stored densities are clamped below the minimum face
 density at construction, so every superlevel slice is closed under taking
-faces.  Homology is computed over the field with two elements.
+faces.  Homology over the field with two elements comes from one
+boundary-matrix column reduction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,8 @@ class Cell:
             raise InvalidInputError("cell dimension must be 0, 1 or 2")
         if self.dimension == 0 and self.boundary:
             raise InvalidInputError("0-cells have empty boundary")
+        if self.dimension == 1 and len(self.boundary) != 2:
+            raise InvalidInputError("1-cells have exactly two faces (equal for a self-loop)")
         object.__setattr__(self, "geometry", np.asarray(self.geometry, dtype=float))
 
 
@@ -43,24 +47,13 @@ class MorseFiltration:
 
     @staticmethod
     def build(cells: list[Cell], metadata: dict | None = None) -> "MorseFiltration":
-        """Validate faces, clamp densities below face minima, and sort."""
-        by_id = {c.id: c for c in cells}
-        if len(by_id) != len(cells):
+        """Check closure, clamp densities below face minima, and sort."""
+        if len({c.id for c in cells}) != len(cells):
             raise InvalidComplexError("duplicate cell ids")
+        _check_closure(cells)
         clamped: dict[int, Cell] = {}
         for cell in sorted(cells, key=lambda c: c.dimension):
-            density = cell.density
-            for fid in cell.boundary:
-                face = clamped.get(fid)
-                if face is None:
-                    raise InvalidComplexError(
-                        f"cell {cell.id} references missing face {fid}"
-                    )
-                if face.dimension != cell.dimension - 1:
-                    raise InvalidComplexError(
-                        f"cell {cell.id} face {fid} has wrong dimension"
-                    )
-                density = min(density, face.density)
+            density = min([cell.density] + [clamped[f].density for f in cell.boundary])
             clamped[cell.id] = Cell(cell.id, cell.dimension, density,
                                     cell.boundary, cell.geometry)
         ordered = sorted(clamped.values(),
@@ -107,99 +100,75 @@ def laplacian(n: int, pairs) -> np.ndarray:
     return lap
 
 
-def _check_closure(cells: list[Cell]) -> dict[int, Cell]:
+def _check_closure(cells: list[Cell]) -> None:
+    """Raise InvalidComplexError unless every face of every cell is in the
+    list and one dimension lower."""
     by_id = {c.id: c for c in cells}
     for cell in cells:
         for fid in cell.boundary:
             face = by_id.get(fid)
             if face is None:
-                raise InvalidComplexError(f"closure violated: face {fid} missing")
+                raise InvalidComplexError(f"cell {cell.id} references missing face {fid}")
             if face.dimension != cell.dimension - 1:
-                raise InvalidComplexError(f"face {fid} has wrong dimension")
-    return by_id
+                raise InvalidComplexError(f"cell {cell.id} face {fid} has wrong dimension")
 
 
-def _gf2_rank(columns: list[int]) -> int:
-    """Rank of a GF(2) matrix whose columns are bitmask ints."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            low = col.bit_length() - 1
-            if low in pivots:
-                col ^= pivots[low]
-            else:
-                pivots[low] = col
-                rank += 1
-                break
-    return rank
+def _reduce(cells: list[Cell]) -> dict[int, int]:
+    """GF(2) column reduction of the boundary matrix of a closed cell list.
 
-
-def betti(cells: list[Cell]) -> tuple[int, int]:
-    """(b0, b1) of a closed cell collection over GF(2).
-
-    b0 from the components of the 1-skeleton; b1 as the cycle rank of the
-    1-skeleton minus the rank of the 2-boundary map.
+    Rows and columns are positions in the list.  Each column is a bitmask of
+    its faces (XOR, so repeated faces cancel); columns are reduced left to
+    right against the earlier pivots.  Returns {pivot row: column} of the
+    columns that do not reduce to zero.  A k-cell's column has only
+    (k-1)-cell rows, so the pivots of each dimension give the rank of that
+    boundary map.
     """
-    by_id = _check_closure(cells)
-    zeros = [c for c in cells if c.dimension == 0]
-    ones = [c for c in cells if c.dimension == 1]
-    twos = [c for c in cells if c.dimension == 2]
-
-    index = {c.id: i for i, c in enumerate(zeros)}
-    b0 = len(components(len(zeros), [[index[f] for f in edge.boundary]
-                                     for edge in ones if len(edge.boundary) == 2]))
-
-    one_index = {c.id: i for i, c in enumerate(ones)}
-    columns = []
-    for two in twos:
-        col = 0
-        for fid in two.boundary:
-            col ^= 1 << one_index[fid]  # GF(2): repeated faces cancel
-        columns.append(col)
-    cycle_rank = len(ones) - len(zeros) + b0
-    b1 = cycle_rank - _gf2_rank(columns)
-    return b0, b1
-
-
-def loop_persistence(filtration: MorseFiltration
-                     ) -> list[tuple[float, float, float]]:
-    """(birth, death, lifespan) for every 1-dimensional homology class.
-
-    Standard boundary-matrix reduction in density-descending order.  A loop is
-    born at the density of the 1-cell creating it and dies at the density of
-    the 2-cell filling it; unfilled loops die at density 0.  Lifespans are
-    reported descending.
-    """
-    cells = list(filtration.cells)  # already density desc, dim asc on ties
     _check_closure(cells)
     pos = {c.id: i for i, c in enumerate(cells)}
-
-    reduced: dict[int, int] = {}       # column index -> reduced bitmask
-    low_to_col: dict[int, int] = {}    # pivot row -> column index
-    killer_of: dict[int, int] = {}     # creator column -> killing column
-
+    pivots: dict[int, int] = {}
+    reduced: dict[int, int] = {}  # pivot row -> reduced column bitmask
     for j, cell in enumerate(cells):
         col = 0
         for fid in cell.boundary:
             col ^= 1 << pos[fid]
         while col:
             low = col.bit_length() - 1
-            if low not in low_to_col:
+            if low not in pivots:
+                pivots[low], reduced[low] = j, col
                 break
-            col ^= reduced[low_to_col[low]]
-        if col:
-            low = col.bit_length() - 1
-            low_to_col[low] = j
-            reduced[j] = col
-            killer_of[low] = j
+            col ^= reduced[low]
+    return pivots
 
+
+def betti(cells: list[Cell]) -> tuple[int, int]:
+    """(b0, b1) of a closed cell collection over GF(2).
+
+    b0 = #0-cells - rank d1 and b1 = #1-cells - rank d1 - rank d2, with each
+    rank the number of pivot columns of that dimension.
+    """
+    count = Counter(c.dimension for c in cells)
+    rank = Counter(cells[j].dimension for j in _reduce(cells).values())
+    return count[0] - rank[1], count[1] - rank[1] - rank[2]
+
+
+def loop_persistence(filtration: MorseFiltration
+                     ) -> list[tuple[float, float, float]]:
+    """(birth, death, lifespan) for every 1-dimensional homology class.
+
+    One reduction in density-descending order.  A loop is born at a 1-cell
+    whose column reduces to zero and dies at the 2-cell whose pivot row is
+    that 1-cell; unfilled loops die at density 0.  Lifespans are reported
+    descending.
+    """
+    cells = list(filtration.cells)  # already density desc, dim asc on ties
+    pivots = _reduce(cells)
+    nonzero = set(pivots.values())
     intervals = []
     for j, cell in enumerate(cells):
-        if cell.dimension != 1 or j in reduced:
-            continue  # only 1-cells with zero reduced column create loops
+        if cell.dimension != 1 or j in nonzero:
+            continue
         birth = cell.density
-        death = cells[killer_of[j]].density if j in killer_of else 0.0
+        death = cells[pivots[j]].density if j in pivots else 0.0
         intervals.append((birth, death, birth - death))
     intervals.sort(key=lambda t: (-t[2], -t[0]))
     return intervals

@@ -173,28 +173,32 @@ class KernelDensity(DensityField):
             np.matmul(w, self._points1, out=out[i:i + step])
         return out, top
 
-    def _check_query(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.dimension,):
+    def _check_rows(self, ys: np.ndarray, ndim: int = 2) -> np.ndarray:
+        """Queries as a float array: (q, n) rows, or with ndim=1 one (n,)
+        point.  Raises InvalidInputError for any other shape."""
+        ys = np.asarray(ys, dtype=float)
+        if ys.ndim != ndim or ys.shape[-1] != self.dimension:
             raise InvalidInputError(
-                f"query has shape {y.shape}, field dimension is {self.dimension}"
+                f"query has shape {ys.shape}, field dimension is {self.dimension}"
             )
-        return y
+        return ys
+
+    def _check_query(self, y: np.ndarray) -> np.ndarray:
+        """One (n,) query point as a (1, n) row."""
+        return self._check_rows(y, ndim=1)[None, :]
 
     def value(self, y: np.ndarray) -> float:
-        y = self._check_query(y)
-        return float(self.value_batch(y[None, :])[0])
+        return float(self.value_batch(self._check_query(y))[0])
 
     def value_batch(self, ys: np.ndarray) -> np.ndarray:
-        sums, _ = self._sums(np.asarray(ys, dtype=float) - self._centre)
+        sums, _ = self._sums(self._check_rows(ys) - self._centre)
         return self._norm_const * sums[:, -1] / len(self.cloud)
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
-        y = self._check_query(y)
-        return self.gradient_batch(y[None, :])[0]
+        return self.gradient_batch(self._check_query(y))[0]
 
     def gradient_batch(self, ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float) - self._centre
+        ys = self._check_rows(ys) - self._centre
         sums, _ = self._sums(ys)
         # d/dy of each kernel is psi * (x - y) / sigma^2
         out = sums[:, :-1] - sums[:, -1:] * ys
@@ -207,7 +211,7 @@ class KernelDensity(DensityField):
         ascends to a local maximum.  Raises NoMassError when every kernel
         weight underflows to zero in double precision.
         """
-        shifted, has_mass = self.mean_shift_batch(self._check_query(y)[None, :])
+        shifted, has_mass = self.mean_shift_batch(self._check_query(y))
         if not has_mass[0]:
             raise NoMassError("all kernel weights underflowed at the query point")
         return shifted[0]
@@ -218,11 +222,7 @@ class KernelDensity(DensityField):
         Returns the (q, n) shifted points and a (q,) mask that is False where
         every kernel weight underflows; those rows hold NaN.
         """
-        ys = np.asarray(ys, dtype=float)
-        if ys.ndim != 2 or ys.shape[1] != self.dimension:
-            raise InvalidInputError(
-                f"queries have shape {ys.shape}, field dimension is {self.dimension}"
-            )
+        ys = self._check_rows(ys)
         # Shift by the nearest point for numerical headroom; ratios are unchanged.
         sums, top = self._sums(ys - self._centre, nearest=True)
         has_mass = np.exp(top) > 0.0

@@ -273,52 +273,42 @@ def preprocess_patches(rasters, config: PatchConfig,
                        rng: np.random.Generator) -> PointCloud:
     """Random patches -> high-contrast, normalized points on the unit sphere.
 
-    Optical and range patches are log-transformed; flow patches arrive as
-    (u, v) raster pairs and are handled componentwise with a joint contrast
-    norm.  Output coordinates are D-inner products against the D-orthonormal
-    DCT basis, so every point has Euclidean norm one.
+    An image is a one-channel stack and a flow (u, v) raster pair a
+    two-channel one.  Optical and range patches are log-transformed; the
+    contrast norm is joint over the channels, and each channel is centred and
+    projected on its own.  Output coordinates are D-inner products against
+    the D-orthonormal DCT basis, so every point has Euclidean norm one.
     """
     side = config.side
     lap = _grid_laplacian(side)
     basis = dct_basis(side)
-    m = side * side
 
     if config.modality == "flow":
-        pairs = []
+        stacks = []
         for k, (u, v) in enumerate(rasters):
             u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
             if u.shape != v.shape:
                 raise DataError(f"flow raster pair {k} has mismatched shapes")
-            pairs.append(np.stack([u, v], axis=-1))
-        patches = _sample_patches(pairs, side, config.sample_size, rng, depth=(2,))
-        # each channel of each patch flattened column-major, as below
-        u_pat, v_pat = patches.transpose(3, 0, 2, 1).reshape(2, -1, m)
-        # Joint contrast: sum over adjacent pixels of ||(u_i,v_i) - (u_j,v_j)||^2
-        contrast = np.sqrt(np.einsum("ti,ij,tj->t", u_pat, lap, u_pat)
-                           + np.einsum("ti,ij,tj->t", v_pat, lap, v_pat))
-        keep = _top_quantile(contrast, config.contrast_quantile)
-        u_pat, v_pat, contrast = u_pat[keep], v_pat[keep], contrast[keep]
-        u_pat = (u_pat - u_pat.mean(axis=1, keepdims=True)) / contrast[:, None]
-        v_pat = (v_pat - v_pat.mean(axis=1, keepdims=True)) / contrast[:, None]
-        coords_u = u_pat @ lap @ basis.T
-        coords_v = v_pat @ lap @ basis.T
-        return PointCloud(np.hstack([coords_u, coords_v]))
-
-    patches = _sample_patches(list(rasters), side, config.sample_size, rng)
-    flat = np.array([p.flatten(order="F") for p in patches])
-    if config.modality in ("optical", "range"):
-        if (flat <= 0).any():
-            bad = int(np.flatnonzero((flat <= 0).any(axis=1))[0])
+            stacks.append(np.stack([u, v], axis=-1))
+    else:
+        stacks = [np.asarray(r, dtype=float)[..., None] for r in rasters]
+    channels = 2 if config.modality == "flow" else 1
+    patches = _sample_patches(stacks, side, config.sample_size, rng, depth=(channels,))
+    # (channel, patch, pixel), each channel of each patch flattened column-major
+    x = patches.transpose(3, 0, 2, 1).reshape(channels, -1, side * side)
+    if config.modality != "flow":
+        if (x <= 0).any():
+            bad = int(np.flatnonzero((x <= 0).any(axis=(0, 2)))[0])
             raise DataError(
                 f"nonpositive values under log transform (sampled patch {bad})"
             )
-        flat = np.log(flat)
-    contrast = np.sqrt(np.einsum("ti,ij,tj->t", flat, lap, flat))
+        x = np.log(x)
+    # joint contrast: sum over adjacent pixels of the squared channel differences
+    contrast = np.sqrt(sum(np.einsum("ti,ij,tj->t", xc, lap, xc) for xc in x))
     keep = _top_quantile(contrast, config.contrast_quantile)
-    flat, contrast = flat[keep], contrast[keep]
-    flat = (flat - flat.mean(axis=1, keepdims=True)) / contrast[:, None]
-    coords = flat @ lap @ basis.T
-    return PointCloud(coords)
+    x, contrast = x[:, keep], contrast[keep]
+    x = (x - x.mean(axis=2, keepdims=True)) / contrast[:, None]
+    return PointCloud(np.hstack([xc @ lap @ basis.T for xc in x]))
 
 
 def _top_quantile(contrast: np.ndarray, fraction: float) -> np.ndarray:

@@ -64,7 +64,7 @@ def ascend(field: KernelDensity, y0: np.ndarray, params: AscentParams) -> np.nda
     Returns the converged point, or None when the trajectory exceeds
     max_iterations or loses all kernel mass.
     """
-    return _ascend_seeds(field, field._check_query(y0)[None, :], params)[0]
+    return _ascend_seeds(field, field._check_query(y0), params)[0]
 
 
 def _single_linkage_from_dists(dists: np.ndarray, threshold: float) -> list[list[int]]:

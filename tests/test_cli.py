@@ -261,6 +261,15 @@ def test_betti_missing_face_exit_2(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [("betti", "0.1"), ("persistence",)])
+@pytest.mark.parametrize("boundary", [[0], [0, 1, 1]])
+def test_one_cell_without_two_faces_exit_2(tmp_path, capsys, command, boundary):
+    doc = edited_document(tmp_path,
+                          lambda d: d["cells"][2].update(boundary=boundary))
+    assert run_cli(command[0], doc, *command[1:]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_betti_ragged_geometry_exit_2(tmp_path, capsys):
     doc = edited_document(
         tmp_path, lambda d: d["cells"][0].update(geometry=[[0.0, 0.0], [1.0]]))

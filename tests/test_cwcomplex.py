@@ -46,6 +46,17 @@ def test_cell_rejects_zero_cell_with_boundary():
         Cell(id=0, dimension=0, density=1.0, boundary=(1,), geometry=np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("boundary", [(), (0,), (0, 1, 3)])
+def test_cell_rejects_one_cell_without_two_faces(boundary):
+    with pytest.raises(InvalidInputError):
+        Cell(id=2, dimension=1, density=1.0, boundary=boundary,
+             geometry=np.zeros((2, 2)))
+
+
+def test_cell_accepts_self_loop():
+    assert edge(1, 0, 0).boundary == (0, 0)
+
+
 def test_build_rejects_missing_face():
     with pytest.raises(InvalidComplexError):
         MorseFiltration.build([vert(0), edge(1, 0, 7)])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -129,6 +130,19 @@ def test_value_dimension_mismatch():
     f = KernelDensity(PointCloud([[0.0, 0.0]]), 1.0)
     with pytest.raises(InvalidInputError):
         f.value(np.array([0.0]))
+
+
+@pytest.mark.parametrize("method, shape", [
+    *itertools.product(("value_batch", "gradient_batch", "mean_shift_batch"),
+                       [(4, 3), (2,)]),
+    *itertools.product(("value", "gradient", "mean_shift"), [(1, 2), (3,), ()]),
+])
+def test_queries_of_the_wrong_shape_rejected(method, shape):
+    # batches take (q, n) rows only, single-point methods one (n,) point; a
+    # 1-D batch of length n must not broadcast into rows
+    f = KernelDensity(PointCloud([[0.0, 0.0], [1.0, 0.0]]), 1.0)
+    with pytest.raises(InvalidInputError):
+        getattr(f, method)(np.zeros(shape))
 
 
 @pytest.mark.parametrize("sigma, n", [(1e-200, 1), (1e200, 1), (1e-160, 1),
