@@ -102,7 +102,8 @@ def laplacian(n: int, pairs) -> np.ndarray:
 
 def _check_closure(cells: list[Cell]) -> None:
     """Raise InvalidComplexError unless every face of every cell is in the
-    list and one dimension lower."""
+    list and one dimension lower, and every 2-cell is glued along a cycle:
+    its boundary edges hit each vertex an even number of times."""
     by_id = {c.id: c for c in cells}
     for cell in cells:
         for fid in cell.boundary:
@@ -111,6 +112,9 @@ def _check_closure(cells: list[Cell]) -> None:
                 raise InvalidComplexError(f"cell {cell.id} references missing face {fid}")
             if face.dimension != cell.dimension - 1:
                 raise InvalidComplexError(f"cell {cell.id} face {fid} has wrong dimension")
+        hits = Counter(v for fid in cell.boundary for v in by_id[fid].boundary)
+        if any(n % 2 for n in hits.values()):
+            raise InvalidComplexError(f"cell {cell.id} boundary is not a cycle")
 
 
 def _reduce(cells: list[Cell]) -> dict[int, int]:

@@ -145,7 +145,7 @@ def run(cloud: PointCloud, config: PipelineConfig) -> tuple[MorseFiltration, Run
     t0 = time.perf_counter()
     if len(zero_cells) >= 2:
         one_cells = find_one_cells(field, zero_cells, config.neb, rng_band,
-                                   sphere_mode=config.sphere_mode)
+                                   sphere_mode=config.sphere_mode, counts=report.counts)
     else:
         one_cells = []
         report.notes.append("fewer than two 0-cells; skipped the 1-cell stage")

@@ -7,7 +7,8 @@ from morsecells import (Band, KernelDensity, NebParams, PointCloud, ZeroCell,
                         band_density, band_distance, evolve, find_one_cells,
                         initial_band_general, initial_band_sphere,
                         smoothing_weight, tangent, total_force)
-from morsecells.band import _evolve_bands, _interior_forces, arc_band, sphere_arc_band
+from morsecells.band import (RETIRE_AFTER, _evolve_bands, _interior_forces, arc_band,
+                             sphere_arc_band)
 from morsecells.density import DensityField
 from morsecells.errors import (ConstructionError, DegenerateTangentError,
                                InvalidInputError)
@@ -243,6 +244,29 @@ def test_evolve_bands_together_match_each_alone_on_kde():
             assert np.array_equal(t.nodes[[0, -1]], b.nodes[[0, -1]])
 
 
+def test_evolve_bands_retire_only_within_a_pair():
+    field = KernelDensity(PointCloud([[-2.0, 0.0], [2.0, 0.0], [0.0, 2.5]]), 1.0)
+    p, q = np.array([-2.0, 0.0]), np.array([2.0, 0.0])
+    band = arc_band(p, q, np.array([0.0, 1.0]), 2.0, 11)
+    params = NebParams()
+    alone = evolve(field, band, params)
+    counts = {}
+    # the same band in two pairs: never compared, so both converge
+    apart = _evolve_bands(field, [band, band], params, np.array([0, 1]), counts)
+    assert counts["band_retired"] == 0
+    assert counts["band_steps"] > 2 * RETIRE_AFTER  # long enough to retire one
+    for b in apart:
+        assert np.abs(b.nodes - alone.nodes).max() <= 1e-12
+    # the same band twice in one pair: the later copy is retired, and a band
+    # of another pair is untouched
+    together = _evolve_bands(field, [band, band, band], params,
+                             np.array([4, 4, 7]), counts)
+    assert counts["band_retired"] == 1
+    assert together[1] is None
+    for b in (together[0], together[2]):
+        assert np.abs(b.nodes - alone.nodes).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # initial bands
 
@@ -401,6 +425,46 @@ def test_find_one_cells_discards_paths_through_third_cell():
     # the outer pair has no direct 1-cell: its minimum-energy path runs along
     # the axis through the middle 0-cell
     assert all(set(c.endpoint_indices) != {0, 2} for c in out)
+
+
+def ring_field():
+    """KDE of a ring of radius 2 with extra mass at (2, 0) and (-2, 0): its two
+    maxima are joined by two minimum-energy paths, over the top and the bottom."""
+    t = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+    pts = np.vstack([2.0 * np.c_[np.cos(t), np.sin(t)], [[2.0, 0.0]] * 3, [[-2.0, 0.0]] * 3])
+    field = KernelDensity(PointCloud(pts), 0.6)
+    cells = []
+    for start in ([2.0, 0.0], [-2.0, 0.0]):
+        y = np.array(start)
+        for _ in range(200):
+            y = field.mean_shift(y)
+        cells.append(ZeroCell(position=y, density=field.value(y)))
+    return field, cells
+
+
+def test_find_one_cells_keeps_distinct_paths_of_a_pair():
+    field, cells = ring_field()
+    counts = {}
+    out = find_one_cells(field, cells, NebParams(trials_per_pair=6),
+                         np.random.default_rng(1), counts=counts)
+    assert counts["band_retired"] > 0
+    assert counts["band_trials"] == 6
+    assert counts["band_trials"] == (counts["band_converged"] + counts["band_retired"]
+                                     + counts["band_failed"])
+    # one 1-cell over the top of the ring and one under the bottom
+    assert len(out) == 2
+    assert sorted(np.sign(c.band.nodes[5, 1]) for c in out) == [-1.0, 1.0]
+    for c in out:
+        assert np.abs(np.linalg.norm(c.band.nodes[1:-1], axis=1) - 1.95).max() < 0.1
+
+
+def test_find_one_cells_single_trial_never_retires():
+    field, cells = ring_field()
+    counts = {}
+    out = find_one_cells(field, cells, NebParams(trials_per_pair=1),
+                         np.random.default_rng(1), counts=counts)
+    assert counts["band_retired"] == 0
+    assert counts["band_trials"] == counts["band_converged"] == len(out) == 1
 
 
 def test_find_one_cells_single_zero_cell_empty():

@@ -270,6 +270,17 @@ def test_one_cell_without_two_faces_exit_2(tmp_path, capsys, command, boundary):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [("betti", "0.1"), ("persistence",)])
+def test_face_not_glued_along_a_cycle_exit_2(tmp_path, capsys, command):
+    # a 2-cell glued along the single edge 2 = (0, 1), whose endpoints are
+    # each met once
+    face = {"id": 3, "dim": 2, "density": 0.5, "boundary": [2],
+            "geometry": [[0.0, 0.0]]}
+    doc = edited_document(tmp_path, lambda d: d["cells"].append(face))
+    assert run_cli(command[0], doc, *command[1:]) == 2
+    assert "not a cycle" in capsys.readouterr().err
+
+
 def test_betti_ragged_geometry_exit_2(tmp_path, capsys):
     doc = edited_document(
         tmp_path, lambda d: d["cells"][0].update(geometry=[[0.0, 0.0], [1.0]]))

@@ -189,6 +189,29 @@ def test_betti_closure_violation_raises():
         betti([edge(2, 0, 1)])
 
 
+def path_complex():
+    """Vertices 0-2, edges 3 = (0, 1), 4 = (1, 2), 5 = (0, 1), 6 = (0, 0)."""
+    return [vert(0), vert(1), vert(2), edge(3, 0, 1), edge(4, 1, 2),
+            edge(5, 0, 1), edge(6, 0, 0)]
+
+
+@pytest.mark.parametrize("boundary", [(3,), (3, 4), (3, 3, 5), (3, 5, 6, 4)])
+def test_face_not_glued_along_a_cycle_rejected(boundary):
+    # some vertex meets the boundary edges an odd number of times
+    cells = path_complex() + [face(7, boundary)]
+    with pytest.raises(InvalidComplexError, match="not a cycle"):
+        MorseFiltration.build(cells)
+    with pytest.raises(InvalidComplexError, match="not a cycle"):
+        betti(cells)
+
+
+@pytest.mark.parametrize("boundary", [(3, 5), (6,), (3, 3), (3, 5, 6)])
+def test_face_glued_along_a_cycle_accepted(boundary):
+    cells = path_complex() + [face(7, boundary)]
+    MorseFiltration.build(cells)
+    betti(cells)
+
+
 # ---------------------------------------------------------------------------
 # loop persistence
 

@@ -121,6 +121,17 @@ def test_report_consistency(bumpy_result):
     assert set(report.stage_seconds) == {"zero_cells", "one_cells", "two_cells"}
 
 
+def test_report_band_counters(bumpy_result):
+    _, report = bumpy_result
+    counts = report.counts
+    assert counts["band_trials"] == 3 * 6
+    assert counts["band_trials"] == (counts["band_converged"] + counts["band_retired"]
+                                     + counts["band_failed"])
+    assert counts["band_converged"] >= counts["one_cells"]
+    assert counts["band_retired"] > 0
+    assert counts["band_steps"] >= counts["band_trials"]
+
+
 def test_dimension_cascade(bumpy_result):
     # every cell's density never exceeds the density of any of its faces
     filtration, _ = bumpy_result
