@@ -19,12 +19,6 @@ from .errors import ConstructionError, DegenerateTangentError, InvalidInputError
 from .maxima import ZeroCell, _single_linkage_from_dists
 
 _HAIRPIN_EPS = 1e-12
-# A trial that stays within cluster_threshold / 3 of an earlier trial of its
-# 0-cell pair would join that trial's cluster, so it is retired after
-# RETIRE_AFTER steps there.  Closeness is checked every RETIRE_CHECK_EVERY
-# steps: on a small stack a check on every step costs more than it saves.
-RETIRE_AFTER = 100
-RETIRE_CHECK_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,7 @@ class NebParams:
     node_count: int = 11
     alpha: float = math.pi / 6
     beta: float = math.pi / 2
-    step_size: float = 0.01
+    step_size: float = 0.1
     convergence_tolerance: float = 1e-4
     max_steps: int = 200_000
     discard_radius: float = 0.5
@@ -139,35 +133,17 @@ def total_force(field: DensityField, band: Band, params: NebParams, i: int) -> n
     return forces[i - 1]
 
 
-def _near_earlier(nodes: np.ndarray, pair: np.ndarray, active: np.ndarray,
-                  eps: float) -> np.ndarray:
-    """Mask of the stack's active bands within eps of an earlier active band
-    of the same pair, under ``band_distance``."""
-    same = (pair[:, None] == pair[None, :]) & active[:, None] & active[None, :]
-    i, j = np.nonzero(np.triu(same, 1))
-    diff = nodes[i, 1:-1] - nodes[j, 1:-1]
-    dist = np.sqrt(np.einsum("pin,pin->pi", diff, diff)).mean(axis=1)
-    near = np.zeros(len(pair), dtype=bool)
-    near[j[dist <= eps]] = True
-    return near
-
-
 def _evolve_bands(field: DensityField, bands: list[Band], params: NebParams,
-                  pair: np.ndarray | None = None,
                   counts: dict | None = None) -> list[Band | None]:
     """Evolve equal-shaped bands side by side, each as ``evolve`` does it alone.
 
     Every step makes one force evaluation over the bands still active.  A
     band leaves the active set when it converges or fails; each keeps its
-    own hairpin count.  With ``pair``, one 0-cell pair index per band, a band
-    also leaves, and comes back None, once it has stayed within
-    cluster_threshold / 3 of an earlier active band of the same pair for
-    RETIRE_AFTER steps; bands of different pairs are never compared.
-    ``counts`` receives ``band_steps`` (bands times force evaluations) and
-    ``band_retired``.
+    own hairpin count.  ``counts`` receives ``band_steps`` (bands times force
+    evaluations).
     """
     counts = {} if counts is None else counts
-    counts.update(band_steps=0, band_retired=0)
+    counts.update(band_steps=0)
     if not bands:
         return []
     out: list[Band | None] = [None] * len(bands)
@@ -175,7 +151,6 @@ def _evolve_bands(field: DensityField, bands: list[Band], params: NebParams,
     nodes = np.stack([b.nodes for b in bands])
     ids = np.arange(len(bands))
     hairpin_steps = np.zeros(len(bands), dtype=int)
-    near_since = np.full(len(bands), -1)  # start of each band's run near an earlier one
     for step in range(params.max_steps + 1):
         forces, hairpin = _interior_forces(field, nodes, params)
         counts["band_steps"] += len(ids)
@@ -189,16 +164,8 @@ def _evolve_bands(field: DensityField, bands: list[Band], params: NebParams,
             break
         nodes[:, 1:-1] += params.step_size * forces
         keep = ~done & np.isfinite(nodes).all(axis=(1, 2))
-        if pair is not None and step % RETIRE_CHECK_EVERY == 0:
-            near = _near_earlier(nodes, pair[ids], keep, params.cluster_threshold / 3)
-            near_since[~near] = -1
-            near_since[near & (near_since < 0)] = step
-            retire = near & (step - near_since >= RETIRE_AFTER)
-            counts["band_retired"] += int(retire.sum())
-            keep &= ~retire
         if not keep.all():
-            nodes, ids = nodes[keep], ids[keep]
-            hairpin_steps, near_since = hairpin_steps[keep], near_since[keep]
+            nodes, ids, hairpin_steps = nodes[keep], ids[keep], hairpin_steps[keep]
             if not len(ids):
                 break
     return out
@@ -406,15 +373,12 @@ def find_one_cells(
     """Evolve trial bands between every 0-cell pair and keep one per cluster.
 
     Trials start on sphere arcs in sphere mode and on plane arcs otherwise,
-    and all of them evolve as one stack.  A trial that stays within
-    cluster_threshold / 3 of an earlier trial of its pair for RETIRE_AFTER
-    steps is retired unfinished, since it would join that trial's cluster.
-    Convergent bands passing within discard_radius of a third 0-cell are
-    dropped; survivors are single-linkage clustered under the band metric and
-    the densest band of each cluster becomes a 1-cell.  Deterministic given
-    the rng state.  ``counts`` receives the trial outcomes: ``band_trials``,
-    ``band_converged``, ``band_retired``, ``band_failed`` (non-convergent or
-    hairpin) and ``band_steps``.
+    and all of them evolve as one stack.  Convergent bands passing within
+    discard_radius of a third 0-cell are dropped; survivors are single-linkage
+    clustered under the band metric and the densest band of each cluster
+    becomes a 1-cell.  Deterministic given the rng state.  ``counts``
+    receives the trial outcomes: ``band_trials``, ``band_converged``,
+    ``band_failed`` (non-convergent or hairpin) and ``band_steps``.
     """
     positions = np.array([z.position for z in zero_cells])
     initial_band = initial_band_sphere if sphere_mode else initial_band_general
@@ -425,12 +389,10 @@ def find_one_cells(
     initial = [initial_band(positions[a], positions[b], params.node_count, r)
                for a, b in pairs for r in rng.spawn(params.trials_per_pair)]
     counts = {} if counts is None else counts
-    evolved = _evolve_bands(field, initial, params,
-                            np.repeat(np.arange(len(pairs)), params.trials_per_pair),
-                            counts)
+    evolved = _evolve_bands(field, initial, params, counts)
     converged = sum(band is not None for band in evolved)
     counts.update(band_trials=len(initial), band_converged=converged,
-                  band_failed=len(initial) - converged - counts["band_retired"])
+                  band_failed=len(initial) - converged)
 
     for k, (a, b) in enumerate(pairs):
         others = np.delete(positions, [a, b], axis=0)

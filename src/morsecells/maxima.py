@@ -116,7 +116,8 @@ def find_zero_cells(
         members = pts[cluster]
         dens = field.value_batch(members)
         best = int(np.argmax(dens))
-        cells.append(ZeroCell(position=members[best], density=float(dens[best])))
+        # a copy, so the 0-cell does not keep its whole cluster alive
+        cells.append(ZeroCell(position=members[best].copy(), density=float(dens[best])))
 
     cells.sort(key=lambda c: (-c.density, tuple(c.position)))
     return cells

@@ -3,8 +3,8 @@
 A candidate 2-cell is a web-shaped graph spanning a closed boundary loop of
 1-cell nodes.  Interior nodes feel the density gradient projected
 perpendicular to a PCA-estimated tangent plane plus the sum of neighbor
-differences, and relax under first-order dynamics until the mean interior
-force norm is small.
+differences, and relax by semi-implicit steps (implicit springs, explicit
+gradient) until the mean interior force norm is small.
 """
 
 from __future__ import annotations

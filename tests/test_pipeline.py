@@ -125,10 +125,8 @@ def test_report_band_counters(bumpy_result):
     _, report = bumpy_result
     counts = report.counts
     assert counts["band_trials"] == 3 * 6
-    assert counts["band_trials"] == (counts["band_converged"] + counts["band_retired"]
-                                     + counts["band_failed"])
+    assert counts["band_trials"] == counts["band_converged"] + counts["band_failed"]
     assert counts["band_converged"] >= counts["one_cells"]
-    assert counts["band_retired"] > 0
     assert counts["band_steps"] >= counts["band_trials"]
 
 
