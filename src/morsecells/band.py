@@ -14,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .cwcomplex import implicit_step_matrix
 from .density import DensityField, _require_positive
 from .errors import ConstructionError, DegenerateTangentError, InvalidInputError
 from .maxima import ZeroCell, _single_linkage_from_dists
@@ -43,7 +44,6 @@ class NebParams:
     node_count: int = 11
     alpha: float = math.pi / 6
     beta: float = math.pi / 2
-    step_size: float = 0.1
     convergence_tolerance: float = 1e-4
     max_steps: int = 200_000
     discard_radius: float = 0.5
@@ -55,8 +55,7 @@ class NebParams:
             raise InvalidInputError("need 0 <= alpha < beta <= pi")
         if self.node_count < 3:
             raise InvalidInputError("node_count must be >= 3")
-        _require_positive(step_size=self.step_size,
-                          convergence_tolerance=self.convergence_tolerance,
+        _require_positive(convergence_tolerance=self.convergence_tolerance,
                           discard_radius=self.discard_radius,
                           cluster_threshold=self.cluster_threshold)
         if self.trials_per_pair < 1 or self.max_steps < 0:
@@ -137,16 +136,23 @@ def _evolve_bands(field: DensityField, bands: list[Band], params: NebParams,
                   counts: dict | None = None) -> list[Band | None]:
     """Evolve equal-shaped bands side by side, each as ``evolve`` does it alone.
 
-    Every step makes one force evaluation over the bands still active.  A
-    band leaves the active set when it converges or fails; each keeps its
-    own hairpin count.  ``counts`` receives ``band_steps`` (bands times force
-    evaluations).
+    Every step makes one force evaluation over the bands still active and
+    moves their interior nodes by x_I += S @ F, with S = h (I + h L_II)^-1
+    for L the Laplacian of the band's path graph and h = ``field.step``: the
+    springs step implicitly, so h is not capped by their stiff mode.  One S
+    serves the whole stack.  A band leaves the active set when it converges
+    or fails; each keeps its own hairpin count.  ``counts`` receives
+    ``band_steps`` (bands times force evaluations).
     """
     counts = {} if counts is None else counts
     counts.update(band_steps=0)
     if not bands:
         return []
     out: list[Band | None] = [None] * len(bands)
+    n_nodes = bands[0].node_count
+    implicit = implicit_step_matrix(
+        n_nodes, [(i, i + 1) for i in range(n_nodes - 1)],
+        np.arange(1, n_nodes - 1), field.step)
     # the active bands as one contiguous stack, with their indices into bands
     nodes = np.stack([b.nodes for b in bands])
     ids = np.arange(len(bands))
@@ -162,7 +168,7 @@ def _evolve_bands(field: DensityField, bands: list[Band], params: NebParams,
                 out[ids[k]] = Band(nodes[k].copy())  # endpoints were never written
         if step == params.max_steps:
             break
-        nodes[:, 1:-1] += params.step_size * forces
+        nodes[:, 1:-1] += implicit @ forces
         keep = ~done & np.isfinite(nodes).all(axis=(1, 2))
         if not keep.all():
             nodes, ids, hairpin_steps = nodes[keep], ids[keep], hairpin_steps[keep]
@@ -172,12 +178,13 @@ def _evolve_bands(field: DensityField, bands: list[Band], params: NebParams,
 
 
 def evolve(field: DensityField, band: Band, params: NebParams) -> Band | None:
-    """Fixed-step first-order integration of v_i' = F_i on interior nodes.
+    """Semi-implicit first-order integration of v_i' = F_i on interior nodes.
 
-    Returns the band at the first step where the mean interior force norm
-    drops below the convergence tolerance (checked before stepping), or None
-    on max_steps exhaustion, non-finite coordinates, or persistent hairpins
-    (flagged on more than 1% of steps).
+    The step is ``field.step``, with the springs of the path graph taken
+    implicitly (see ``_evolve_bands``).  Returns the band at the first step
+    where the mean interior force norm drops below the convergence tolerance
+    (checked before stepping), or None on max_steps exhaustion, non-finite
+    coordinates, or persistent hairpins (flagged on more than 1% of steps).
     """
     return _evolve_bands(field, [band], params)[0]
 

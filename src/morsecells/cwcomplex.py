@@ -100,6 +100,22 @@ def laplacian(n: int, pairs) -> np.ndarray:
     return lap
 
 
+def implicit_step_matrix(n: int, pairs, interior: np.ndarray,
+                         h: float) -> np.ndarray:
+    """S = h (I + h L_II)^-1, with L the Laplacian of the graph on 0..n-1 with
+    edges pairs and L_II its block on the interior vertices.
+
+    Where the spring force on the interior is -(L_II x_I + L_IB x_B),
+    x_I += S @ force solves (I + h L_II) x_I' = x_I + h (rest - L_IB x_B):
+    the springs step implicitly and the rest of the force explicitly.
+    """
+    m = h * laplacian(n, pairs)[np.ix_(interior, interior)]
+    m.flat[::len(m) + 1] += 1.0
+    m = np.linalg.inv(m)
+    m *= h
+    return m
+
+
 def _check_closure(cells: list[Cell]) -> None:
     """Raise InvalidComplexError unless every face of every cell is in the
     list and one dimension lower, and every 2-cell is glued along a cycle:

@@ -43,11 +43,15 @@ class DensityField:
 
     ``gradient_batch`` must be the true derivative of ``value_batch``
     (finite-difference checkable); ``c`` scales the gradient in the band and
-    sheet forces.  Implementations are immutable.
+    sheet forces, and ``step`` is the band solver's step h.  A step within
+    the explicit bound 2 / L, for L a bound on c times the norm of the
+    Hessian, keeps the band's gradient term stable.  Implementations are
+    immutable.
     """
 
     dimension: int
     c: float
+    step: float
 
     def value_batch(self, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -113,13 +117,16 @@ class KernelDensity(DensityField):
     [x / sigma^2, -||x||^2 / (2 sigma^2), -1 / (2 sigma^2)] give the exponents
     -||y - x||^2 / (2 sigma^2); the weights times the rows [x, 1] give
     sum w x and sum w together.  The force scale c is
-    ``gradient_constant(n, sigma)``.
+    ``gradient_constant(n, sigma)``, and c times the norm of the Hessian is
+    at most L = sqrt(e) / sigma, its value at a lone kernel's centre; the
+    band step is 1 / L = sigma / sqrt(e), half the explicit bound.
     """
 
     cloud: PointCloud
     sigma: float
     dimension: int = field(init=False)
     c: float = field(init=False)
+    step: float = field(init=False)
     _centre: np.ndarray = field(init=False, repr=False, compare=False)
     _norm_const: float = field(init=False, repr=False, compare=False)
     _exponent_cols: np.ndarray = field(init=False, repr=False, compare=False)
@@ -129,6 +136,7 @@ class KernelDensity(DensityField):
         object.__setattr__(self, "dimension", self.cloud.dimension)
         s2, norm, c = _kernel_constants(self.sigma, self.dimension)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "step", self.sigma / math.sqrt(math.e))
         centre = np.round(self.cloud.points.mean(axis=0))
         points = self.cloud.points - centre
         cols = np.vstack([points.T / s2,

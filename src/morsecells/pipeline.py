@@ -49,11 +49,12 @@ class RunReport:
 
 
 def _cycle_basis(n_vertices: int, edges: list[tuple[int, int]],
-                 max_length: int) -> list[list[int]]:
+                 max_length: int, counts: dict | None = None) -> list[list[int]]:
     """Cycles of a BFS spanning-forest cycle basis of a multigraph.
 
     Each cycle is a list of edge indices; parallel edges are honored.  Cycles
-    longer than max_length edges are dropped.
+    longer than max_length edges are dropped and counted in
+    ``counts["loops_dropped"]``.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
     for idx, (a, b) in enumerate(edges):
@@ -86,6 +87,8 @@ def _cycle_basis(n_vertices: int, edges: list[tuple[int, int]],
             v = parent_vertex[v]
         return path
 
+    counts = {} if counts is None else counts
+    counts["loops_dropped"] = 0
     cycles = []
     for idx, (a, b) in enumerate(edges):
         if idx in tree_edges:
@@ -98,6 +101,8 @@ def _cycle_basis(n_vertices: int, edges: list[tuple[int, int]],
         cycle = [idx] + pa + list(reversed(pb))
         if len(cycle) <= max_length:
             cycles.append(cycle)
+        else:
+            counts["loops_dropped"] += 1
     return cycles
 
 
@@ -154,9 +159,11 @@ def run(cloud: PointCloud, config: PipelineConfig) -> tuple[MorseFiltration, Run
 
     t0 = time.perf_counter()
     edge_list = [c.endpoint_indices for c in one_cells]
-    cycles = _cycle_basis(len(zero_cells), edge_list, config.max_loop_length)
+    cycles = _cycle_basis(len(zero_cells), edge_list, config.max_loop_length,
+                          report.counts)
     report.counts["candidate_loops"] = len(cycles)
 
+    report.counts.update(sheet_steps=0, sheet_failed=0)
     two_cells = []
     for cycle in cycles:
         try:
@@ -166,8 +173,9 @@ def run(cloud: PointCloud, config: PipelineConfig) -> tuple[MorseFiltration, Run
         except ConstructionError as exc:
             report.notes.append(f"loop {cycle}: {exc}")
             continue
-        relaxed = relax_sheet(field, web, config.sheet)
+        relaxed = relax_sheet(field, web, config.sheet, report.counts)
         if relaxed is None:
+            report.counts["sheet_failed"] += 1
             report.notes.append(f"loop {cycle}: sheet relaxation did not converge")
             continue
         two_cells.append((cycle, relaxed, sheet_density(field, relaxed)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cwcomplex import laplacian
+from .cwcomplex import implicit_step_matrix
 from .density import DensityField, _require_positive
 from .errors import ConstructionError, InvalidInputError
 
@@ -192,39 +192,29 @@ def _interior_forces(field: DensityField, positions: np.ndarray,
     return forces
 
 
-def _implicit_step_matrix(sheet: WebSheet, interior: np.ndarray,
-                          h: float) -> np.ndarray:
-    """S = h (I + h L_II)^-1, with L the web's graph Laplacian.
-
-    On interior rows the spring sum is -(L_II x_I + L_IB x_B), so
-    x_I += S @ force solves (I + h L_II) x_I' = x_I + h (c g_perp - L_IB x_B):
-    the springs step implicitly and the gradient explicitly.
-    """
-    m = h * laplacian(len(sheet.boundary), sheet.edges)[np.ix_(interior, interior)]
-    m.flat[::len(m) + 1] += 1.0
-    m = np.linalg.inv(m)
-    m *= h
-    return m
-
-
-def relax_sheet(field: DensityField, sheet: WebSheet,
-                params: SheetParams) -> WebSheet | None:
+def relax_sheet(field: DensityField, sheet: WebSheet, params: SheetParams,
+                counts: dict | None = None) -> WebSheet | None:
     """Semi-implicit relaxation of interior nodes with step h = step_size.
 
     Each step solves for the spring term implicitly through the matrix of
-    ``_implicit_step_matrix``, formed once per sheet, and keeps the gradient
-    term explicit.  Converged when the mean interior force norm drops below
-    the tolerance (checked before stepping); returns None on max_steps
-    exhaustion or non-finite coordinates.  Boundary positions are bitwise
-    untouched.
+    ``cwcomplex.implicit_step_matrix``, formed once per sheet, and keeps the
+    gradient term explicit.  Converged when the mean interior force norm
+    drops below the tolerance (checked before stepping); returns None on
+    max_steps exhaustion or non-finite coordinates.  Boundary positions are
+    bitwise untouched.  ``counts["sheet_steps"]`` gains one per force
+    evaluation.
     """
+    counts = {} if counts is None else counts
+    counts.setdefault("sheet_steps", 0)
     adj = sheet.neighbor_lists()
     interior = np.flatnonzero(~sheet.boundary)
     groups = _degree_groups(adj, interior)
-    implicit = _implicit_step_matrix(sheet, interior, params.step_size)
+    implicit = implicit_step_matrix(len(sheet.boundary), sheet.edges, interior,
+                                    params.step_size)
     positions = sheet.positions.copy()
     for step in range(params.max_steps + 1):
         forces = _interior_forces(field, positions, interior, groups)
+        counts["sheet_steps"] += 1
         if np.linalg.norm(forces, axis=1).mean() < params.tolerance:
             out = sheet.positions.copy()
             out[interior] = positions[interior]

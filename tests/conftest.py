@@ -9,10 +9,12 @@ from morsecells.density import DensityField
 class ConstantField(DensityField):
     """f = const; zero gradient everywhere."""
 
-    def __init__(self, dimension: int, level: float = 1.0, c: float = 1.0):
+    def __init__(self, dimension: int, level: float = 1.0, c: float = 1.0,
+                 step: float = 0.1):
         self.dimension = dimension
         self.level = level
         self.c = c
+        self.step = step
 
     def gradient_batch(self, ys):
         return np.zeros_like(np.asarray(ys, dtype=float))
@@ -24,11 +26,12 @@ class ConstantField(DensityField):
 class LinearField(DensityField):
     """f = <w, y> + offset."""
 
-    def __init__(self, w, offset: float = 0.0, c: float = 1.0):
+    def __init__(self, w, offset: float = 0.0, c: float = 1.0, step: float = 0.1):
         self.w = np.asarray(w, dtype=float)
         self.dimension = self.w.shape[0]
         self.offset = offset
         self.c = c
+        self.step = step
 
     def gradient_batch(self, ys):
         return np.tile(self.w, (len(ys), 1))
@@ -40,9 +43,10 @@ class LinearField(DensityField):
 class RadialBowlField(DensityField):
     """f = -||y||^2; single maximum at the origin."""
 
-    def __init__(self, dimension: int, c: float = 1.0):
+    def __init__(self, dimension: int, c: float = 1.0, step: float = 0.1):
         self.dimension = dimension
         self.c = c
+        self.step = step
 
     def gradient_batch(self, ys):
         return -2.0 * np.asarray(ys, dtype=float)

@@ -9,6 +9,7 @@ budget.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,7 +422,7 @@ def test_criterion_14_determinism(tmp_path):
         code = cli_main(["analyze", src, out, "--config", str(cfg),
                         "--threads", threads])
         assert code == 0
-        documents.append(open(out, "rb").read())
+        documents.append(Path(out).read_bytes())
     identical = all(d == documents[0] for d in documents)
     cell_count = len(json.loads(documents[0])["cells"])
     report(14, identical,

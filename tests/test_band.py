@@ -171,6 +171,7 @@ class RimField(DensityField):
     def __init__(self, c):
         self.dimension = 2
         self.c = c
+        self.step = 0.01
         self.largest = 0.0
 
     def value_batch(self, ys):
@@ -189,20 +190,20 @@ def _on_x_axis(xs):
 
 
 def test_evolve_bands_together_match_each_alone():
-    # the step counts below hold at this step; at the default the second band fails
-    params = NebParams(step_size=0.01, convergence_tolerance=1e-3, max_steps=1500)
+    # the step counts below hold at RimField's step of 0.01
+    params = NebParams(convergence_tolerance=1e-3, max_steps=1500)
     p, q = np.array([0.0, 0.0]), np.array([0.0, 0.05])
     bands = [
         # converges at step 21: nearly even spacing on an axis of the basin
         _on_x_axis(np.linspace(-2, 2, 7) + [0, 1e-3, -1e-3, 0, 1e-3, 0, 0]),
-        # converges at step 621
+        # converges at step 626
         arc_band(np.array([-2.0, 0.0]), np.array([2.0, 0.0]), np.array([0.0, 1.0]), 3.0, 7),
-        # skewed spacing: needs 2591 steps, so it exhausts max_steps
+        # skewed spacing: needs 2598 steps, so it exhausts max_steps
         _on_x_axis([-4.5, 4.0, 4.1, 4.2, 4.3, 4.4, 4.5]),
         # a palindrome zigzag keeps its middle node a hairpin on every step;
-        # it converges at step 695 and is rejected for the hairpins
+        # it converges at step 697 and is rejected for the hairpins
         Band(np.array([p, q, p, q, p, q, p])),
-        # outside the rim the gradient drives it to overflow by step 611
+        # outside the rim the gradient drives it to overflow by step 620
         arc_band(np.array([10.0, 0.0]), np.array([10.0, 10.0]), np.array([1.0, 0.0]), 4.0, 7),
     ]
     field = RimField(c=40.0)
@@ -404,19 +405,34 @@ def test_find_one_cells_discards_paths_through_third_cell():
     assert all(set(c.endpoint_indices) != {0, 2} for c in out)
 
 
-def ring_field():
+def ring_field(scale=1.0):
     """KDE of a ring of radius 2 with extra mass at (2, 0) and (-2, 0): its two
-    maxima are joined by two minimum-energy paths, over the top and the bottom."""
+    maxima are joined by two minimum-energy paths, over the top and the bottom.
+    ``scale`` shrinks the cloud and sigma together."""
     t = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
     pts = np.vstack([2.0 * np.c_[np.cos(t), np.sin(t)], [[2.0, 0.0]] * 3, [[-2.0, 0.0]] * 3])
-    field = KernelDensity(PointCloud(pts), 0.6)
+    field = KernelDensity(PointCloud(scale * pts), 0.6 * scale)
     cells = []
     for start in ([2.0, 0.0], [-2.0, 0.0]):
-        y = np.array(start)
+        y = scale * np.array(start)
         for _ in range(200):
             y = field.mean_shift(y)
         cells.append(ZeroCell(position=y, density=field.value(y)))
     return field, cells
+
+
+class StepView(DensityField):
+    """The same field with another band step."""
+
+    def __init__(self, field, step):
+        self.field, self.step = field, step
+        self.dimension, self.c = field.dimension, field.c
+
+    def value_batch(self, ys):
+        return self.field.value_batch(ys)
+
+    def gradient_batch(self, ys):
+        return self.field.gradient_batch(ys)
 
 
 def test_find_one_cells_keeps_distinct_paths_of_a_pair():
@@ -435,14 +451,47 @@ def test_find_one_cells_keeps_distinct_paths_of_a_pair():
 
 def test_find_one_cells_independent_of_step_size():
     field, cells = ring_field()
-    default, small = [find_one_cells(field, cells, NebParams(trials_per_pair=6, step_size=h),
+    default, small = [find_one_cells(f, cells, NebParams(trials_per_pair=6),
                                      np.random.default_rng(1))
-                      for h in (NebParams().step_size, 0.01)]
+                      for f in (field, StepView(field, 0.01))]
     assert len(default) == len(small) == 2
     assert ([c.endpoint_indices for c in default]
             == [c.endpoint_indices for c in small])
     for a, b in zip(default, small):
         assert abs(a.density - b.density) <= 1e-4 * b.density
+
+
+def _relative_densities(out, cells):
+    return sorted(c.density / min(cells[i].density for i in c.endpoint_indices)
+                  for c in out)
+
+
+def test_find_one_cells_on_a_shrunk_ring():
+    # the band step follows sigma, so a ring 200 times smaller gives the same
+    # 1-cells relative to its 0-cells
+    field, cells = ring_field()
+    expected = _relative_densities(
+        find_one_cells(field, cells, NebParams(trials_per_pair=6),
+                       np.random.default_rng(1)), cells)
+    scale = 0.005
+    field, cells = ring_field(scale)
+    counts = {}
+    params = NebParams(trials_per_pair=6, cluster_threshold=0.3 * scale, max_steps=20_000)
+    out = find_one_cells(field, cells, params, np.random.default_rng(1), counts=counts)
+    assert counts["band_converged"] == 6
+    assert len(out) == 2
+    assert sorted(np.sign(c.band.nodes[5, 1]) for c in out) == [-1.0, 1.0]
+    assert _relative_densities(out, cells) == pytest.approx(expected, abs=1e-4)
+
+
+def test_evolve_evens_skewed_spacing_at_a_large_step():
+    # the springs step implicitly, so a step far past the explicit bound of
+    # 0.5 still evens the spacing (in 9 steps)
+    xs = np.linspace(-4.5, 4.5, 7)
+    out = evolve(ConstantField(2, step=10.0), _on_x_axis([-4.5, 4.0, 4.1, 4.2, 4.3, 4.4, 4.5]),
+                 NebParams(max_steps=100))
+    assert out is not None
+    assert out.nodes == pytest.approx(_on_x_axis(xs).nodes, abs=1e-3)
 
 
 def test_find_one_cells_single_trial_never_retires():

@@ -1,5 +1,6 @@
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def test_analyze_rerun_byte_identical(tmp_path, two_blob_csv, fast_config):
     for out in (out1, out2):
         assert run_cli("analyze", two_blob_csv, out, "--sigma", "1.0",
                        "--seed", "21", "--config", fast_config) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_analyze_byte_identical_across_thread_counts(tmp_path, two_blob_csv,
@@ -182,7 +183,7 @@ def test_analyze_byte_identical_across_thread_counts(tmp_path, two_blob_csv,
         assert run_cli("analyze", two_blob_csv, out, "--sigma", "1.0",
                        "--seed", "21", "--threads", threads,
                        "--config", fast_config) == 0
-        outputs.append(open(out, "rb").read())
+        outputs.append(Path(out).read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -191,7 +192,7 @@ def test_analyze_config_file(tmp_path, two_blob_csv):
     cfg.write_text("sigma = 1.0\nseed = 21\nneb.trials_per_pair = 4\n")
     out = str(tmp_path / "o.json")
     assert run_cli("analyze", two_blob_csv, out, "--config", str(cfg)) == 0
-    doc = json.load(open(out))
+    doc = json.loads(Path(out).read_text())
     assert doc["config"]["neb"]["trials_per_pair"] == 4
 
 
@@ -493,10 +494,12 @@ def test_analyze_unknown_config_key_exit_1(tmp_path, two_blob_csv, capsys):
 
 
 @pytest.mark.parametrize("line", ["neb.gradient_constant = 1.0",
-                                  "sheet.gradient_constant = 1.0"])
+                                  "sheet.gradient_constant = 1.0",
+                                  "neb.step_size = 0.1"])
 def test_analyze_gradient_constant_key_is_unknown_exit_1(tmp_path, two_blob_csv,
                                                          capsys, line):
-    # the force scale c comes from the density field, not from the config
+    # the force scale c and the band step come from the density field, not
+    # from the config
     cfg = tmp_path / "bad.conf"
     cfg.write_text(line + "\n")
     assert run_cli("analyze", two_blob_csv, str(tmp_path / "o.json"),
@@ -515,11 +518,11 @@ def test_morse_seed_env_changes_analyze(tmp_path, two_blob_csv, fast_config,
     # documents agree byte for byte
     assert run_cli("analyze", two_blob_csv, out2, "--sigma", "1.0",
                    "--seed", "555", "--config", fast_config) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 @pytest.mark.parametrize("line", [
-    "neb.step_size = nan",
+    "sheet.step_size = nan",
     "neb.convergence_tolerance = nan",
     "neb.discard_radius = nan",
     "sigma = inf",

@@ -295,6 +295,20 @@ def test_kernel_density_supplies_gradient_constant(rng, n, sigma):
     assert f.c == gradient_constant(n, sigma)
 
 
+@pytest.mark.parametrize("n,sigma", [(1, 0.5), (2, 0.8), (8, 0.4)])
+def test_kernel_density_step_is_inverse_of_hessian_bound(rng, n, sigma):
+    # c * ||Hess f|| is largest at a lone kernel's centre, where it is 1 / step
+    f = KernelDensity(PointCloud(np.zeros((1, n))), sigma)
+    eps = 1e-5 * sigma
+    norms = []
+    for y in np.vstack([np.zeros(n), rng.normal(scale=sigma, size=(20, n))]):
+        hess = [(f.gradient(y + eps * e) - f.gradient(y - eps * e)) / (2 * eps)
+                for e in np.eye(n)]
+        norms.append(f.c * np.linalg.norm(np.array(hess), 2))
+    assert norms[0] == pytest.approx(1.0 / f.step, rel=1e-6)
+    assert max(norms) <= (1.0 + 1e-6) / f.step
+
+
 def test_gradient_constant_rejects_bad_args():
     with pytest.raises(InvalidInputError):
         gradient_constant(0, 1.0)

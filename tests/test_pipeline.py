@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from morsecells import (AscentParams, NebParams, PipelineConfig, PointCloud,
-                        band, betti, run, synth_bumpy_circle, synth_gaussian_mixture)
+                        SheetParams, band, betti, run, synth_bumpy_circle,
+                        synth_gaussian_mixture)
 from morsecells.errors import InvalidInputError, NoMaximaError
 from morsecells.pipeline import _cycle_basis, _loop_polyline
 
@@ -130,6 +133,25 @@ def test_report_band_counters(bumpy_result):
     assert counts["band_steps"] >= counts["band_trials"]
 
 
+def test_report_sheet_and_loop_counters(bumpy_result):
+    counts = bumpy_result[1].counts
+    assert counts["candidate_loops"] == counts["two_cells"] == 1
+    assert counts["loops_dropped"] == counts["sheet_failed"] == 0
+    assert 1 <= counts["sheet_steps"] <= SheetParams().max_steps + 1
+    # the same run with a sheet step budget of one step, and with the loop
+    # of three 1-cells over max_loop_length
+    cloud = synth_bumpy_circle(3, 2.0, 1000, np.random.default_rng(3),
+                               angular_spread=0.45)
+    config = PipelineConfig(sigma=0.8, seed=3, neb=NebParams(trials_per_pair=6),
+                            sheet=SheetParams(max_steps=1))
+    counts = run(cloud, config)[1].counts
+    assert counts["two_cells"] == counts["loops_dropped"] == 0
+    assert counts["sheet_failed"] == 1 and counts["sheet_steps"] == 2
+    _, report = run(cloud, replace(config, max_loop_length=2))
+    assert report.counts["candidate_loops"] == report.counts["sheet_steps"] == 0
+    assert report.counts["loops_dropped"] == 1
+
+
 def test_dimension_cascade(bumpy_result):
     # every cell's density never exceeds the density of any of its faces
     filtration, _ = bumpy_result
@@ -144,7 +166,9 @@ def test_single_gaussian_yields_one_vertex():
                                    np.random.default_rng(5))
     filtration, report = run(cloud, PipelineConfig(sigma=1.0, seed=5))
     assert report.counts == {"zero_cells": 1, "one_cells": 0,
-                             "candidate_loops": 0, "two_cells": 0}
+                             "candidate_loops": 0, "two_cells": 0,
+                             "loops_dropped": 0, "sheet_steps": 0,
+                             "sheet_failed": 0}
     assert len(filtration.cells) == 1
     assert any("fewer than two" in note for note in report.notes)
 
