@@ -14,10 +14,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .cwcomplex import implicit_step_matrix
+from .cwcomplex import components, implicit_step_matrix
 from .density import DensityField, _require_positive
 from .errors import ConstructionError, DegenerateTangentError, InvalidInputError
-from .maxima import ZeroCell, _single_linkage_from_dists
+from .maxima import ZeroCell
 
 _HAIRPIN_EPS = 1e-12
 
@@ -421,7 +421,7 @@ def find_one_cells(
         for i in range(m):
             for j in range(i + 1, m):
                 dists[i, j] = dists[j, i] = band_distance(survivors[i], survivors[j])
-        for cluster in _single_linkage_from_dists(dists, params.cluster_threshold):
+        for cluster in components(dists <= params.cluster_threshold):
             densities = [band_density(field, survivors[i]) for i in cluster]
             best = cluster[int(np.argmax(densities))]
             cells.append(OneCell(band=survivors[best],

@@ -66,28 +66,24 @@ def superlevel_complex(filtration: MorseFiltration, a: float) -> list[Cell]:
     return [c for c in filtration.cells if c.density >= a]
 
 
-def components(n: int, pairs) -> list[list[int]]:
-    """Connected components of the graph on vertices 0..n-1 with edges pairs.
+def components(adjacency: np.ndarray) -> list[list[int]]:
+    """Connected components of the graph with symmetric (n, n) boolean
+    adjacency; callers pass their own, such as distances within a threshold.
 
-    Union-find with path halving.  Components are ordered by their smallest
-    member and list their members in ascending order.
+    A breadth-first search expands one whole frontier at a time.  Components
+    are ordered by their smallest member and list their members ascending.
     """
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    return list(clusters.values())
+    unreached = np.ones(len(adjacency), dtype=bool)
+    clusters = []
+    while unreached.any():
+        members = np.zeros_like(unreached)
+        frontier = [np.argmax(unreached)]  # the smallest vertex not yet reached
+        while len(frontier):
+            members[frontier] = True
+            frontier = np.flatnonzero(adjacency[frontier].any(axis=0) & ~members)
+        unreached &= ~members
+        clusters.append(np.flatnonzero(members).tolist())
+    return clusters
 
 
 def laplacian(n: int, pairs) -> np.ndarray:

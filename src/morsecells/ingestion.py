@@ -122,7 +122,7 @@ def shortest_path_distances(graph: UnweightedGraph) -> np.ndarray:
                     dist[src, w] = dist[src, u] + 1
                     queue.append(w)
     if (dist < 0).any():
-        sizes = [len(c) for c in components(n, graph.edges)]
+        sizes = [len(c) for c in components(dist >= 0)]
         raise DataError(f"graph is disconnected; component sizes {sorted(sizes)}")
     return dist
 

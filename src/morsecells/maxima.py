@@ -33,19 +33,26 @@ class ZeroCell:
     density: float
 
 
-def _ascend_seeds(field: KernelDensity, seeds: np.ndarray,
-                  params: AscentParams) -> list[np.ndarray | None]:
+def _ascend_seeds(field: KernelDensity, seeds: np.ndarray, params: AscentParams,
+                  counts: dict | None = None) -> list[np.ndarray | None]:
     """Ascend every row of an (S, n) seed array together, as ``ascend`` does
     each alone.
 
     Every iteration makes one mean-shift call over the seeds still moving.  A
     seed leaves the stack when it converges or loses all kernel mass.
+    ``counts`` receives ``ascent_seeds``, ``ascent_converged``,
+    ``ascent_no_mass``, ``ascent_exhausted`` (still moving after
+    max_iterations) and ``ascent_steps`` (seeds times iterations).
     """
     ys = np.array(seeds, dtype=float)
     out: list[np.ndarray | None] = [None] * len(ys)
     ids = np.arange(len(ys))
+    counts = {} if counts is None else counts
+    counts.update(ascent_seeds=len(ys), ascent_no_mass=0, ascent_steps=0)
     for _ in range(params.max_iterations):
         shifted, has_mass = field.mean_shift_batch(ys)
+        counts["ascent_steps"] += len(ys)
+        counts["ascent_no_mass"] += int(np.count_nonzero(~has_mass))
         diff = shifted - ys
         done = has_mass & (np.sqrt(np.einsum("sn,sn->s", diff, diff))
                            < params.tolerance)
@@ -55,6 +62,7 @@ def _ascend_seeds(field: KernelDensity, seeds: np.ndarray,
         ids, ys = ids[moving], shifted[moving]
         if not len(ids):
             break
+    counts.update(ascent_converged=sum(y is not None for y in out), ascent_exhausted=len(ids))
     return out
 
 
@@ -67,23 +75,16 @@ def ascend(field: KernelDensity, y0: np.ndarray, params: AscentParams) -> np.nda
     return _ascend_seeds(field, field._check_query(y0), params)[0]
 
 
-def _single_linkage_from_dists(dists: np.ndarray, threshold: float) -> list[list[int]]:
-    """Components of the graph joining every pair with distance <= threshold."""
-    return components(len(dists), zip(*np.nonzero(np.triu(dists <= threshold, 1))))
-
-
 def single_linkage(points: list[np.ndarray] | np.ndarray, threshold: float) -> list[list[int]]:
-    """Partition indices; two points share a cluster iff chained by steps <= threshold."""
-    if threshold <= 0:
-        raise InvalidInputError("threshold must be positive")
+    """Partition indices, ordered as by ``components``; two points share a
+    cluster iff chained by steps <= threshold."""
+    _require_positive(threshold=threshold)
     pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        return []
     dists = np.empty((len(pts), len(pts)))
     for i, p in enumerate(pts):  # row by row: no (m, m, n) offset array
         diff = pts - p
         dists[i] = np.sqrt(np.einsum("jk,jk->j", diff, diff))
-    return _single_linkage_from_dists(dists, threshold)
+    return components(dists <= threshold)
 
 
 def find_zero_cells(
@@ -91,13 +92,15 @@ def find_zero_cells(
     params: AscentParams,
     cluster_threshold: float,
     rng: np.random.Generator,
+    counts: dict | None = None,
 ) -> list[ZeroCell]:
     """Ascend from a random sample of cloud points and keep one mode per cluster.
 
     Seeds are drawn from the cloud itself without replacement.  Convergent
     points are clustered by single linkage and the densest member of each
     cluster is returned, sorted by density descending (ties by lexicographic
-    position).  Deterministic for a fixed rng state.
+    position).  Deterministic for a fixed rng state.  ``counts`` receives
+    the seed outcomes of the ascents (see ``_ascend_seeds``).
     """
     cloud = field.cloud
     count = params.seed_count if params.seed_count is not None else min(len(cloud), 500)
@@ -105,7 +108,7 @@ def find_zero_cells(
     idx = rng.choice(len(cloud), size=count, replace=False)
     seeds = cloud.points[idx]
 
-    results = _ascend_seeds(field, seeds, params)
+    results = _ascend_seeds(field, seeds, params, counts)
     converged = [r for r in results if r is not None]
     if not converged:
         raise NoMaximaError(seeds_attempted=count, non_convergent=count)

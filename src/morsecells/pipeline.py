@@ -143,7 +143,7 @@ def run(cloud: PointCloud, config: PipelineConfig) -> tuple[MorseFiltration, Run
 
     t0 = time.perf_counter()
     zero_cells = find_zero_cells(field, config.ascent, config.cluster_threshold,
-                                 rng_zero)
+                                 rng_zero, counts=report.counts)
     report.stage_seconds["zero_cells"] = time.perf_counter() - t0
     report.counts["zero_cells"] = len(zero_cells)
 

@@ -421,7 +421,7 @@ def test_persistence_interval_count_equals_loop_births(rng):
 
 
 # ---------------------------------------------------------------------------
-# shared union-find against scipy's connected components
+# shared components routine against scipy's connected components
 
 @st.composite
 def random_graphs(draw):
@@ -445,7 +445,10 @@ def scipy_partition(n, pairs):
 @given(random_graphs())
 def test_components_match_scipy(graph):
     n, pairs = graph
-    assert components(n, pairs) == scipy_partition(n, pairs)
+    adjacency = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        adjacency[[i, j], [j, i]] = True
+    assert components(adjacency) == scipy_partition(n, pairs)
 
 
 @settings(deadline=None)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import pdist, squareform
 
 from morsecells import AscentParams, KernelDensity, PointCloud, ascend, find_zero_cells, single_linkage
 from morsecells.errors import InvalidInputError, NoMassError, NoMaximaError
@@ -81,6 +84,10 @@ def test_ascend_seeds_no_mass_among_converged():
     assert out[1] is None and out[2] is None
     assert [ascend(f, s, AscentParams(max_iterations=1)) is None
             for s in seeds] == [False, True, True, False]
+    counts = {}
+    _ascend_seeds(f, seeds, AscentParams(max_iterations=1), counts)
+    assert counts == {"ascent_seeds": 4, "ascent_converged": 2, "ascent_no_mass": 1,
+                      "ascent_exhausted": 1, "ascent_steps": 4}
 
 
 def test_ascend_finds_grid_search_modes(rng):
@@ -111,9 +118,44 @@ def test_single_linkage_empty():
     assert single_linkage(np.empty((0, 2)), 0.3) == []
 
 
-def test_single_linkage_rejects_bad_threshold():
+@pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan, np.inf])
+def test_single_linkage_rejects_bad_threshold(threshold):
     with pytest.raises(InvalidInputError):
-        single_linkage(np.array([[0.0]]), 0.0)
+        single_linkage(np.array([[0.0], [0.1]]), threshold)
+
+
+@st.composite
+def linkage_clouds(draw):
+    """(points, t): grid points at spacing t (exact ties at a dyadic t),
+    chains of steps just under t, scattered points and duplicates, shuffled."""
+    t = draw(st.sampled_from([0.125, 0.25, 0.5]))
+    dim = draw(st.integers(1, 3))
+    cell = st.integers(-4, 4)
+    grid = draw(st.lists(st.tuples(*[cell] * dim), max_size=12))
+    points = [np.array(g, dtype=float) * t for g in grid]
+    for _ in range(draw(st.integers(0, 2))):
+        start = np.array(draw(st.tuples(*[cell] * dim)), dtype=float)
+        step = np.zeros(dim)
+        step[draw(st.integers(0, dim - 1))] = t * (1 - 1e-9)
+        points += [start + k * step for k in range(draw(st.integers(2, 5)))]
+    coordinate = st.floats(-1.5, 1.5, allow_nan=False)
+    points += [np.array(p) for p in draw(st.lists(st.tuples(*[coordinate] * dim),
+                                                  max_size=8))]
+    if not points:
+        points = [np.zeros(dim)]
+    points += [points[i] for i in draw(st.lists(st.integers(0, len(points) - 1),
+                                                max_size=4))]
+    order = draw(st.permutations(range(len(points))))
+    return np.array([points[i] for i in order]), t
+
+
+@settings(deadline=None)
+@given(linkage_clouds())
+def test_single_linkage_matches_scipy_components(cloud):
+    points, t = cloud
+    _, labels = connected_components(squareform(pdist(points) <= t), directed=False)
+    expected = sorted(np.flatnonzero(labels == k).tolist() for k in range(labels.max() + 1))
+    assert single_linkage(points, t) == expected
 
 
 def test_find_zero_cells_two_modes(rng):
@@ -141,6 +183,23 @@ def test_find_zero_cells_seed_count_bounds(rng):
     cells = find_zero_cells(f, AscentParams(seed_count=1), 0.3,
                             np.random.default_rng(2))
     assert len(cells) <= 1
+
+
+def test_find_zero_cells_counts_seed_outcomes(rng):
+    cloud = two_gaussian_cloud(rng, count=40)
+    f = KernelDensity(cloud, 1.0)
+    counts = {}
+    find_zero_cells(f, AscentParams(), 0.3, np.random.default_rng(5), counts=counts)
+    assert counts["ascent_seeds"] == 40
+    assert (counts["ascent_converged"] + counts["ascent_no_mass"]
+            + counts["ascent_exhausted"] == 40)
+    assert counts["ascent_steps"] > 40  # no seed converges in its first iteration
+    counts = {}
+    with pytest.raises(NoMaximaError):
+        find_zero_cells(f, AscentParams(max_iterations=1), 0.3,
+                        np.random.default_rng(5), counts=counts)
+    assert counts == {"ascent_seeds": 40, "ascent_converged": 0, "ascent_no_mass": 0,
+                      "ascent_exhausted": 40, "ascent_steps": 40}
 
 
 def test_find_zero_cells_error_when_nothing_converges(rng):

@@ -168,7 +168,9 @@ def test_single_gaussian_yields_one_vertex():
     assert report.counts == {"zero_cells": 1, "one_cells": 0,
                              "candidate_loops": 0, "two_cells": 0,
                              "loops_dropped": 0, "sheet_steps": 0,
-                             "sheet_failed": 0}
+                             "sheet_failed": 0, "ascent_seeds": 300,
+                             "ascent_converged": 300, "ascent_no_mass": 0,
+                             "ascent_exhausted": 0, "ascent_steps": 4089}
     assert len(filtration.cells) == 1
     assert any("fewer than two" in note for note in report.notes)
 
