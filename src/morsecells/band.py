@@ -46,8 +46,6 @@ class NebParams:
     beta: float = math.pi / 2
     convergence_tolerance: float = 1e-4
     max_steps: int = 200_000
-    discard_radius: float = 0.5
-    cluster_threshold: float = 0.3
     trials_per_pair: int = 20
 
     def __post_init__(self):
@@ -55,9 +53,7 @@ class NebParams:
             raise InvalidInputError("need 0 <= alpha < beta <= pi")
         if self.node_count < 3:
             raise InvalidInputError("node_count must be >= 3")
-        _require_positive(convergence_tolerance=self.convergence_tolerance,
-                          discard_radius=self.discard_radius,
-                          cluster_threshold=self.cluster_threshold)
+        _require_positive(convergence_tolerance=self.convergence_tolerance)
         if self.trials_per_pair < 1 or self.max_steps < 0:
             raise InvalidInputError("need trials_per_pair >= 1 and max_steps >= 0")
 
@@ -381,11 +377,12 @@ def find_one_cells(
 
     Trials start on sphere arcs in sphere mode and on plane arcs otherwise,
     and all of them evolve as one stack.  Convergent bands passing within
-    discard_radius of a third 0-cell are dropped; survivors are single-linkage
-    clustered under the band metric and the densest band of each cluster
-    becomes a 1-cell.  Deterministic given the rng state.  ``counts``
-    receives the trial outcomes: ``band_trials``, ``band_converged``,
-    ``band_failed`` (non-convergent or hairpin) and ``band_steps``.
+    ``field.resolution`` of a third 0-cell are dropped; survivors are
+    single-linkage clustered at the same length under the band metric and
+    the densest band of each cluster becomes a 1-cell.  Deterministic given
+    the rng state.  ``counts`` receives the trial outcomes: ``band_trials``,
+    ``band_converged``, ``band_failed`` (non-convergent or hairpin) and
+    ``band_steps``.
     """
     positions = np.array([z.position for z in zero_cells])
     initial_band = initial_band_sphere if sphere_mode else initial_band_general
@@ -410,7 +407,7 @@ def find_one_cells(
                 continue
             if len(others) > 0:
                 diff = band.nodes[:, None, :] - others[None, :, :]
-                if np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).min() <= params.discard_radius:
+                if np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).min() <= field.resolution:
                     continue
             survivors.append(band)
         if not survivors:
@@ -421,7 +418,7 @@ def find_one_cells(
         for i in range(m):
             for j in range(i + 1, m):
                 dists[i, j] = dists[j, i] = band_distance(survivors[i], survivors[j])
-        for cluster in components(dists <= params.cluster_threshold):
+        for cluster in components(dists <= field.resolution):
             densities = [band_density(field, survivors[i]) for i in cluster]
             best = cluster[int(np.argmax(densities))]
             cells.append(OneCell(band=survivors[best],

@@ -394,7 +394,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--window", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)  # accepted for interface uniformity
     p.set_defaults(func=cmd_sliding_window)
 
     return parser

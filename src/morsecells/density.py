@@ -45,13 +45,15 @@ class DensityField:
     (finite-difference checkable); ``c`` scales the gradient in the band and
     sheet forces, and ``step`` is the band solver's step h.  A step within
     the explicit bound 2 / L, for L a bound on c times the norm of the
-    Hessian, keeps the band's gradient term stable.  Implementations are
-    immutable.
+    Hessian, keeps the band's gradient term stable.  ``resolution`` is the
+    length that clusters 0-cells and bands and discards a band passing a
+    third 0-cell.  Implementations are immutable.
     """
 
     dimension: int
     c: float
     step: float
+    resolution: float
 
     def value_batch(self, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -119,7 +121,8 @@ class KernelDensity(DensityField):
     sum w x and sum w together.  The force scale c is
     ``gradient_constant(n, sigma)``, and c times the norm of the Hessian is
     at most L = sqrt(e) / sigma, its value at a lone kernel's centre; the
-    band step is 1 / L = sigma / sqrt(e), half the explicit bound.
+    band step is 1 / L = sigma / sqrt(e), half the explicit bound.  The
+    estimate resolves nothing finer than sigma: the resolution is sigma / 2.
     """
 
     cloud: PointCloud
@@ -127,6 +130,7 @@ class KernelDensity(DensityField):
     dimension: int = field(init=False)
     c: float = field(init=False)
     step: float = field(init=False)
+    resolution: float = field(init=False)
     _centre: np.ndarray = field(init=False, repr=False, compare=False)
     _norm_const: float = field(init=False, repr=False, compare=False)
     _exponent_cols: np.ndarray = field(init=False, repr=False, compare=False)
@@ -137,6 +141,7 @@ class KernelDensity(DensityField):
         s2, norm, c = _kernel_constants(self.sigma, self.dimension)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "step", self.sigma / math.sqrt(math.e))
+        object.__setattr__(self, "resolution", self.sigma / 2.0)
         centre = np.round(self.cloud.points.mean(axis=0))
         points = self.cloud.points - centre
         cols = np.vstack([points.T / s2,

@@ -90,17 +90,17 @@ def single_linkage(points: list[np.ndarray] | np.ndarray, threshold: float) -> l
 def find_zero_cells(
     field: KernelDensity,
     params: AscentParams,
-    cluster_threshold: float,
     rng: np.random.Generator,
     counts: dict | None = None,
 ) -> list[ZeroCell]:
     """Ascend from a random sample of cloud points and keep one mode per cluster.
 
     Seeds are drawn from the cloud itself without replacement.  Convergent
-    points are clustered by single linkage and the densest member of each
-    cluster is returned, sorted by density descending (ties by lexicographic
-    position).  Deterministic for a fixed rng state.  ``counts`` receives
-    the seed outcomes of the ascents (see ``_ascend_seeds``).
+    points are clustered by single linkage at ``field.resolution`` and the
+    densest member of each cluster is returned, sorted by density
+    descending (ties by lexicographic position).  Deterministic for a fixed
+    rng state.  ``counts`` receives the seed outcomes of the ascents (see
+    ``_ascend_seeds``).
     """
     cloud = field.cloud
     count = params.seed_count if params.seed_count is not None else min(len(cloud), 500)
@@ -115,7 +115,7 @@ def find_zero_cells(
 
     pts = np.array(converged)
     cells = []
-    for cluster in single_linkage(pts, cluster_threshold):
+    for cluster in single_linkage(pts, field.resolution):
         members = pts[cluster]
         dens = field.value_batch(members)
         best = int(np.argmax(dens))

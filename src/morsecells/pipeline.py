@@ -27,14 +27,13 @@ class PipelineConfig:
     sigma: float = 1.0
     sphere_mode: bool = False
     seed: int = 0
-    cluster_threshold: float = 0.3
     max_loop_length: int = 6
     ascent: AscentParams = dataclass_field(default_factory=AscentParams)
     neb: NebParams = dataclass_field(default_factory=NebParams)
     sheet: SheetParams = dataclass_field(default_factory=SheetParams)
 
     def __post_init__(self):
-        _require_positive(sigma=self.sigma, cluster_threshold=self.cluster_threshold)
+        _require_positive(sigma=self.sigma)
         if self.seed < 0 or self.max_loop_length < 1:
             raise InvalidInputError("need seed >= 0 and max_loop_length >= 1")
 
@@ -142,8 +141,7 @@ def run(cloud: PointCloud, config: PipelineConfig) -> tuple[MorseFiltration, Run
     field = KernelDensity(cloud, config.sigma)
 
     t0 = time.perf_counter()
-    zero_cells = find_zero_cells(field, config.ascent, config.cluster_threshold,
-                                 rng_zero, counts=report.counts)
+    zero_cells = find_zero_cells(field, config.ascent, rng_zero, counts=report.counts)
     report.stage_seconds["zero_cells"] = time.perf_counter() - t0
     report.counts["zero_cells"] = len(zero_cells)
 

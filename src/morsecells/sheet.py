@@ -18,20 +18,20 @@ from .density import DensityField, _require_positive
 from .errors import ConstructionError, InvalidInputError
 
 TANGENT_DIM = 2  # 2-cells only; the general-k construction is not run
+STEP = 1.0  # implicit step h of relax_sheet
 
 
 @dataclass(frozen=True)
 class SheetParams:
     rings: int = 10
     nodes_per_ring: int = 20
-    step_size: float = 1.0  # implicit step h of relax_sheet
     tolerance: float = 1e-3
     max_steps: int = 200_000
 
     def __post_init__(self):
         if self.rings < 1 or self.nodes_per_ring < 3:
             raise InvalidInputError("need rings >= 1 and nodes_per_ring >= 3")
-        _require_positive(step_size=self.step_size, tolerance=self.tolerance)
+        _require_positive(tolerance=self.tolerance)
         if self.max_steps < 0:
             raise InvalidInputError("max_steps must be >= 0")
 
@@ -194,7 +194,7 @@ def _interior_forces(field: DensityField, positions: np.ndarray,
 
 def relax_sheet(field: DensityField, sheet: WebSheet, params: SheetParams,
                 counts: dict | None = None) -> WebSheet | None:
-    """Semi-implicit relaxation of interior nodes with step h = step_size.
+    """Semi-implicit relaxation of interior nodes with step h = STEP.
 
     Each step solves for the spring term implicitly through the matrix of
     ``cwcomplex.implicit_step_matrix``, formed once per sheet, and keeps the
@@ -209,8 +209,7 @@ def relax_sheet(field: DensityField, sheet: WebSheet, params: SheetParams,
     adj = sheet.neighbor_lists()
     interior = np.flatnonzero(~sheet.boundary)
     groups = _degree_groups(adj, interior)
-    implicit = implicit_step_matrix(len(sheet.boundary), sheet.edges, interior,
-                                    params.step_size)
+    implicit = implicit_step_matrix(len(sheet.boundary), sheet.edges, interior, STEP)
     positions = sheet.positions.copy()
     for step in range(params.max_steps + 1):
         forces = _interior_forces(field, positions, interior, groups)

@@ -110,7 +110,7 @@ def test_criterion_04_mean_shift_modes():
     cloud = PointCloud(centers[rng.integers(0, 2, size=200)]
                        + rng.standard_normal((200, 2)))
     field = KernelDensity(cloud, 1.0)
-    cells = find_zero_cells(field, AscentParams(), 0.3, np.random.default_rng(7))
+    cells = find_zero_cells(field, AscentParams(), np.random.default_rng(7))
     ok = len(cells) == 2
     worst = float("inf")
     if ok:

@@ -426,7 +426,7 @@ class StepView(DensityField):
 
     def __init__(self, field, step):
         self.field, self.step = field, step
-        self.dimension, self.c = field.dimension, field.c
+        self.dimension, self.c, self.resolution = field.dimension, field.c, field.resolution
 
     def value_batch(self, ys):
         return self.field.value_batch(ys)
@@ -467,8 +467,8 @@ def _relative_densities(out, cells):
 
 
 def test_find_one_cells_on_a_shrunk_ring():
-    # the band step follows sigma, so a ring 200 times smaller gives the same
-    # 1-cells relative to its 0-cells
+    # the band step and the resolution follow sigma, so a ring 200 times
+    # smaller gives the same 1-cells relative to its 0-cells
     field, cells = ring_field()
     expected = _relative_densities(
         find_one_cells(field, cells, NebParams(trials_per_pair=6),
@@ -476,7 +476,7 @@ def test_find_one_cells_on_a_shrunk_ring():
     scale = 0.005
     field, cells = ring_field(scale)
     counts = {}
-    params = NebParams(trials_per_pair=6, cluster_threshold=0.3 * scale, max_steps=20_000)
+    params = NebParams(trials_per_pair=6, max_steps=20_000)
     out = find_one_cells(field, cells, params, np.random.default_rng(1), counts=counts)
     assert counts["band_converged"] == 6
     assert len(out) == 2

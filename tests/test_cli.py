@@ -131,6 +131,24 @@ def test_every_config_key_sets_its_field():
         assert _flat_fields(config) == {**defaults, key: value}, key
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_lists_every_config_key():
+    # the "key = value" section of the README names each key and their count
+    text = README.read_text()
+    section = text[text.index("The keys are the fields of"):
+                   text.index("The CLI reads the keys")]
+    keys = set()
+    for line in section.split("\n- ")[1:]:
+        prefix, names = "", line
+        if line.startswith("`") and line.split("`")[1].endswith("."):
+            prefix, names = line.split("`")[1], line.split(":", 1)[1]
+        keys.update(prefix + name for name in names.split("`")[1::2])
+    assert keys == set(_CONFIG_KEYS) - {"threads"}
+    assert f"{len(keys)} settable values" in " ".join(section.split())
+
+
 def test_document_config_is_full_config():
     config = PipelineConfig(sigma=0.7, seed=4, sphere_mode=True,
                             neb=NebParams(trials_per_pair=3))
@@ -311,6 +329,22 @@ def test_persistence_no_loops(tmp_path, capsys):
     doc = make_document(tmp_path, [vert(0, 1.0)])
     assert run_cli("persistence", doc) == 0
     assert "no loops" in capsys.readouterr().out
+
+
+def test_document_with_removed_config_keys_still_loads(tmp_path, analyzed_doc, capsys):
+    # documents written before the clustering and discard lengths and the
+    # sheet step left the config still carry them in their config block
+    doc = json.loads(Path(analyzed_doc).read_text())
+    doc["config"].update(cluster_threshold=0.3)
+    doc["config"]["neb"].update(cluster_threshold=0.3, discard_radius=0.5)
+    doc["config"]["sheet"].update(step_size=1.0)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    for command in (("betti", "0.001"), ("persistence",)):
+        assert run_cli(command[0], analyzed_doc, *command[1:]) == 0
+        expected = capsys.readouterr().out
+        assert run_cli(command[0], str(old), *command[1:]) == 0
+        assert capsys.readouterr().out == expected
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +529,16 @@ def test_analyze_unknown_config_key_exit_1(tmp_path, two_blob_csv, capsys):
 
 @pytest.mark.parametrize("line", ["neb.gradient_constant = 1.0",
                                   "sheet.gradient_constant = 1.0",
-                                  "neb.step_size = 0.1"])
+                                  "neb.step_size = 0.1",
+                                  "sheet.step_size = nan",
+                                  "neb.discard_radius = nan",
+                                  "cluster_threshold = 0.3",
+                                  "neb.cluster_threshold = 0.3"])
 def test_analyze_gradient_constant_key_is_unknown_exit_1(tmp_path, two_blob_csv,
                                                          capsys, line):
-    # the force scale c and the band step come from the density field, not
-    # from the config
+    # the force scale c, the band step and the clustering and discard length
+    # come from the density field and the sheet step is a constant: none of
+    # them is a config key
     cfg = tmp_path / "bad.conf"
     cfg.write_text(line + "\n")
     assert run_cli("analyze", two_blob_csv, str(tmp_path / "o.json"),
@@ -522,9 +561,7 @@ def test_morse_seed_env_changes_analyze(tmp_path, two_blob_csv, fast_config,
 
 
 @pytest.mark.parametrize("line", [
-    "sheet.step_size = nan",
     "neb.convergence_tolerance = nan",
-    "neb.discard_radius = nan",
     "sigma = inf",
     "sigma = nan",
     "neb.trials_per_pair = -1",

@@ -161,7 +161,7 @@ def test_single_linkage_matches_scipy_components(cloud):
 def test_find_zero_cells_two_modes(rng):
     cloud = two_gaussian_cloud(rng)
     f = KernelDensity(cloud, 1.0)
-    cells = find_zero_cells(f, AscentParams(), 0.3, np.random.default_rng(5))
+    cells = find_zero_cells(f, AscentParams(), np.random.default_rng(5))
     assert len(cells) == 2
     modes = [grid_search_mode(f, c, 1.5) for c in ([0.0, 0.0], [6.0, 0.0])]
     for cell in cells:
@@ -171,7 +171,7 @@ def test_find_zero_cells_two_modes(rng):
 def test_find_zero_cells_single_mode(rng):
     cloud = PointCloud(rng.standard_normal((100, 2)))
     f = KernelDensity(cloud, 1.0)
-    cells = find_zero_cells(f, AscentParams(), 0.3, np.random.default_rng(1))
+    cells = find_zero_cells(f, AscentParams(), np.random.default_rng(1))
     assert len(cells) == 1
     mode = grid_search_mode(f, cells[0].position, 1.0)
     assert np.linalg.norm(cells[0].position - mode) < 1e-2
@@ -180,7 +180,7 @@ def test_find_zero_cells_single_mode(rng):
 def test_find_zero_cells_seed_count_bounds(rng):
     cloud = two_gaussian_cloud(rng)
     f = KernelDensity(cloud, 1.0)
-    cells = find_zero_cells(f, AscentParams(seed_count=1), 0.3,
+    cells = find_zero_cells(f, AscentParams(seed_count=1),
                             np.random.default_rng(2))
     assert len(cells) <= 1
 
@@ -189,14 +189,14 @@ def test_find_zero_cells_counts_seed_outcomes(rng):
     cloud = two_gaussian_cloud(rng, count=40)
     f = KernelDensity(cloud, 1.0)
     counts = {}
-    find_zero_cells(f, AscentParams(), 0.3, np.random.default_rng(5), counts=counts)
+    find_zero_cells(f, AscentParams(), np.random.default_rng(5), counts=counts)
     assert counts["ascent_seeds"] == 40
     assert (counts["ascent_converged"] + counts["ascent_no_mass"]
             + counts["ascent_exhausted"] == 40)
     assert counts["ascent_steps"] > 40  # no seed converges in its first iteration
     counts = {}
     with pytest.raises(NoMaximaError):
-        find_zero_cells(f, AscentParams(max_iterations=1), 0.3,
+        find_zero_cells(f, AscentParams(max_iterations=1),
                         np.random.default_rng(5), counts=counts)
     assert counts == {"ascent_seeds": 40, "ascent_converged": 0, "ascent_no_mass": 0,
                       "ascent_exhausted": 40, "ascent_steps": 40}
@@ -207,7 +207,7 @@ def test_find_zero_cells_error_when_nothing_converges(rng):
     f = KernelDensity(cloud, 1.0)
     params = AscentParams(tolerance=1e-300, max_iterations=3)
     with pytest.raises(NoMaximaError) as err:
-        find_zero_cells(f, params, 0.3, np.random.default_rng(3))
+        find_zero_cells(f, params, np.random.default_rng(3))
     assert err.value.seeds_attempted == 200
 
 
@@ -215,7 +215,7 @@ def test_zero_cell_invariants(rng):
     cloud = two_gaussian_cloud(rng)
     f = KernelDensity(cloud, 1.0)
     params = AscentParams()
-    cells = find_zero_cells(f, params, 0.3, np.random.default_rng(4))
+    cells = find_zero_cells(f, params, np.random.default_rng(4))
     for cell in cells:
         # fixed-point residual and density agreement
         assert np.linalg.norm(f.mean_shift(cell.position) - cell.position) < params.tolerance
@@ -223,10 +223,10 @@ def test_zero_cell_invariants(rng):
         # idempotence of ascent from the returned position
         again = ascend(f, cell.position, params)
         assert np.linalg.norm(again - cell.position) < params.tolerance
-    # pairwise separation above the cluster threshold
+    # pairwise separation above the clustering length
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
-            assert np.linalg.norm(cells[i].position - cells[j].position) > 0.3
+            assert np.linalg.norm(cells[i].position - cells[j].position) > f.resolution
     # density-descending order
     densities = [c.density for c in cells]
     assert densities == sorted(densities, reverse=True)
@@ -237,7 +237,7 @@ def test_find_zero_cells_deterministic_across_repeats(rng):
     f = KernelDensity(cloud, 1.0)
     outs = []
     for _ in range(3):
-        cells = find_zero_cells(f, AscentParams(), 0.3, np.random.default_rng(9))
+        cells = find_zero_cells(f, AscentParams(), np.random.default_rng(9))
         outs.append([(c.position.tobytes(), np.float64(c.density).tobytes())
                      for c in cells])
     assert outs[0] == outs[1] == outs[2]

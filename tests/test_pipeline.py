@@ -161,6 +161,21 @@ def test_dimension_cascade(bumpy_result):
             assert cell.density <= by_id[fid].density + 1e-15
 
 
+@pytest.mark.parametrize("scale", [0.1, 10.0])
+def test_bumpy_circle_cells_follow_the_scale(bumpy_result, scale):
+    # the clustering and discard lengths follow sigma, so the criterion-06
+    # cloud and sigma scaled together give the same cells, scaled
+    cloud = synth_bumpy_circle(3, 2.0, 1000, np.random.default_rng(3),
+                               angular_spread=0.45)
+    config = PipelineConfig(sigma=0.8 * scale, seed=3, neb=NebParams(trials_per_pair=6))
+    filtration, report = run(PointCloud(scale * cloud.points), config)
+    assert [report.counts[k] for k in ("zero_cells", "one_cells", "two_cells")] == [3, 3, 1]
+    expected = [c.geometry[0] for c in bumpy_result[0].cells if c.dimension == 0]
+    zeros = [c.geometry[0] / scale for c in filtration.cells if c.dimension == 0]
+    for z, e in zip(zeros, expected):
+        assert np.linalg.norm(z - e) <= 2e-3
+
+
 def test_single_gaussian_yields_one_vertex():
     cloud = synth_gaussian_mixture([[0.0, 0.0]], 1.0, [1.0], 300,
                                    np.random.default_rng(5))
