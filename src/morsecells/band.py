@@ -134,28 +134,35 @@ def _evolve_bands(field: DensityField, bands: list[Band], params: NebParams,
 
     Every step makes one force evaluation over the bands still active and
     moves their interior nodes by x_I += S @ F, with S = h (I + h L_II)^-1
-    for L the Laplacian of the band's path graph and h = ``field.step``: the
-    springs step implicitly, so h is not capped by their stiff mode.  One S
-    serves the whole stack.  A band leaves the active set when it converges
-    or fails; each keeps its own hairpin count.  ``counts`` receives
-    ``band_steps`` (bands times force evaluations).
+    for L the Laplacian of the band's path graph: the springs step
+    implicitly, so h is not capped by their stiff mode.  One S serves the
+    whole stack, with h = ``field.step_below(top)`` for top the densest
+    endpoint of the stack.  The step is bounded only where the bands stay at
+    or below top; ``find_one_cells`` meets that, since its endpoints are all
+    the 0-cells.  A band therefore steps by the stack it is in: alone, or
+    beside less dense endpoints, it may take a longer step.  A band leaves
+    the active set when it converges or fails; each keeps its own hairpin
+    count.  ``counts`` receives ``band_iterations`` (force evaluations of
+    the stack) and ``band_steps`` (bands times force evaluations).
     """
     counts = {} if counts is None else counts
-    counts.update(band_steps=0)
+    counts.update(band_steps=0, band_iterations=0)
     if not bands:
         return []
     out: list[Band | None] = [None] * len(bands)
-    n_nodes = bands[0].node_count
-    implicit = implicit_step_matrix(
-        n_nodes, [(i, i + 1) for i in range(n_nodes - 1)],
-        np.arange(1, n_nodes - 1), field.step)
     # the active bands as one contiguous stack, with their indices into bands
     nodes = np.stack([b.nodes for b in bands])
+    n_nodes = nodes.shape[1]
+    top = field.value_batch(nodes[:, [0, -1]].reshape(-1, nodes.shape[2])).max()
+    implicit = implicit_step_matrix(
+        n_nodes, [(i, i + 1) for i in range(n_nodes - 1)],
+        np.arange(1, n_nodes - 1), field.step_below(top))
     ids = np.arange(len(bands))
     hairpin_steps = np.zeros(len(bands), dtype=int)
     for step in range(params.max_steps + 1):
         forces, hairpin = _interior_forces(field, nodes, params)
         counts["band_steps"] += len(ids)
+        counts["band_iterations"] += 1
         hairpin_steps += hairpin.any(axis=1)
         mean_norm = np.sqrt(np.einsum("bin,bin->bi", forces, forces)).mean(axis=1)
         done = mean_norm < params.convergence_tolerance
@@ -176,11 +183,13 @@ def _evolve_bands(field: DensityField, bands: list[Band], params: NebParams,
 def evolve(field: DensityField, band: Band, params: NebParams) -> Band | None:
     """Semi-implicit first-order integration of v_i' = F_i on interior nodes.
 
-    The step is ``field.step``, with the springs of the path graph taken
-    implicitly (see ``_evolve_bands``).  Returns the band at the first step
-    where the mean interior force norm drops below the convergence tolerance
-    (checked before stepping), or None on max_steps exhaustion, non-finite
-    coordinates, or persistent hairpins (flagged on more than 1% of steps).
+    The step is ``field.step_below`` at the denser endpoint, with the
+    springs of the path graph taken implicitly (see ``_evolve_bands``); it
+    is bounded only if the band stays at or below that density.
+    Returns the band at the first step where the mean interior force norm
+    drops below the convergence tolerance (checked before stepping), or None
+    on max_steps exhaustion, non-finite coordinates, or persistent hairpins
+    (flagged on more than 1% of steps).
     """
     return _evolve_bands(field, [band], params)[0]
 
@@ -381,8 +390,10 @@ def find_one_cells(
     single-linkage clustered at the same length under the band metric and
     the densest band of each cluster becomes a 1-cell.  Deterministic given
     the rng state.  ``counts`` receives the trial outcomes: ``band_trials``,
-    ``band_converged``, ``band_failed`` (non-convergent or hairpin) and
-    ``band_steps``.
+    ``band_converged``, ``band_failed`` (non-convergent or hairpin),
+    ``band_iterations`` and ``band_steps``; every 0-cell is an endpoint, so
+    the band step is ``field.step_below`` at the densest 0-cell, a bound
+    wherever the density is no higher than at its densest mode.
     """
     positions = np.array([z.position for z in zero_cells])
     initial_band = initial_band_sphere if sphere_mode else initial_band_general

@@ -43,17 +43,21 @@ class DensityField:
 
     ``gradient_batch`` must be the true derivative of ``value_batch``
     (finite-difference checkable); ``c`` scales the gradient in the band and
-    sheet forces, and ``step`` is the band solver's step h.  A step within
-    the explicit bound 2 / L, for L a bound on c times the norm of the
-    Hessian, keeps the band's gradient term stable.  ``resolution`` is the
-    length that clusters 0-cells and bands and discards a band passing a
+    sheet forces, and ``step_below(top)`` gives the band solver's step h
+    for bands whose density stays at or below top.  A step within the
+    explicit bound 2 / L, for L a bound on c times the norm of the Hessian,
+    keeps the band's gradient term stable.  ``resolution`` is
+    the length that clusters 0-cells and bands and discards a band passing a
     third 0-cell.  Implementations are immutable.
     """
 
     dimension: int
     c: float
-    step: float
     resolution: float
+
+    def step_below(self, top: float) -> float:
+        """1 / L for L >= c ||Hess f(y)|| at every y with f(y) <= top."""
+        raise NotImplementedError
 
     def value_batch(self, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -119,17 +123,15 @@ class KernelDensity(DensityField):
     [x / sigma^2, -||x||^2 / (2 sigma^2), -1 / (2 sigma^2)] give the exponents
     -||y - x||^2 / (2 sigma^2); the weights times the rows [x, 1] give
     sum w x and sum w together.  The force scale c is
-    ``gradient_constant(n, sigma)``, and c times the norm of the Hessian is
-    at most L = sqrt(e) / sigma, its value at a lone kernel's centre; the
-    band step is 1 / L = sigma / sqrt(e), half the explicit bound.  The
-    estimate resolves nothing finer than sigma: the resolution is sigma / 2.
+    ``gradient_constant(n, sigma)`` = sigma sqrt(e) / psi(0), for psi(0) =
+    (2 pi sigma^2)^(-n/2) the kernel's peak.  The estimate resolves nothing
+    finer than sigma: the resolution is sigma / 2.
     """
 
     cloud: PointCloud
     sigma: float
     dimension: int = field(init=False)
     c: float = field(init=False)
-    step: float = field(init=False)
     resolution: float = field(init=False)
     _centre: np.ndarray = field(init=False, repr=False, compare=False)
     _norm_const: float = field(init=False, repr=False, compare=False)
@@ -140,7 +142,6 @@ class KernelDensity(DensityField):
         object.__setattr__(self, "dimension", self.cloud.dimension)
         s2, norm, c = _kernel_constants(self.sigma, self.dimension)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "step", self.sigma / math.sqrt(math.e))
         object.__setattr__(self, "resolution", self.sigma / 2.0)
         centre = np.round(self.cloud.points.mean(axis=0))
         points = self.cloud.points - centre
@@ -152,6 +153,19 @@ class KernelDensity(DensityField):
         object.__setattr__(self, "_exponent_cols", cols)
         object.__setattr__(self, "_points1",
                            np.hstack([points, np.ones((len(points), 1))]))
+
+    def step_below(self, top: float) -> float:
+        """1 / L for L = (sqrt(e) / sigma) max(2 e^(-3/2), top / psi(0)).
+
+        Along a unit u, u^T Hess f(y) u is the mean over the kernels of
+        psi(d) ((u.d)^2 / sigma^4 - 1 / sigma^2), d = y - x: at least
+        -f(y) / sigma^2, and at most 2 e^(-3/2) psi(0) / sigma^2, a lone
+        kernel's value at ||d|| = sqrt(3) sigma.  Times c this is L where
+        f(y) <= top.  A lone kernel's peak, top = psi(0), gives
+        sigma / sqrt(e); on a spread cloud the step reaches e sigma / 2.
+        """
+        ratio = max(2.0 * math.exp(-1.5), top / self._norm_const)
+        return self.sigma / (math.sqrt(math.e) * ratio)
 
     def _weights(self, ys: np.ndarray, nearest: bool = False
                  ) -> tuple[np.ndarray, np.ndarray]:

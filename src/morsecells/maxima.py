@@ -80,11 +80,11 @@ def single_linkage(points: list[np.ndarray] | np.ndarray, threshold: float) -> l
     cluster iff chained by steps <= threshold."""
     _require_positive(threshold=threshold)
     pts = np.asarray(points, dtype=float)
-    dists = np.empty((len(pts), len(pts)))
-    for i, p in enumerate(pts):  # row by row: no (m, m, n) offset array
-        diff = pts - p
-        dists[i] = np.sqrt(np.einsum("jk,jk->j", diff, diff))
-    return components(dists <= threshold)
+    adjacency = np.empty((len(pts), len(pts)), dtype=bool)
+    for i in range(0, len(pts), 64):  # in row blocks: no (m, m) float array
+        squares = sum(np.square(x[i:i + 64, None] - x) for x in pts.T)
+        adjacency[i:i + 64] = np.sqrt(squares) <= threshold
+    return components(adjacency)
 
 
 def find_zero_cells(

@@ -6,7 +6,16 @@ import pytest
 from morsecells.density import DensityField
 
 
-class ConstantField(DensityField):
+class FixedStepField(DensityField):
+    """A field whose band step is its ``step`` wherever the density is."""
+
+    step: float
+
+    def step_below(self, top):
+        return self.step
+
+
+class ConstantField(FixedStepField):
     """f = const; zero gradient everywhere."""
 
     def __init__(self, dimension: int, level: float = 1.0, c: float = 1.0,
@@ -23,7 +32,7 @@ class ConstantField(DensityField):
         return np.full(len(ys), self.level)
 
 
-class LinearField(DensityField):
+class LinearField(FixedStepField):
     """f = <w, y> + offset."""
 
     def __init__(self, w, offset: float = 0.0, c: float = 1.0, step: float = 0.1):
@@ -40,7 +49,7 @@ class LinearField(DensityField):
         return np.asarray(ys) @ self.w + self.offset
 
 
-class RadialBowlField(DensityField):
+class RadialBowlField(FixedStepField):
     """f = -||y||^2; single maximum at the origin."""
 
     def __init__(self, dimension: int, c: float = 1.0, step: float = 0.1):

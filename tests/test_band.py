@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +9,10 @@ from morsecells import (Band, KernelDensity, NebParams, PointCloud, ZeroCell,
                         initial_band_general, initial_band_sphere,
                         smoothing_weight, tangent, total_force)
 from morsecells.band import _evolve_bands, _interior_forces, arc_band, sphere_arc_band
-from morsecells.density import DensityField
 from morsecells.errors import (ConstructionError, DegenerateTangentError,
                                InvalidInputError)
 
-from conftest import ConstantField, LinearField, RadialBowlField
+from conftest import ConstantField, FixedStepField, LinearField, RadialBowlField
 
 
 def straight_band(p, q, count=5):
@@ -94,6 +94,18 @@ def test_total_force_pure_spring():
     assert force == pytest.approx([1.0, 0.0])
 
 
+@pytest.mark.parametrize("turn", [math.pi / 8, math.pi / 4])
+def test_total_force_smoothing_gate(turn):
+    # two unit edges turning by `turn`, so the spring is 0: the gate adds
+    # h(theta) (u+ - u-) past alpha = pi/6 and nothing below it
+    up = np.array([math.cos(turn), math.sin(turn)])
+    nodes = np.array([[-1.0, 0.0], [0.0, 0.0], up])
+    gate = (1.0 - math.cos(math.pi * max(turn - math.pi / 6, 0.0) / (math.pi / 3))) / 2.0
+    force = total_force(ConstantField(2), Band(nodes), NebParams(), 1)
+    assert force == pytest.approx(gate * (up - [1.0, 0.0]), abs=1e-15)
+    assert (gate == 0.0) == (turn < math.pi / 6)
+
+
 def test_total_force_perpendicular_gradient():
     # f(x, y) = y on a horizontal band: gradient is wholly perpendicular
     field = LinearField([0.0, 1.0], c=1.0)
@@ -163,7 +175,7 @@ def test_evolve_convergence_certificate():
     assert np.linalg.norm(forces, axis=1).mean() < params.convergence_tolerance
 
 
-class RimField(DensityField):
+class RimField(FixedStepField):
     """f = -||y||^2 inside radius 5 and ||y||^2 - 50 outside: a basin ringed by
     a region that pushes bands outward until they overflow.  Records the
     largest coordinate it is queried at."""
@@ -243,6 +255,30 @@ def test_evolve_bands_together_match_each_alone_on_kde():
         if a is not None:
             assert np.abs(t.nodes - a.nodes).max() <= 1e-12
             assert np.array_equal(t.nodes[[0, -1]], b.nodes[[0, -1]])
+
+
+def test_evolve_bands_step_follows_the_densest_endpoint_of_the_stack():
+    # three points at (0, 4) make it the densest endpoint: beside the band to
+    # it, the band between the two lone points takes that shorter step; alone
+    # it takes e sigma / 2 and settles on the same path
+    field = KernelDensity(PointCloud([[-2.0, 0.0], [2.0, 0.0]] + [[0.0, 4.0]] * 3), 1.0)
+    lo, hi, peak = np.array([-2.0, 0.0]), np.array([2.0, 0.0]), np.array([0.0, 4.0])
+    bands = [arc_band(lo, hi, np.array([0.0, -1.0]), 1.5, 11),
+             arc_band(lo, peak, np.array([1.0, 0.0]), 1.0, 11)]
+    tops = []
+    step_below = KernelDensity.step_below
+
+    def recorded(self, top):
+        tops.append(top)
+        return step_below(self, top)
+
+    with mock.patch.object(KernelDensity, "step_below", recorded):
+        together = _evolve_bands(field, bands, NebParams())
+        alone = evolve(field, bands[0], NebParams())
+    assert tops == [pytest.approx(field.value(peak), rel=1e-12),
+                    pytest.approx(field.value(lo), rel=1e-12)]
+    assert field.step_below(tops[0]) < field.step_below(tops[1]) == math.e / 2
+    assert np.abs(together[0].nodes - alone.nodes).max() <= 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +457,7 @@ def ring_field(scale=1.0):
     return field, cells
 
 
-class StepView(DensityField):
+class StepView(FixedStepField):
     """The same field with another band step."""
 
     def __init__(self, field, step):

@@ -295,18 +295,57 @@ def test_kernel_density_supplies_gradient_constant(rng, n, sigma):
     assert f.c == gradient_constant(n, sigma)
 
 
+def _scaled_hessian_norm(f, y):
+    """c times the spectral norm of a central-difference Hessian of f at y."""
+    eps = 1e-5 * f.sigma
+    hess = [(f.gradient(y + eps * e) - f.gradient(y - eps * e)) / (2 * eps)
+            for e in np.eye(len(y))]
+    return f.c * np.linalg.norm(np.array(hess), 2)
+
+
 @pytest.mark.parametrize("n,sigma", [(1, 0.5), (2, 0.8), (8, 0.4)])
 def test_kernel_density_step_is_inverse_of_hessian_bound(rng, n, sigma):
     # c * ||Hess f|| is largest at a lone kernel's centre, where it is 1 / step
+    # for the step below the kernel's peak density
     f = KernelDensity(PointCloud(np.zeros((1, n))), sigma)
-    eps = 1e-5 * sigma
-    norms = []
-    for y in np.vstack([np.zeros(n), rng.normal(scale=sigma, size=(20, n))]):
-        hess = [(f.gradient(y + eps * e) - f.gradient(y - eps * e)) / (2 * eps)
-                for e in np.eye(n)]
-        norms.append(f.c * np.linalg.norm(np.array(hess), 2))
-    assert norms[0] == pytest.approx(1.0 / f.step, rel=1e-6)
-    assert max(norms) <= (1.0 + 1e-6) / f.step
+    step = f.step_below(f.value(np.zeros(n)))
+    assert step == sigma / math.sqrt(math.e)
+    norms = [_scaled_hessian_norm(f, y)
+             for y in np.vstack([np.zeros(n), rng.normal(scale=sigma, size=(20, n))])]
+    assert norms[0] == pytest.approx(1.0 / step, rel=1e-6)
+    assert max(norms) <= (1.0 + 1e-6) / step
+
+
+@pytest.mark.parametrize("n,sigma", [(1, 0.5), (2, 0.8), (8, 0.4)])
+def test_step_below_is_tight_on_the_positive_side(n, sigma):
+    # a lone kernel curves upward most at r = sqrt(3) sigma, where
+    # c * lambda_max = 2 / (e sigma); the density there is below the
+    # 2 e^(-3/2) psi(0) that still gives the largest step, e sigma / 2
+    f = KernelDensity(PointCloud(np.zeros((1, n))), sigma)
+    y = np.zeros(n)
+    y[0] = math.sqrt(3.0) * sigma
+    assert _scaled_hessian_norm(f, y) == pytest.approx(2.0 / (math.e * sigma), rel=1e-6)
+    assert f.step_below(f.value(y)) == pytest.approx(math.e * sigma / 2.0, rel=1e-12)
+    assert f.step_below(0.0) == f.step_below(f.value(y))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.sampled_from([1, 2, 8]), m=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_step_below_bounds_the_hessian_where_the_density_is_below_top(n, m, seed):
+    rng = np.random.default_rng(seed)
+    sigma = 0.5
+    cloud = rng.normal(scale=2.0 * sigma, size=(m, n))
+    f = KernelDensity(PointCloud(cloud), sigma)
+    # queries on the points, between them and around them
+    ys = np.vstack([cloud, (cloud + cloud[::-1]) / 2.0,
+                    cloud[rng.integers(m, size=6)] + rng.normal(scale=sigma, size=(6, n))])
+    values = f.value_batch(ys)
+    top = values.max()
+    for y, value in zip(ys, values):
+        norm = _scaled_hessian_norm(f, y)
+        assert norm <= (1.0 + 1e-6) / f.step_below(value)
+        assert f.step_below(value) >= f.step_below(top)
 
 
 def test_gradient_constant_rejects_bad_args():

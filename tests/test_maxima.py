@@ -158,6 +158,18 @@ def test_single_linkage_matches_scipy_components(cloud):
     assert single_linkage(points, t) == expected
 
 
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_single_linkage_matches_scipy_across_row_blocks(rng, dim):
+    # 300 points span five blocks of 64 rows, so clusters cross block edges
+    points = rng.uniform(-1.0, 1.0, size=(300, dim))
+    dists = pdist(points)
+    t = np.quantile(dists, 0.005)
+    _, labels = connected_components(squareform(dists <= t), directed=False)
+    expected = sorted(np.flatnonzero(labels == k).tolist() for k in range(labels.max() + 1))
+    assert 1 < len(expected) < 300
+    assert single_linkage(points, t) == expected
+
+
 def test_find_zero_cells_two_modes(rng):
     cloud = two_gaussian_cloud(rng)
     f = KernelDensity(cloud, 1.0)

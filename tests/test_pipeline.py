@@ -131,6 +131,7 @@ def test_report_band_counters(bumpy_result):
     assert counts["band_trials"] == counts["band_converged"] + counts["band_failed"]
     assert counts["band_converged"] >= counts["one_cells"]
     assert counts["band_steps"] >= counts["band_trials"]
+    assert 1 <= counts["band_iterations"] <= counts["band_steps"]
 
 
 def test_report_sheet_and_loop_counters(bumpy_result):
@@ -174,6 +175,21 @@ def test_bumpy_circle_cells_follow_the_scale(bumpy_result, scale):
     zeros = [c.geometry[0] / scale for c in filtration.cells if c.dimension == 0]
     for z, e in zip(zeros, expected):
         assert np.linalg.norm(z - e) <= 2e-3
+
+
+def test_cell_counts_settle_by_band_tolerance_1e5():
+    # the criterion-06 cloud at sigma = 0.3: bands stopped at a looser
+    # tolerance can miss their cluster, but 1e-5 and 1e-6 agree
+    cloud = synth_bumpy_circle(3, 2.0, 1000, np.random.default_rng(3),
+                               angular_spread=0.45)
+    counts = []
+    for tolerance in (1e-5, 1e-6):
+        config = PipelineConfig(sigma=0.3, seed=3, neb=NebParams(
+            trials_per_pair=6, convergence_tolerance=tolerance))
+        report = run(cloud, config)[1]
+        assert report.counts["band_converged"] == report.counts["band_trials"]
+        counts.append([report.counts[k] for k in ("zero_cells", "one_cells", "two_cells")])
+    assert counts[0] == counts[1] == [3, 6, 4]
 
 
 def test_single_gaussian_yields_one_vertex():
