@@ -15,11 +15,14 @@ from itertools import combinations
 import numpy as np
 
 from .cwcomplex import components, implicit_step_matrix
-from .density import DensityField, _require_positive
+from .density import DensityField
 from .errors import ConstructionError, DegenerateTangentError, InvalidInputError
 from .maxima import ZeroCell
 
 _HAIRPIN_EPS = 1e-12
+# a band converges when its mean interior force norm falls below this; the
+# force's gradient term c·∇f⊥ is unitless and at most 1
+TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,6 @@ class NebParams:
     node_count: int = 11
     alpha: float = math.pi / 6
     beta: float = math.pi / 2
-    convergence_tolerance: float = 1e-4
     max_steps: int = 200_000
     trials_per_pair: int = 20
 
@@ -53,7 +55,6 @@ class NebParams:
             raise InvalidInputError("need 0 <= alpha < beta <= pi")
         if self.node_count < 3:
             raise InvalidInputError("node_count must be >= 3")
-        _require_positive(convergence_tolerance=self.convergence_tolerance)
         if self.trials_per_pair < 1 or self.max_steps < 0:
             raise InvalidInputError("need trials_per_pair >= 1 and max_steps >= 0")
 
@@ -165,7 +166,7 @@ def _evolve_bands(field: DensityField, bands: list[Band], params: NebParams,
         counts["band_iterations"] += 1
         hairpin_steps += hairpin.any(axis=1)
         mean_norm = np.sqrt(np.einsum("bin,bin->bi", forces, forces)).mean(axis=1)
-        done = mean_norm < params.convergence_tolerance
+        done = mean_norm < TOLERANCE
         for k in np.flatnonzero(done):
             if hairpin_steps[k] <= 0.01 * (step + 1):
                 out[ids[k]] = Band(nodes[k].copy())  # endpoints were never written
@@ -187,7 +188,7 @@ def evolve(field: DensityField, band: Band, params: NebParams) -> Band | None:
     springs of the path graph taken implicitly (see ``_evolve_bands``); it
     is bounded only if the band stays at or below that density.
     Returns the band at the first step where the mean interior force norm
-    drops below the convergence tolerance (checked before stepping), or None
+    drops below ``TOLERANCE`` (checked before stepping), or None
     on max_steps exhaustion, non-finite coordinates, or persistent hairpins
     (flagged on more than 1% of steps).
     """
@@ -374,6 +375,17 @@ def band_density(field: DensityField, band: Band) -> float:
     return float(field.value_batch(band.nodes).min())
 
 
+def _polyline_distance(nodes: np.ndarray, points: np.ndarray) -> float:
+    """Least distance from the (K, n) points to the segments of an (N, n)
+    polyline: each point projects onto each segment, clipped to its ends."""
+    starts, edges = nodes[:-1], np.diff(nodes, axis=0)
+    rel = points[:, None, :] - starts
+    lengths2 = np.maximum(np.einsum("sn,sn->s", edges, edges), 1e-300)
+    t = np.clip(np.einsum("ksn,sn->ks", rel, edges) / lengths2, 0.0, 1.0)
+    gap = rel - t[..., None] * edges
+    return float(np.sqrt(np.einsum("ksn,ksn->ks", gap, gap).min()))
+
+
 def find_one_cells(
     field: DensityField,
     zero_cells: list[ZeroCell],
@@ -385,14 +397,15 @@ def find_one_cells(
     """Evolve trial bands between every 0-cell pair and keep one per cluster.
 
     Trials start on sphere arcs in sphere mode and on plane arcs otherwise,
-    and all of them evolve as one stack.  Convergent bands passing within
-    ``field.resolution`` of a third 0-cell are dropped; survivors are
-    single-linkage clustered at the same length under the band metric and
-    the densest band of each cluster becomes a 1-cell.  Deterministic given
-    the rng state.  ``counts`` receives the trial outcomes: ``band_trials``,
-    ``band_converged``, ``band_failed`` (non-convergent or hairpin),
-    ``band_iterations`` and ``band_steps``; every 0-cell is an endpoint, so
-    the band step is ``field.step_below`` at the densest 0-cell, a bound
+    and all of them evolve as one stack.  Convergent bands whose polyline
+    passes within ``field.resolution`` of a third 0-cell are dropped;
+    survivors are single-linkage clustered at the same length under the band
+    metric and the densest band of each cluster becomes a 1-cell.
+    Deterministic given the rng state.  ``counts`` receives the trial
+    outcomes: ``band_trials``, ``band_converged``, ``band_failed``
+    (non-convergent or hairpin), ``band_discarded`` (converged, but dropped
+    near a third 0-cell), ``band_iterations`` and ``band_steps``; every
+    0-cell is an endpoint, so the band step is ``field.step_below`` at the densest 0-cell, a bound
     wherever the density is no higher than at its densest mode.
     """
     positions = np.array([z.position for z in zero_cells])
@@ -407,7 +420,7 @@ def find_one_cells(
     evolved = _evolve_bands(field, initial, params, counts)
     converged = sum(band is not None for band in evolved)
     counts.update(band_trials=len(initial), band_converged=converged,
-                  band_failed=len(initial) - converged)
+                  band_failed=len(initial) - converged, band_discarded=0)
 
     for k, (a, b) in enumerate(pairs):
         others = np.delete(positions, [a, b], axis=0)
@@ -416,10 +429,9 @@ def find_one_cells(
         for band in trials:
             if band is None:
                 continue
-            if len(others) > 0:
-                diff = band.nodes[:, None, :] - others[None, :, :]
-                if np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).min() <= field.resolution:
-                    continue
+            if len(others) and _polyline_distance(band.nodes, others) <= field.resolution:
+                counts["band_discarded"] += 1
+                continue
             survivors.append(band)
         if not survivors:
             continue

@@ -13,12 +13,10 @@ from .errors import InvalidInputError, NoMaximaError
 
 @dataclass(frozen=True)
 class AscentParams:
-    tolerance: float = 1e-4
     max_iterations: int = 10_000
     seed_count: int | None = None  # None -> min(|X|, 500)
 
     def __post_init__(self):
-        _require_positive(tolerance=self.tolerance)
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be positive")
         if self.seed_count is not None and self.seed_count < 1:
@@ -39,7 +37,10 @@ def _ascend_seeds(field: KernelDensity, seeds: np.ndarray, params: AscentParams,
     each alone.
 
     Every iteration makes one mean-shift call over the seeds still moving.  A
-    seed leaves the stack when it converges or loses all kernel mass.
+    seed converges when its mean-shift step is shorter than
+    ``field.resolution / 2000`` (σ/4000 for the KDE, 1e-4 at σ = 0.4), so
+    the stop scales with σ as mean shift does; it leaves the stack then, or
+    when it loses all kernel mass.
     ``counts`` receives ``ascent_seeds``, ``ascent_converged``,
     ``ascent_no_mass``, ``ascent_exhausted`` (still moving after
     max_iterations) and ``ascent_steps`` (seeds times iterations).
@@ -49,13 +50,13 @@ def _ascend_seeds(field: KernelDensity, seeds: np.ndarray, params: AscentParams,
     ids = np.arange(len(ys))
     counts = {} if counts is None else counts
     counts.update(ascent_seeds=len(ys), ascent_no_mass=0, ascent_steps=0)
+    stop = field.resolution / 2000
     for _ in range(params.max_iterations):
         shifted, has_mass = field.mean_shift_batch(ys)
         counts["ascent_steps"] += len(ys)
         counts["ascent_no_mass"] += int(np.count_nonzero(~has_mass))
         diff = shifted - ys
-        done = has_mass & (np.sqrt(np.einsum("sn,sn->s", diff, diff))
-                           < params.tolerance)
+        done = has_mass & (np.sqrt(np.einsum("sn,sn->s", diff, diff)) < stop)
         for k, y in zip(ids[done], ys[done]):  # ys[done] copies: out pins no ys
             out[k] = y
         moving = has_mass & ~done
@@ -67,7 +68,7 @@ def _ascend_seeds(field: KernelDensity, seeds: np.ndarray, params: AscentParams,
 
 
 def ascend(field: KernelDensity, y0: np.ndarray, params: AscentParams) -> np.ndarray | None:
-    """Iterate y <- m(y) until ||m(y) - y|| < tolerance.
+    """Iterate y <- m(y) until ||m(y) - y|| < field.resolution / 2000.
 
     Returns the converged point, or None when the trajectory exceeds
     max_iterations or loses all kernel mass.

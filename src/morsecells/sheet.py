@@ -14,24 +14,25 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cwcomplex import implicit_step_matrix
-from .density import DensityField, _require_positive
+from .density import DensityField
 from .errors import ConstructionError, InvalidInputError
 
 TANGENT_DIM = 2  # 2-cells only; the general-k construction is not run
 STEP = 1.0  # implicit step h of relax_sheet
+# a sheet converges when its mean interior force norm falls below this, the
+# mean residual acceptance criterion 10 requires of a web on the unit circle
+TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
 class SheetParams:
     rings: int = 10
     nodes_per_ring: int = 20
-    tolerance: float = 1e-3
     max_steps: int = 200_000
 
     def __post_init__(self):
         if self.rings < 1 or self.nodes_per_ring < 3:
             raise InvalidInputError("need rings >= 1 and nodes_per_ring >= 3")
-        _require_positive(tolerance=self.tolerance)
         if self.max_steps < 0:
             raise InvalidInputError("max_steps must be >= 0")
 
@@ -199,7 +200,7 @@ def relax_sheet(field: DensityField, sheet: WebSheet, params: SheetParams,
     Each step solves for the spring term implicitly through the matrix of
     ``cwcomplex.implicit_step_matrix``, formed once per sheet, and keeps the
     gradient term explicit.  Converged when the mean interior force norm
-    drops below the tolerance (checked before stepping); returns None on
+    drops below ``TOLERANCE`` (checked before stepping); returns None on
     max_steps exhaustion or non-finite coordinates.  Boundary positions are
     bitwise untouched.  ``counts["sheet_steps"]`` gains one per force
     evaluation.
@@ -214,7 +215,7 @@ def relax_sheet(field: DensityField, sheet: WebSheet, params: SheetParams,
     for step in range(params.max_steps + 1):
         forces = _interior_forces(field, positions, interior, groups)
         counts["sheet_steps"] += 1
-        if np.linalg.norm(forces, axis=1).mean() < params.tolerance:
+        if np.linalg.norm(forces, axis=1).mean() < TOLERANCE:
             out = sheet.positions.copy()
             out[interior] = positions[interior]
             return replace(sheet, positions=out)

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from morsecells import (Band, KernelDensity, NebParams, PointCloud, ZeroCell,
+from morsecells import (Band, KernelDensity, NebParams, PointCloud, ZeroCell, band,
                         band_density, band_distance, evolve, find_one_cells,
                         initial_band_general, initial_band_sphere,
                         smoothing_weight, tangent, total_force)
@@ -150,11 +150,12 @@ def test_evolve_two_gaussian_saddle():
     assert band_density(field, out) == pytest.approx(saddle, abs=1e-3)
 
 
-def test_evolve_keeps_endpoints_bitwise_fixed():
+def test_evolve_keeps_endpoints_bitwise_fixed(monkeypatch):
     field = RadialBowlField(2, c=0.5)
     p, q = np.array([1.0, 1.0]), np.array([-1.0, 2.0])
     initial = arc_band(p, q, _unit_perp(q - p), 1.0, 9)
-    out = evolve(field, initial, NebParams(max_steps=500, convergence_tolerance=1e-12))
+    monkeypatch.setattr(band, "TOLERANCE", 1e-12)
+    out = evolve(field, initial, NebParams(max_steps=500))
     nodes = out.nodes if out is not None else initial.nodes
     assert np.array_equal(nodes[0], initial.nodes[0])
     assert np.array_equal(nodes[-1], initial.nodes[-1])
@@ -172,7 +173,7 @@ def test_evolve_convergence_certificate():
                        np.array([0.0, 1.0]), 1.5, 11)
     out = evolve(field, initial, params)
     forces, _ = _interior_forces(field, out.nodes, params)
-    assert np.linalg.norm(forces, axis=1).mean() < params.convergence_tolerance
+    assert np.linalg.norm(forces, axis=1).mean() < band.TOLERANCE
 
 
 class RimField(FixedStepField):
@@ -201,9 +202,11 @@ def _on_x_axis(xs):
     return Band(np.stack([np.asarray(xs, float), np.zeros(len(xs))], axis=1))
 
 
-def test_evolve_bands_together_match_each_alone():
-    # the step counts below hold at RimField's step of 0.01
-    params = NebParams(convergence_tolerance=1e-3, max_steps=1500)
+def test_evolve_bands_together_match_each_alone(monkeypatch):
+    # the step counts below hold at RimField's step of 0.01 and a band
+    # tolerance of 1e-3
+    monkeypatch.setattr(band, "TOLERANCE", 1e-3)
+    params = NebParams(max_steps=1500)
     p, q = np.array([0.0, 0.0]), np.array([0.0, 0.05])
     bands = [
         # converges at step 21: nearly even spacing on an axis of the basin
@@ -439,6 +442,26 @@ def test_find_one_cells_discards_paths_through_third_cell():
     # the outer pair has no direct 1-cell: its minimum-energy path runs along
     # the axis through the middle 0-cell
     assert all(set(c.endpoint_indices) != {0, 2} for c in out)
+
+
+@pytest.mark.parametrize("offset, kept", [(0.0, False), (0.6, True)])
+def test_find_one_cells_discards_by_segment(monkeypatch, offset, kept):
+    # the band from (-2, 0) to (2, 0) has nodes at x = +-2/3, more than the
+    # resolution 0.5 from the third 0-cell at the origin: its middle segment
+    # passes through it, so it is dropped; lifted by 0.6 it is kept
+    field = KernelDensity(PointCloud([[-2.0, 0.0], [2.0, 0.0], [0.0, 0.0]]), 1.0)
+    cells = _zero_cells(field, [[-2.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
+    nodes = np.array([[-2.0, 0.0], [-2 / 3, offset], [2 / 3, offset], [2.0, 0.0]])
+    assert np.linalg.norm(nodes, axis=1).min() > field.resolution
+    # the pairs are (0, 1), (0, 2) and (1, 2); only the first band converges
+    monkeypatch.setattr(band, "_evolve_bands",
+                        lambda field, initial, params, counts: [Band(nodes), None, None])
+    counts = {}
+    out = find_one_cells(field, cells, NebParams(trials_per_pair=1),
+                         np.random.default_rng(0), counts=counts)
+    assert [c.endpoint_indices for c in out] == ([(0, 1)] if kept else [])
+    assert counts["band_discarded"] == (0 if kept else 1)
+    assert counts["band_converged"] == 1
 
 
 def ring_field(scale=1.0):

@@ -222,7 +222,7 @@ def test_analyze_missing_input_exit_2(tmp_path, capsys):
 
 def test_analyze_nonconvergence_exit_3(tmp_path, two_blob_csv, capsys):
     cfg = tmp_path / "bad.conf"
-    cfg.write_text("ascent.tolerance = 1e-300\nascent.max_iterations = 2\n")
+    cfg.write_text("ascent.max_iterations = 2\n")
     assert run_cli("analyze", two_blob_csv, str(tmp_path / "o.json"),
                    "--config", str(cfg)) == 3
     assert "non-convergence" in capsys.readouterr().err
@@ -332,12 +332,15 @@ def test_persistence_no_loops(tmp_path, capsys):
 
 
 def test_document_with_removed_config_keys_still_loads(tmp_path, analyzed_doc, capsys):
-    # documents written before the clustering and discard lengths and the
-    # sheet step left the config still carry them in their config block
+    # documents written before the clustering and discard lengths, the sheet
+    # step and the solver tolerances left the config still carry them in
+    # their config block
     doc = json.loads(Path(analyzed_doc).read_text())
     doc["config"].update(cluster_threshold=0.3)
-    doc["config"]["neb"].update(cluster_threshold=0.3, discard_radius=0.5)
-    doc["config"]["sheet"].update(step_size=1.0)
+    doc["config"]["ascent"].update(tolerance=1e-4)
+    doc["config"]["neb"].update(cluster_threshold=0.3, discard_radius=0.5,
+                                convergence_tolerance=1e-4)
+    doc["config"]["sheet"].update(step_size=1.0, tolerance=1e-3)
     old = tmp_path / "old.json"
     old.write_text(json.dumps(doc))
     for command in (("betti", "0.001"), ("persistence",)):
@@ -533,12 +536,15 @@ def test_analyze_unknown_config_key_exit_1(tmp_path, two_blob_csv, capsys):
                                   "sheet.step_size = nan",
                                   "neb.discard_radius = nan",
                                   "cluster_threshold = 0.3",
-                                  "neb.cluster_threshold = 0.3"])
+                                  "neb.cluster_threshold = 0.3",
+                                  "neb.convergence_tolerance = nan",
+                                  "ascent.tolerance = inf",
+                                  "sheet.tolerance = nan"])
 def test_analyze_gradient_constant_key_is_unknown_exit_1(tmp_path, two_blob_csv,
                                                          capsys, line):
-    # the force scale c, the band step and the clustering and discard length
-    # come from the density field and the sheet step is a constant: none of
-    # them is a config key
+    # the force scale c, the band step, the clustering and discard length and
+    # the ascent stop come from the density field, and the sheet step and the
+    # band and sheet tolerances are constants: none of them is a config key
     cfg = tmp_path / "bad.conf"
     cfg.write_text(line + "\n")
     assert run_cli("analyze", two_blob_csv, str(tmp_path / "o.json"),
@@ -561,13 +567,10 @@ def test_morse_seed_env_changes_analyze(tmp_path, two_blob_csv, fast_config,
 
 
 @pytest.mark.parametrize("line", [
-    "neb.convergence_tolerance = nan",
     "sigma = inf",
     "sigma = nan",
     "neb.trials_per_pair = -1",
     "neb.trials_per_pair = 0",
-    "ascent.tolerance = inf",
-    "sheet.tolerance = nan",
     "seed = -1",
     "sphere_mode = ture",
     "sphere_mode = on",

@@ -21,10 +21,10 @@ def test_ascend_single_point_cloud():
     x = np.array([1.5, -0.5])
     f = KernelDensity(PointCloud([x]), 1.0)
     out = ascend(f, np.array([1.0, 0.0]), AscentParams())
-    # m is constant at x, so the first iterate already sits within tolerance
+    # m is constant at x, so the first iterate already sits within the stop
     assert out is not None
     assert np.linalg.norm(out - x) < 2.0  # converged somewhere on the ray
-    assert np.linalg.norm(f.mean_shift(out) - out) < AscentParams().tolerance
+    assert np.linalg.norm(f.mean_shift(out) - out) < f.resolution / 2000
 
 
 def test_ascend_symmetric_stationary_point():
@@ -35,8 +35,10 @@ def test_ascend_symmetric_stationary_point():
 
 def test_ascend_max_iterations_returns_none():
     f = KernelDensity(PointCloud([[0.0], [4.0]]), 1.0)
-    out = ascend(f, np.array([1.0]), AscentParams(tolerance=1e-15, max_iterations=5))
+    out = ascend(f, np.array([1.0]), AscentParams(max_iterations=2))
     assert out is None
+    # the same ascent stops in its fourth iteration
+    assert ascend(f, np.array([1.0]), AscentParams(max_iterations=4)) is not None
 
 
 def test_ascend_no_mass_returns_none():
@@ -52,7 +54,7 @@ def loop_ascend(field, y, params):
             m = field.mean_shift(y)
         except NoMassError:
             return None
-        if np.linalg.norm(m - y) < params.tolerance:
+        if np.linalg.norm(m - y) < field.resolution / 2000:
             return y
         y = m
     return None
@@ -77,10 +79,11 @@ def test_ascend_seeds_together_match_each_alone(rng):
 
 def test_ascend_seeds_no_mass_among_converged():
     f = KernelDensity(PointCloud([[0.0]]), 0.01)
-    seeds = np.array([[0.0], [500.0], [0.001], [2e-5]])
+    seeds = np.array([[0.0], [500.0], [0.001], [1e-6]])
     out = _ascend_seeds(f, seeds, AscentParams(max_iterations=1))
-    # 0.001 moves to 0.0 in its only iteration: not yet converged
-    assert out[0] == pytest.approx([0.0]) and out[3] == pytest.approx([2e-5])
+    # 0.001 moves to 0.0 in its only iteration: not yet converged; 1e-6 is
+    # within the stop f.resolution / 2000 = 2.5e-6
+    assert out[0] == pytest.approx([0.0]) and out[3] == pytest.approx([1e-6])
     assert out[1] is None and out[2] is None
     assert [ascend(f, s, AscentParams(max_iterations=1)) is None
             for s in seeds] == [False, True, True, False]
@@ -217,7 +220,7 @@ def test_find_zero_cells_counts_seed_outcomes(rng):
 def test_find_zero_cells_error_when_nothing_converges(rng):
     cloud = two_gaussian_cloud(rng)
     f = KernelDensity(cloud, 1.0)
-    params = AscentParams(tolerance=1e-300, max_iterations=3)
+    params = AscentParams(max_iterations=1)
     with pytest.raises(NoMaximaError) as err:
         find_zero_cells(f, params, np.random.default_rng(3))
     assert err.value.seeds_attempted == 200
@@ -230,11 +233,11 @@ def test_zero_cell_invariants(rng):
     cells = find_zero_cells(f, params, np.random.default_rng(4))
     for cell in cells:
         # fixed-point residual and density agreement
-        assert np.linalg.norm(f.mean_shift(cell.position) - cell.position) < params.tolerance
+        assert np.linalg.norm(f.mean_shift(cell.position) - cell.position) < f.resolution / 2000
         assert cell.density == pytest.approx(f.value(cell.position))
         # idempotence of ascent from the returned position
         again = ascend(f, cell.position, params)
-        assert np.linalg.norm(again - cell.position) < params.tolerance
+        assert np.linalg.norm(again - cell.position) < f.resolution / 2000
     # pairwise separation above the clustering length
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):

@@ -162,10 +162,11 @@ def test_dimension_cascade(bumpy_result):
             assert cell.density <= by_id[fid].density + 1e-15
 
 
-@pytest.mark.parametrize("scale", [0.1, 10.0])
+@pytest.mark.parametrize("scale", [0.001, 0.1, 10.0])
 def test_bumpy_circle_cells_follow_the_scale(bumpy_result, scale):
-    # the clustering and discard lengths follow sigma, so the criterion-06
-    # cloud and sigma scaled together give the same cells, scaled
+    # the clustering and discard lengths and the ascent stop follow sigma, so
+    # the criterion-06 cloud and sigma scaled together give the same cells,
+    # scaled, and the same 0-cells up to rounding
     cloud = synth_bumpy_circle(3, 2.0, 1000, np.random.default_rng(3),
                                angular_spread=0.45)
     config = PipelineConfig(sigma=0.8 * scale, seed=3, neb=NebParams(trials_per_pair=6))
@@ -174,22 +175,34 @@ def test_bumpy_circle_cells_follow_the_scale(bumpy_result, scale):
     expected = [c.geometry[0] for c in bumpy_result[0].cells if c.dimension == 0]
     zeros = [c.geometry[0] / scale for c in filtration.cells if c.dimension == 0]
     for z, e in zip(zeros, expected):
-        assert np.linalg.norm(z - e) <= 2e-3
+        assert np.linalg.norm(z - e) <= 1e-12
 
 
-def test_cell_counts_settle_by_band_tolerance_1e5():
+def test_cell_counts_settle_by_band_tolerance_1e5(monkeypatch):
     # the criterion-06 cloud at sigma = 0.3: bands stopped at a looser
     # tolerance can miss their cluster, but 1e-5 and 1e-6 agree
     cloud = synth_bumpy_circle(3, 2.0, 1000, np.random.default_rng(3),
                                angular_spread=0.45)
+    config = PipelineConfig(sigma=0.3, seed=3, neb=NebParams(trials_per_pair=6))
     counts = []
     for tolerance in (1e-5, 1e-6):
-        config = PipelineConfig(sigma=0.3, seed=3, neb=NebParams(
-            trials_per_pair=6, convergence_tolerance=tolerance))
+        monkeypatch.setattr(band, "TOLERANCE", tolerance)
         report = run(cloud, config)[1]
         assert report.counts["band_converged"] == report.counts["band_trials"]
         counts.append([report.counts[k] for k in ("zero_cells", "one_cells", "two_cells")])
     assert counts[0] == counts[1] == [3, 6, 4]
+
+
+def test_six_bump_ring_discards_bands_across_the_ring():
+    # six modes on a ring: only the 6 adjacent pairs have 1-cells; every
+    # trial of the 9 other pairs slides onto a third 0-cell and is discarded
+    cloud = synth_bumpy_circle(6, 3.0, 1500, np.random.default_rng(6),
+                               angular_spread=0.3)
+    config = PipelineConfig(sigma=0.6, seed=3, neb=NebParams(trials_per_pair=6))
+    counts = run(cloud, config)[1].counts
+    assert [counts[k] for k in ("zero_cells", "one_cells", "two_cells")] == [6, 6, 1]
+    assert counts["band_trials"] == counts["band_converged"] == 15 * 6
+    assert counts["band_discarded"] == 9 * 6
 
 
 def test_single_gaussian_yields_one_vertex():
@@ -201,7 +214,7 @@ def test_single_gaussian_yields_one_vertex():
                              "loops_dropped": 0, "sheet_steps": 0,
                              "sheet_failed": 0, "ascent_seeds": 300,
                              "ascent_converged": 300, "ascent_no_mass": 0,
-                             "ascent_exhausted": 0, "ascent_steps": 4089}
+                             "ascent_exhausted": 0, "ascent_steps": 3698}
     assert len(filtration.cells) == 1
     assert any("fewer than two" in note for note in report.notes)
 
@@ -210,7 +223,7 @@ def test_no_maxima_error_propagates():
     cloud = PointCloud(np.random.default_rng(0).normal(size=(50, 2)))
     config = PipelineConfig(
         sigma=1.0, seed=0,
-        ascent=AscentParams(tolerance=1e-300, max_iterations=2))
+        ascent=AscentParams(max_iterations=2))
     with pytest.raises(NoMaximaError):
         run(cloud, config)
 
