@@ -90,7 +90,27 @@ def test_ascend_seeds_no_mass_among_converged():
     counts = {}
     _ascend_seeds(f, seeds, AscentParams(max_iterations=1), counts)
     assert counts == {"ascent_seeds": 4, "ascent_converged": 2, "ascent_no_mass": 1,
-                      "ascent_exhausted": 1, "ascent_steps": 4}
+                      "ascent_exhausted": 1, "ascent_joined": 0, "ascent_steps": 4}
+
+
+def test_ascend_seeds_join_endpoints():
+    f = KernelDensity(PointCloud([[0.0]]), 0.01)
+    # every seed with mass starts within f.resolution / 4 = 1.25e-3 of the
+    # endpoint 0, so it joins before any mean-shift call
+    counts = {}
+    out = _ascend_seeds(f, np.array([[0.0], [500.0], [0.001], [1e-6]]),
+                        AscentParams(max_iterations=1), counts, ends=np.array([[0.0]]))
+    assert out == [None] * 4
+    assert counts == {"ascent_seeds": 4, "ascent_converged": 0, "ascent_no_mass": 1,
+                      "ascent_exhausted": 0, "ascent_joined": 3, "ascent_steps": 1}
+    # 1e-6 converges in the first call and becomes an endpoint; 0.001 moves
+    # to 0 and joins it before the second call
+    counts = {}
+    out = _ascend_seeds(f, np.array([[1e-6], [0.001]]), AscentParams(max_iterations=2),
+                        counts, ends=np.empty((0, 1)))
+    assert out[0] == pytest.approx([1e-6]) and out[1] is None
+    assert counts == {"ascent_seeds": 2, "ascent_converged": 1, "ascent_no_mass": 0,
+                      "ascent_exhausted": 0, "ascent_joined": 1, "ascent_steps": 2}
 
 
 def test_ascend_finds_grid_search_modes(rng):
@@ -209,12 +229,16 @@ def test_find_zero_cells_counts_seed_outcomes(rng):
     assert (counts["ascent_converged"] + counts["ascent_no_mass"]
             + counts["ascent_exhausted"] == 40)
     assert counts["ascent_steps"] > 40  # no seed converges in its first iteration
+    # every coarse point is polished to the fine stop or joins an endpoint
+    assert counts["ascent_polished"] + counts["ascent_joined"] == counts["ascent_converged"]
+    assert counts["ascent_polished"] >= 2  # one leader per mode at least
     counts = {}
     with pytest.raises(NoMaximaError):
         find_zero_cells(f, AscentParams(max_iterations=1),
                         np.random.default_rng(5), counts=counts)
     assert counts == {"ascent_seeds": 40, "ascent_converged": 0, "ascent_no_mass": 0,
-                      "ascent_exhausted": 40, "ascent_steps": 40}
+                      "ascent_exhausted": 40, "ascent_polished": 0, "ascent_joined": 0,
+                      "ascent_steps": 40}
 
 
 def test_find_zero_cells_error_when_nothing_converges(rng):
@@ -256,3 +280,45 @@ def test_find_zero_cells_deterministic_across_repeats(rng):
         outs.append([(c.position.tobytes(), np.float64(c.density).tobytes())
                      for c in cells])
     assert outs[0] == outs[1] == outs[2]
+
+
+def one_phase_zero_cells(field, params, rng):
+    """Reference 0-cells: every seed ascended to the fine stop, single
+    linkage at field.resolution, the densest member of each cluster; and
+    the mean-shift rows it took."""
+    cloud = field.cloud
+    idx = rng.choice(len(cloud), size=min(len(cloud), 500), replace=False)
+    counts = {}
+    pts = np.array([y for y in _ascend_seeds(field, cloud.points[idx], params, counts)
+                    if y is not None])
+    dens = field.value_batch(pts)
+    modes = [pts[c][np.argmax(dens[c])] for c in single_linkage(pts, field.resolution)]
+    return modes, counts["ascent_steps"]
+
+
+def agreement_cloud(family, k):
+    rng = np.random.default_rng(100 + k)
+    if family == "two_gaussians":
+        return two_gaussian_cloud(rng, separation=3.0 + 0.25 * k, count=300)
+    if family == "clusters":
+        centers = rng.uniform(-4.0, 4.0, size=(3 + k % 3, 2))
+        picks = rng.integers(0, len(centers), size=300)
+        return PointCloud(centers[picks] + rng.uniform(0.3, 1.0) * rng.standard_normal((300, 2)))
+    t = rng.uniform(0.0, 2.0 * np.pi, 300)  # a noisy ring
+    r = 2.0 + 0.15 * rng.standard_normal(300)
+    return PointCloud(np.stack([r * np.cos(t), r * np.sin(t)], axis=1))
+
+
+@pytest.mark.parametrize("k", range(12))
+@pytest.mark.parametrize("family", ["two_gaussians", "clusters", "ring"])
+def test_two_phase_search_agrees_with_one_phase(family, k):
+    # the coarse ascent, the leaders and the joining batch find the modes of
+    # the one-phase search, to within a quarter of the clustering length
+    f = KernelDensity(agreement_cloud(family, k), 0.2 + 0.8 * k / 11)
+    reference, reference_steps = one_phase_zero_cells(f, AscentParams(), np.random.default_rng(k))
+    counts = {}
+    cells = find_zero_cells(f, AscentParams(), np.random.default_rng(k), counts)
+    assert len(cells) == len(reference)
+    for cell in cells:
+        assert min(np.linalg.norm(cell.position - r) for r in reference) <= f.resolution / 4
+    assert counts["ascent_steps"] < reference_steps

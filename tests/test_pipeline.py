@@ -164,14 +164,15 @@ def test_dimension_cascade(bumpy_result):
 
 @pytest.mark.parametrize("scale", [0.001, 0.1, 10.0])
 def test_bumpy_circle_cells_follow_the_scale(bumpy_result, scale):
-    # the clustering and discard lengths and the ascent stop follow sigma, so
+    # the clustering and discard lengths and the ascent stops follow sigma, so
     # the criterion-06 cloud and sigma scaled together give the same cells,
-    # scaled, and the same 0-cells up to rounding
+    # scaled, the same 0-cells up to rounding and the same mean-shift rows
     cloud = synth_bumpy_circle(3, 2.0, 1000, np.random.default_rng(3),
                                angular_spread=0.45)
     config = PipelineConfig(sigma=0.8 * scale, seed=3, neb=NebParams(trials_per_pair=6))
     filtration, report = run(PointCloud(scale * cloud.points), config)
     assert [report.counts[k] for k in ("zero_cells", "one_cells", "two_cells")] == [3, 3, 1]
+    assert report.counts["ascent_steps"] == bumpy_result[1].counts["ascent_steps"]
     expected = [c.geometry[0] for c in bumpy_result[0].cells if c.dimension == 0]
     zeros = [c.geometry[0] / scale for c in filtration.cells if c.dimension == 0]
     for z, e in zip(zeros, expected):
@@ -214,7 +215,8 @@ def test_single_gaussian_yields_one_vertex():
                              "loops_dropped": 0, "sheet_steps": 0,
                              "sheet_failed": 0, "ascent_seeds": 300,
                              "ascent_converged": 300, "ascent_no_mass": 0,
-                             "ascent_exhausted": 0, "ascent_steps": 3698}
+                             "ascent_exhausted": 0, "ascent_polished": 1,
+                             "ascent_joined": 299, "ascent_steps": 1467}
     assert len(filtration.cells) == 1
     assert any("fewer than two" in note for note in report.notes)
 
