@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cwcomplex import components, implicit_step_matrix
+from .cwcomplex import components, relax
 from .density import DensityField
 from .errors import ConstructionError, DegenerateTangentError, InvalidInputError
 from .maxima import ZeroCell
@@ -133,64 +133,44 @@ def _evolve_bands(field: DensityField, bands: list[Band], params: NebParams,
                   counts: dict | None = None) -> list[Band | None]:
     """Evolve equal-shaped bands side by side, each as ``evolve`` does it alone.
 
-    Every step makes one force evaluation over the bands still active and
-    moves their interior nodes by x_I += S @ F, with S = h (I + h L_II)^-1
-    for L the Laplacian of the band's path graph: the springs step
-    implicitly, so h is not capped by their stiff mode.  One S serves the
-    whole stack, with h = ``field.step_below(top)`` for top the densest
-    endpoint of the stack.  The step is bounded only where the bands stay at
-    or below top; ``find_one_cells`` meets that, since its endpoints are all
-    the 0-cells.  A band therefore steps by the stack it is in: alone, or
-    beside less dense endpoints, it may take a longer step.  A band leaves
-    the active set when it converges or fails; each keeps its own hairpin
-    count.  ``counts`` receives ``band_iterations`` (force evaluations of
-    the stack) and ``band_steps`` (bands times force evaluations).
+    The bands relax as one stack through ``cwcomplex.relax``, on the path
+    graph of their nodes with the endpoints fixed; a band is degenerate at a
+    step where one of its nodes is a hairpin.  One step h serves the whole
+    stack: ``field.step_below(top)`` for top the densest endpoint of the
+    stack.  The step is bounded only where the bands stay at or below top;
+    ``find_one_cells`` meets that, since its endpoints are all the 0-cells.
+    A band therefore steps by the stack it is in: alone, or beside less
+    dense endpoints, it may take a longer step.  ``counts`` receives
+    ``band_iterations`` (force evaluations of the stack), ``band_steps``
+    (bands times force evaluations) and ``band_final_force`` (the largest
+    final mean force norm of a converged band).
     """
     counts = {} if counts is None else counts
-    counts.update(band_steps=0, band_iterations=0)
+    counts.update(band_steps=0, band_iterations=0, band_final_force=0.0)
     if not bands:
         return []
-    out: list[Band | None] = [None] * len(bands)
-    # the active bands as one contiguous stack, with their indices into bands
     nodes = np.stack([b.nodes for b in bands])
     n_nodes = nodes.shape[1]
     top = field.value_batch(nodes[:, [0, -1]].reshape(-1, nodes.shape[2])).max()
-    implicit = implicit_step_matrix(
-        n_nodes, [(i, i + 1) for i in range(n_nodes - 1)],
-        np.arange(1, n_nodes - 1), field.step_below(top))
-    ids = np.arange(len(bands))
-    hairpin_steps = np.zeros(len(bands), dtype=int)
-    for step in range(params.max_steps + 1):
-        forces, hairpin = _interior_forces(field, nodes, params)
-        counts["band_steps"] += len(ids)
-        counts["band_iterations"] += 1
-        hairpin_steps += hairpin.any(axis=1)
-        mean_norm = np.sqrt(np.einsum("bin,bin->bi", forces, forces)).mean(axis=1)
-        done = mean_norm < TOLERANCE
-        for k in np.flatnonzero(done):
-            if hairpin_steps[k] <= 0.01 * (step + 1):
-                out[ids[k]] = Band(nodes[k].copy())  # endpoints were never written
-        if step == params.max_steps:
-            break
-        nodes[:, 1:-1] += implicit @ forces
-        keep = ~done & np.isfinite(nodes).all(axis=(1, 2))
-        if not keep.all():
-            nodes, ids, hairpin_steps = nodes[keep], ids[keep], hairpin_steps[keep]
-            if not len(ids):
-                break
-    return out
+
+    def forces(stack):
+        force, hairpin = _interior_forces(field, stack, params)
+        return force, hairpin.any(axis=1)
+
+    out, iterations, steps, final_force = relax(
+        nodes, [(i, i + 1) for i in range(n_nodes - 1)], slice(1, -1),
+        field.step_below(top), forces, TOLERANCE, params.max_steps)
+    counts.update(band_iterations=iterations, band_steps=steps,
+                  band_final_force=final_force)
+    return [None if x is None else Band(x) for x in out]
 
 
 def evolve(field: DensityField, band: Band, params: NebParams) -> Band | None:
     """Semi-implicit first-order integration of v_i' = F_i on interior nodes.
 
-    The step is ``field.step_below`` at the denser endpoint, with the
-    springs of the path graph taken implicitly (see ``_evolve_bands``); it
-    is bounded only if the band stays at or below that density.
-    Returns the band at the first step where the mean interior force norm
-    drops below ``TOLERANCE`` (checked before stepping), or None
-    on max_steps exhaustion, non-finite coordinates, or persistent hairpins
-    (flagged on more than 1% of steps).
+    The band relaxes through ``cwcomplex.relax`` to ``TOLERANCE`` at step
+    ``field.step_below`` at the denser endpoint, a bound only if the band
+    stays at or below that density.  Returns the converged band, or None.
     """
     return _evolve_bands(field, [band], params)[0]
 

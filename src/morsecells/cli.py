@@ -50,14 +50,12 @@ _PARSERS = {"float": float, "int": int, "bool": _parse_bool, "int | None": int}
 _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)
              if dataclasses.is_dataclass(f.default_factory)}
 
-# every PipelineConfig field, nested ones as "section.field", plus threads,
-# which is accepted for interface uniformity; runs are single-threaded
+# every PipelineConfig field, nested ones as "section.field"
 _CONFIG_KEYS = {
     **{f.name: _PARSERS[f.type] for f in dataclasses.fields(PipelineConfig)
        if f.name not in _SECTIONS},
     **{f"{name}.{f.name}": _PARSERS[f.type] for name, cls in _SECTIONS.items()
        for f in dataclasses.fields(cls)},
-    "threads": int,
 }
 
 
@@ -87,7 +85,7 @@ def build_pipeline_config(values: dict) -> PipelineConfig:
         if "." in key:
             section, name = key.split(".", 1)
             kwargs[section][name] = value
-        elif key != "threads":
+        else:
             kwargs[key] = value
     seed_env = os.environ.get("MORSE_SEED")
     if seed_env is not None:

@@ -96,20 +96,71 @@ def laplacian(n: int, pairs) -> np.ndarray:
     return lap
 
 
-def implicit_step_matrix(n: int, pairs, interior: np.ndarray,
-                         h: float) -> np.ndarray:
+def implicit_step_matrix(n: int, pairs, interior, h: float) -> np.ndarray:
     """S = h (I + h L_II)^-1, with L the Laplacian of the graph on 0..n-1 with
-    edges pairs and L_II its block on the interior vertices.
+    edges pairs and L_II its block on the interior vertices (an index array
+    or a slice).
 
     Where the spring force on the interior is -(L_II x_I + L_IB x_B),
     x_I += S @ force solves (I + h L_II) x_I' = x_I + h (rest - L_IB x_B):
     the springs step implicitly and the rest of the force explicitly.
     """
-    m = h * laplacian(n, pairs)[np.ix_(interior, interior)]
+    m = h * laplacian(n, pairs)[interior][:, interior]
     m.flat[::len(m) + 1] += 1.0
     m = np.linalg.inv(m)
     m *= h
     return m
+
+
+def relax(stack: np.ndarray, pairs, interior, h: float, forces,
+          tolerance: float, max_steps: int):
+    """Relax a (B, V, n) stack of graphs that share the edges pairs.
+
+    interior picks the vertices that move, by index array or slice; a slice
+    steps them in place, where an index array gathers and scatters them.
+
+    ``forces(stack)`` returns the (B, I, n) forces on the interior vertices
+    and a (B,) boolean mask of the items that are degenerate at this step.
+    Every step moves the interior by x_I += S @ F, with S from
+    ``implicit_step_matrix`` at step h; the other vertices never move.  An
+    item converges at the first step where its mean interior force norm is
+    below tolerance (checked before stepping), unless it was degenerate on
+    more than 1% of its steps so far.  It leaves the stack when it converges
+    or its coordinates turn non-finite, and fails after max_steps steps.
+    Under a force that treats the items apart, each ends as it would alone.
+
+    Returns (items, iterations, item_steps, final_force): per item its
+    (V, n) coordinates or None if it failed, the number of force
+    evaluations, the items summed over them, and the largest mean interior
+    force norm of a converged item at its convergence (0.0 if none did).
+    """
+    stack = np.array(stack, dtype=float)
+    implicit = implicit_step_matrix(stack.shape[1], pairs, interior, h)
+    out: list[np.ndarray | None] = [None] * len(stack)
+    ids = np.arange(len(stack))
+    degenerate_steps = np.zeros(len(stack), dtype=int)
+    iterations = item_steps = 0
+    final_force = 0.0
+    for step in range(max_steps + 1):
+        force, degenerate = forces(stack)
+        iterations += 1
+        item_steps += len(ids)
+        degenerate_steps += degenerate
+        mean_norm = np.sqrt(np.einsum("bin,bin->bi", force, force)).mean(axis=1)
+        done = mean_norm < tolerance
+        for k in np.flatnonzero(done):
+            if degenerate_steps[k] <= 0.01 * (step + 1):
+                out[ids[k]] = stack[k].copy()
+                final_force = max(final_force, float(mean_norm[k]))
+        if step == max_steps:
+            break
+        stack[:, interior] += implicit @ force
+        keep = ~done & np.isfinite(stack).all(axis=(1, 2))
+        if not keep.all():
+            stack, ids, degenerate_steps = stack[keep], ids[keep], degenerate_steps[keep]
+            if not len(ids):
+                break
+    return out, iterations, item_steps, final_force
 
 
 def _check_closure(cells: list[Cell]) -> None:

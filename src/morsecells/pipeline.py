@@ -161,7 +161,7 @@ def run(cloud: PointCloud, config: PipelineConfig) -> tuple[MorseFiltration, Run
                           report.counts)
     report.counts["candidate_loops"] = len(cycles)
 
-    report.counts.update(sheet_steps=0, sheet_failed=0)
+    report.counts.update(sheet_steps=0, sheet_failed=0, sheet_final_force=0.0)
     two_cells = []
     for cycle in cycles:
         try:

@@ -3,8 +3,9 @@
 A candidate 2-cell is a web-shaped graph spanning a closed boundary loop of
 1-cell nodes.  Interior nodes feel the density gradient projected
 perpendicular to a PCA-estimated tangent plane plus the sum of neighbor
-differences, and relax by semi-implicit steps (implicit springs, explicit
-gradient) until the mean interior force norm is small.
+differences.  A sheet relaxes through ``cwcomplex.relax``, the loop the
+elastic bands use too: semi-implicit steps (implicit springs, explicit
+gradient) until the mean interior force norm is below ``TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cwcomplex import implicit_step_matrix
+from .cwcomplex import relax
 from .density import DensityField
 from .errors import ConstructionError, InvalidInputError
 
@@ -195,36 +196,29 @@ def _interior_forces(field: DensityField, positions: np.ndarray,
 
 def relax_sheet(field: DensityField, sheet: WebSheet, params: SheetParams,
                 counts: dict | None = None) -> WebSheet | None:
-    """Semi-implicit relaxation of interior nodes with step h = STEP.
+    """Relax the interior nodes through ``cwcomplex.relax`` at step STEP.
 
-    Each step solves for the spring term implicitly through the matrix of
-    ``cwcomplex.implicit_step_matrix``, formed once per sheet, and keeps the
-    gradient term explicit.  Converged when the mean interior force norm
-    drops below ``TOLERANCE`` (checked before stepping); returns None on
-    max_steps exhaustion or non-finite coordinates.  Boundary positions are
+    The sheet is a one-item stack that is never degenerate; it converges at
+    ``TOLERANCE`` or the relaxation returns None.  Boundary positions are
     bitwise untouched.  ``counts["sheet_steps"]`` gains one per force
-    evaluation.
+    evaluation, and ``counts["sheet_final_force"]`` keeps the largest final
+    mean force norm of a converged sheet.
     """
     counts = {} if counts is None else counts
     counts.setdefault("sheet_steps", 0)
-    adj = sheet.neighbor_lists()
+    counts.setdefault("sheet_final_force", 0.0)
     interior = np.flatnonzero(~sheet.boundary)
-    groups = _degree_groups(adj, interior)
-    implicit = implicit_step_matrix(len(sheet.boundary), sheet.edges, interior, STEP)
-    positions = sheet.positions.copy()
-    for step in range(params.max_steps + 1):
-        forces = _interior_forces(field, positions, interior, groups)
-        counts["sheet_steps"] += 1
-        if np.linalg.norm(forces, axis=1).mean() < TOLERANCE:
-            out = sheet.positions.copy()
-            out[interior] = positions[interior]
-            return replace(sheet, positions=out)
-        if step == params.max_steps:
-            break
-        positions[interior] += implicit @ forces
-        if not np.all(np.isfinite(positions[interior])):
-            return None
-    return None
+    groups = _degree_groups(sheet.neighbor_lists(), interior)
+
+    def forces(stack):
+        force = _interior_forces(field, stack[0], interior, groups)
+        return force[None], np.zeros(1, dtype=bool)
+
+    (out,), _, steps, final_force = relax(sheet.positions[None], sheet.edges, interior,
+                                         STEP, forces, TOLERANCE, params.max_steps)
+    counts["sheet_steps"] += steps
+    counts["sheet_final_force"] = max(counts["sheet_final_force"], final_force)
+    return None if out is None else replace(sheet, positions=out)
 
 
 def sheet_density(field: DensityField, sheet: WebSheet) -> float:

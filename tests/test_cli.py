@@ -117,7 +117,7 @@ def _flat_fields(config: PipelineConfig) -> dict:
 
 def test_every_config_key_sets_its_field():
     defaults = _flat_fields(PipelineConfig())
-    assert set(_CONFIG_KEYS) == set(defaults) | {"threads"}
+    assert set(_CONFIG_KEYS) == set(defaults)
     for key, default in defaults.items():
         if isinstance(default, bool):
             value = not default
@@ -145,7 +145,7 @@ def test_readme_lists_every_config_key():
         if line.startswith("`") and line.split("`")[1].endswith("."):
             prefix, names = line.split("`")[1], line.split(":", 1)[1]
         keys.update(prefix + name for name in names.split("`")[1::2])
-    assert keys == set(_CONFIG_KEYS) - {"threads"}
+    assert keys == set(_CONFIG_KEYS)
     assert f"{len(keys)} settable values" in " ".join(section.split())
 
 
@@ -539,12 +539,15 @@ def test_analyze_unknown_config_key_exit_1(tmp_path, two_blob_csv, capsys):
                                   "neb.cluster_threshold = 0.3",
                                   "neb.convergence_tolerance = nan",
                                   "ascent.tolerance = inf",
-                                  "sheet.tolerance = nan"])
+                                  "sheet.tolerance = nan",
+                                  "threads = 2"])
 def test_analyze_gradient_constant_key_is_unknown_exit_1(tmp_path, two_blob_csv,
                                                          capsys, line):
     # the force scale c, the band step, the clustering and discard length and
     # the ascent stop come from the density field, and the sheet step and the
-    # band and sheet tolerances are constants: none of them is a config key
+    # band and sheet tolerances are constants: none of them is a config key.
+    # Runs are single-threaded, so threads is not one either (--threads is
+    # still accepted)
     cfg = tmp_path / "bad.conf"
     cfg.write_text(line + "\n")
     assert run_cli("analyze", two_blob_csv, str(tmp_path / "o.json"),

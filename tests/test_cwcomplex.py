@@ -8,7 +8,7 @@ from scipy.sparse.csgraph import connected_components
 
 from morsecells import (Cell, MorseFiltration, betti, loop_persistence,
                         superlevel_complex)
-from morsecells.cwcomplex import components, laplacian
+from morsecells.cwcomplex import components, laplacian, relax
 from morsecells.errors import InvalidComplexError, InvalidInputError
 
 
@@ -473,3 +473,80 @@ def test_betti_b0_matches_scipy_on_random_one_skeletons(graph, shuffle):
     cells += [edge(n + k, ids[i], ids[j]) for k, (i, j) in enumerate(pairs)]
     shuffle.shuffle(cells)
     assert betti(cells)[0] == len(scipy_partition(n, pairs))
+
+
+# relax on a path graph of five vertices in the plane; item k runs from
+# (0, 0) to (1, k), so a force callback can tell the items apart
+PATH = [(i, i + 1) for i in range(4)]
+PATH_INTERIOR = np.arange(1, 4)
+
+
+def _path_stack(items: int) -> np.ndarray:
+    stack = np.random.default_rng(0).uniform(-1.0, 2.0, (items, 5, 2))
+    stack[:, 0] = 0.0
+    stack[:, -1] = np.c_[np.ones(items), np.arange(items)]
+    return stack
+
+
+def _springs(stack):
+    force = stack[:, :-2] - 2.0 * stack[:, 1:-1] + stack[:, 2:]
+    return force, np.zeros(len(stack), dtype=bool)
+
+
+def test_relax_springs_space_a_path_evenly():
+    stack = _path_stack(3)
+    out, iterations, item_steps, final = relax(stack, PATH, PATH_INTERIOR, 0.5,
+                                               _springs, 1e-8, 10_000)
+    for x, start in zip(out, stack):
+        assert np.allclose(x, np.linspace(start[0], start[-1], 5), atol=1e-7)
+        assert np.array_equal(x[[0, -1]], start[[0, -1]])
+    assert 1 < iterations <= item_steps <= 3 * iterations
+    assert 0.0 < final < 1e-8
+
+
+def test_relax_out_of_steps_gives_none():
+    out, iterations, item_steps, final = relax(_path_stack(1), PATH, PATH_INTERIOR,
+                                               0.5, _springs, 1e-8, 3)
+    assert out == [None]
+    assert iterations == item_steps == 4  # a force evaluation per step and one at the end
+    assert final == 0.0
+
+
+def test_relax_non_finite_item_leaves_its_stack_mate_alone():
+    calls = []
+
+    def forces(stack):
+        calls.append(len(stack))
+        force, degenerate = _springs(stack)
+        if len(calls) >= 3:
+            force[stack[:, -1, 1] == 0.0] = np.nan
+        return force, degenerate
+
+    stack = _path_stack(2)
+    out, iterations, item_steps, _ = relax(stack, PATH, PATH_INTERIOR, 0.5, forces,
+                                           1e-8, 10_000)
+    alone, *_ = relax(stack[1:], PATH, PATH_INTERIOR, 0.5, _springs, 1e-8, 10_000)
+    assert out[0] is None
+    assert np.array_equal(out[1], alone[0])
+    assert item_steps == iterations + 3  # item 0 left after its third evaluation
+
+
+def test_relax_rejects_an_item_degenerate_on_over_one_percent_of_steps():
+    stack = _path_stack(2)
+    plain, iterations, *_ = relax(stack, PATH, PATH_INTERIOR, 0.2, _springs, 1e-8,
+                                  10_000)
+    assert iterations >= 100
+
+    def always(stack):
+        return _springs(stack)[0], stack[:, -1, 1] == 0.0
+
+    calls = []
+
+    def once(stack):
+        calls.append(None)
+        return _springs(stack)[0], np.full(len(stack), len(calls) == 1)
+
+    out, *_ = relax(stack, PATH, PATH_INTERIOR, 0.2, always, 1e-8, 10_000)
+    assert out[0] is None and np.array_equal(out[1], plain[1])
+    out, *_ = relax(stack, PATH, PATH_INTERIOR, 0.2, once, 1e-8, 10_000)
+    assert all(np.array_equal(a, b) for a, b in zip(out, plain))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morsecells import (AscentParams, NebParams, PipelineConfig, PointCloud,
-                        SheetParams, band, betti, run, synth_bumpy_circle,
+                        SheetParams, band, betti, run, sheet, synth_bumpy_circle,
                         synth_gaussian_mixture)
 from morsecells.errors import InvalidInputError, NoMaximaError
 from morsecells.pipeline import _cycle_basis, _loop_polyline
@@ -132,6 +132,7 @@ def test_report_band_counters(bumpy_result):
     assert counts["band_converged"] >= counts["one_cells"]
     assert counts["band_steps"] >= counts["band_trials"]
     assert 1 <= counts["band_iterations"] <= counts["band_steps"]
+    assert 0.0 <= counts["band_final_force"] < band.TOLERANCE
 
 
 def test_report_sheet_and_loop_counters(bumpy_result):
@@ -139,6 +140,7 @@ def test_report_sheet_and_loop_counters(bumpy_result):
     assert counts["candidate_loops"] == counts["two_cells"] == 1
     assert counts["loops_dropped"] == counts["sheet_failed"] == 0
     assert 1 <= counts["sheet_steps"] <= SheetParams().max_steps + 1
+    assert 0.0 <= counts["sheet_final_force"] < sheet.TOLERANCE
     # the same run with a sheet step budget of one step, and with the loop
     # of three 1-cells over max_loop_length
     cloud = synth_bumpy_circle(3, 2.0, 1000, np.random.default_rng(3),
@@ -148,6 +150,7 @@ def test_report_sheet_and_loop_counters(bumpy_result):
     counts = run(cloud, config)[1].counts
     assert counts["two_cells"] == counts["loops_dropped"] == 0
     assert counts["sheet_failed"] == 1 and counts["sheet_steps"] == 2
+    assert counts["sheet_final_force"] == 0.0
     _, report = run(cloud, replace(config, max_loop_length=2))
     assert report.counts["candidate_loops"] == report.counts["sheet_steps"] == 0
     assert report.counts["loops_dropped"] == 1
@@ -213,7 +216,8 @@ def test_single_gaussian_yields_one_vertex():
     assert report.counts == {"zero_cells": 1, "one_cells": 0,
                              "candidate_loops": 0, "two_cells": 0,
                              "loops_dropped": 0, "sheet_steps": 0,
-                             "sheet_failed": 0, "ascent_seeds": 300,
+                             "sheet_failed": 0, "sheet_final_force": 0.0,
+                             "ascent_seeds": 300,
                              "ascent_converged": 300, "ascent_no_mass": 0,
                              "ascent_exhausted": 0, "ascent_polished": 1,
                              "ascent_joined": 299, "ascent_steps": 1467}
