@@ -187,18 +187,6 @@ def _unit_orthogonal(direction: np.ndarray, rng: np.random.Generator) -> np.ndar
     raise ConstructionError("failed to sample an orthogonal direction")
 
 
-def _arc_nodes(origin: np.ndarray, center2d: np.ndarray, basis: np.ndarray,
-               radius: float, phi_start: float, sweep: float, count: int) -> np.ndarray:
-    """count points evenly spaced in angle along a circular arc.
-
-    The arc lives in the 2-plane through origin spanned by the basis rows;
-    center2d is the circle center in plane coordinates.
-    """
-    phis = phi_start + sweep * np.linspace(0.0, 1.0, count)
-    circ = np.stack([radius * np.cos(phis), radius * np.sin(phis)], axis=1)
-    return origin[None, :] + (center2d[None, :] + circ) @ basis
-
-
 def _straight_band(p: np.ndarray, q: np.ndarray, count: int) -> np.ndarray:
     t = np.linspace(0.0, 1.0, count)[:, None]
     return (1.0 - t) * p[None, :] + t * q[None, :]
@@ -211,7 +199,7 @@ def initial_band_general(
 
     The arc passes through (p + q + r*y)/2 with y a uniform unit vector
     orthogonal to p - q and r uniform in [0, d(p, q)].  Degenerates to the
-    straight segment when r = 0 or in dimension 1.
+    straight segment when ``arc_band`` finds the bow flat or in dimension 1.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -229,42 +217,29 @@ def initial_band_general(
 
 def arc_band(p: np.ndarray, q: np.ndarray, y: np.ndarray, r: float,
              node_count: int) -> Band:
-    """Band along the circular arc through p, (p + q + r*y)/2 and q."""
+    """Band along the circular arc through p, (p + q + r*y)/2 and q; the
+    straight segment where ``_circumcircle`` finds those points collinear."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = np.linalg.norm(q - p)
-    if r < 1e-12 * d:
+    bow = (p + q + r * np.asarray(y, dtype=float)) / 2.0
+    try:
+        return Band(_arc(p, q, bow, node_count, through=True))
+    except ConstructionError:
         return Band(_straight_band(p, q, node_count))
-
-    # Plane coordinates: e1 along q - p, e2 = y; p at the origin.
-    e1 = (q - p) / d
-    basis = np.stack([e1, y])
-    # Circle through (0,0), (d,0) and the bow point (d/2, r/2).
-    k = (r * r - d * d) / (4.0 * r)
-    center2 = np.array([d / 2.0, k])
-    radius = math.hypot(d / 2.0, k)
-    phi_p = math.atan2(-k, -d / 2.0)
-    phi_q = math.atan2(-k, d / 2.0)
-    phi_m = math.pi / 2.0
-    sweep_ccw = (phi_q - phi_p) % (2.0 * math.pi)
-    on_ccw = (phi_m - phi_p) % (2.0 * math.pi) <= sweep_ccw
-    sweep = sweep_ccw if on_ccw else sweep_ccw - 2.0 * math.pi
-
-    nodes = _arc_nodes(p, center2, basis, radius, phi_p, sweep, node_count)
-    nodes[0] = p
-    nodes[-1] = q
-    return Band(nodes)
 
 
 def _circumcircle(a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Center, radius and orthonormal plane basis of the circle through a, b, c."""
+    """Center, radius and orthonormal plane basis of the circle through a, b, c;
+    ConstructionError when c is within 1e-12·|b - a| of the line through a, b."""
     u1 = b - a
     u2 = c - a
-    f1 = u1 / np.linalg.norm(u1)
+    length = np.linalg.norm(u1)
+    f1 = u1 / length
     g = u2 - (u2 @ f1) * f1
+    # a second pass: for c near the line ab, rounding skews g toward f1
+    g -= (g @ f1) * f1
     g_norm = np.linalg.norm(g)
-    if g_norm < 1e-12:
+    if g_norm < 1e-12 * length:
         raise ConstructionError("defining points are collinear")
     f2 = g / g_norm
     # 2D coordinates relative to a
@@ -277,6 +252,24 @@ def _circumcircle(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     basis = np.stack([f1, f2])
     center = a + ux * f1 + uy * f2
     return center, radius, basis
+
+
+def _arc(a: np.ndarray, b: np.ndarray, c: np.ndarray, count: int,
+         through: bool) -> np.ndarray:
+    """count points from a to b, evenly spaced in angle on the circle through
+    a, b and c: on the arc through c, or avoiding it when not through.  The
+    ends are exactly a and b."""
+    center, radius, basis = _circumcircle(a, b, c)
+    coords = (np.stack([a, b, c]) - center) @ basis.T
+    phi_a, phi_b, phi_c = (math.atan2(cy, cx) for cx, cy in coords)
+    sweep = (phi_b - phi_a) % (2.0 * math.pi)
+    if ((phi_c - phi_a) % (2.0 * math.pi) <= sweep) != through:
+        sweep -= 2.0 * math.pi
+    phis = phi_a + sweep * np.linspace(0.0, 1.0, count)
+    circ = np.stack([radius * np.cos(phis), radius * np.sin(phis)], axis=1)
+    nodes = center + circ @ basis
+    nodes[0], nodes[-1] = a, b
+    return nodes
 
 
 def initial_band_sphere(
@@ -321,18 +314,8 @@ def sphere_arc_band(p: np.ndarray, q: np.ndarray, y: np.ndarray,
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    y = np.asarray(y, dtype=float)
     np_, nq = np.linalg.norm(p), np.linalg.norm(q)
-    ph, qh = p / np_, q / nq
-    center, radius, basis = _circumcircle(ph, qh, y)
-    rel = np.stack([ph, qh, y]) - center[None, :]
-    coords = rel @ basis.T
-    phi_p, phi_q, phi_y = (math.atan2(cy, cx) for cx, cy in coords)
-    sweep_ccw = (phi_q - phi_p) % (2.0 * math.pi)
-    y_on_ccw = (phi_y - phi_p) % (2.0 * math.pi) <= sweep_ccw
-    sweep = sweep_ccw - 2.0 * math.pi if y_on_ccw else sweep_ccw
-
-    units = _arc_nodes(center, np.zeros(2), basis, radius, phi_p, sweep, node_count)
+    units = _arc(p / np_, q / nq, y, node_count, through=False)
     i = np.arange(1, node_count + 1)
     scale = ((node_count - i) * np_ + (i - 1) * nq) / (node_count - 1)
     nodes = scale[:, None] * units
@@ -384,9 +367,10 @@ def find_one_cells(
     Deterministic given the rng state.  ``counts`` receives the trial
     outcomes: ``band_trials``, ``band_converged``, ``band_failed``
     (non-convergent or hairpin), ``band_discarded`` (converged, but dropped
-    near a third 0-cell), ``band_iterations`` and ``band_steps``; every
-    0-cell is an endpoint, so the band step is ``field.step_below`` at the densest 0-cell, a bound
-    wherever the density is no higher than at its densest mode.
+    near a third 0-cell), ``band_iterations``, ``band_steps`` and
+    ``band_final_force``.  Every 0-cell is an endpoint, so the band step is
+    ``field.step_below`` at the densest 0-cell, a bound wherever the density
+    is no higher than at its densest mode.
     """
     positions = np.array([z.position for z in zero_cells])
     initial_band = initial_band_sphere if sphere_mode else initial_band_general

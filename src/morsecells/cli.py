@@ -238,8 +238,6 @@ def cmd_project(args) -> int:
     else:
         cloud = ingestion.read_point_cloud(args.input)
         pts = cloud.points
-        if pts.shape[1] < 2:
-            raise DataError("projection needs dimension >= 2")
         proj = _make_projection(pts, indices)
         coords = pts @ proj.T
         ingestion.write_point_cloud(PointCloud(coords), args.output)
@@ -248,6 +246,8 @@ def cmd_project(args) -> int:
 
 def _make_projection(points: np.ndarray, indices: tuple[int, int] | None) -> np.ndarray:
     n = points.shape[1]
+    if n < 2:
+        raise DataError("projection needs dimension >= 2")
     if indices is None:
         return _pca_projector(points)
     i, j = indices

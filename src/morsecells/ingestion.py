@@ -92,7 +92,7 @@ def read_graph(path: str) -> UnweightedGraph:
     except ValueError:
         raise ParseError("header must be 'V E'", line=1) from None
     edges = []
-    for lineno, line in enumerate(lines[1:1 + e], start=2):
+    for lineno, line in enumerate(lines[1:], start=2):
         try:
             a, b = (int(x) for x in line.split())
         except ValueError:
@@ -137,12 +137,6 @@ class MdsResult:
     stress_history: tuple[float, ...]
 
 
-def _raw_stress(points: np.ndarray, delta: np.ndarray) -> float:
-    diff = points[:, None, :] - points[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return float(np.triu((d - delta) ** 2, k=1).sum())
-
-
 def mds_embed(distances: np.ndarray, target_dim: int, rng: np.random.Generator,
               max_iter: int = 1000, tol: float = 1e-12) -> MdsResult:
     """Embed a distance matrix by iterated Guttman transforms.
@@ -164,21 +158,21 @@ def mds_embed(distances: np.ndarray, target_dim: int, rng: np.random.Generator,
 
     scale = delta.max() if delta.max() > 0 else 1.0
     points = rng.uniform(-scale / 2, scale / 2, size=(m, target_dim))
-    history = [_raw_stress(points, delta)]
-
-    for _ in range(max_iter):
+    history: list[float] = []
+    for iteration in range(max_iter + 1):
+        # one distance matrix gives the raw stress and the next transform
         diff = points[:, None, :] - points[None, :, :]
         d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        history.append(float(np.triu((d - delta) ** 2, k=1).sum()))
+        if iteration == max_iter or (
+                iteration and history[-2] - history[-1] <= tol * max(history[-2], 1e-300)):
+            break
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(d > 0, delta / np.where(d > 0, d, 1.0), 0.0)
         b = -ratio
         np.fill_diagonal(b, 0.0)
         np.fill_diagonal(b, -b.sum(axis=1))
         points = b @ points / m
-        history.append(_raw_stress(points, delta))
-        prev, cur = history[-2], history[-1]
-        if prev - cur <= tol * max(prev, 1e-300):
-            break
     return MdsResult(cloud=PointCloud(points), stress=history[-1],
                      stress_history=tuple(history))
 

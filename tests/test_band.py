@@ -313,6 +313,40 @@ def test_arc_band_evenly_spaced_by_arclength(rng):
     assert seg == pytest.approx(seg[0] * np.ones(20), rel=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6])
+def test_arc_band_nodes_on_circle_through_bow_point(rng, scale):
+    for _ in range(5):
+        p, q = scale * rng.normal(size=4), scale * rng.normal(size=4)
+        d = q - p
+        y = rng.normal(size=4)
+        y -= (y @ d) * d / (d @ d)
+        y /= np.linalg.norm(y)
+        r = rng.uniform(0.05, 1.0) * np.linalg.norm(d)
+        center = _circumcenter_oracle(p, (p + q + r * y) / 2, q)
+        radius = np.linalg.norm(p - center)
+        b = arc_band(p, q, y, r, 11)
+        assert np.linalg.norm(b.nodes - center, axis=1) == pytest.approx(
+            np.full(11, radius), rel=1e-9)
+
+
+def test_arc_band_flat_bow_at_small_scale():
+    # the collinear cut is relative to |q - p|: at 1e-9 scale a bow below it
+    # is the straight segment, and a bow just above it or a little flatter
+    # than usual is a near-straight arc, never a ConstructionError
+    p, q = np.array([1e-9, 2e-9]), np.array([4e-9, 6e-9])
+    d = np.linalg.norm(q - p)
+    y = _unit_perp(q - p)
+    straight = straight_band(p, q, 7).nodes
+    for ratio in [1e-12, 1.99e-12, 2.0e-12, 2.01e-12, 4e-12, 1e-9, 1e-6]:
+        b = arc_band(p, q, y, ratio * d, 7)
+        if ratio < 1.99e-12:
+            assert np.array_equal(b.nodes, straight)
+        assert np.array_equal(b.nodes[[0, -1]], [p, q])
+        # a bow of height ratio * d / 2 evenly spaced in angle is evenly
+        # spaced along the chord to well within 1e-4 * d
+        assert np.abs(b.nodes - straight).max() <= 1e-4 * d
+
+
 def test_initial_band_general_endpoints(rng):
     p, q = rng.normal(size=5), rng.normal(size=5)
     b = initial_band_general(p, q, 11, rng)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -147,6 +150,19 @@ def test_readme_lists_every_config_key():
         keys.update(prefix + name for name in names.split("`")[1::2])
     assert keys == set(_CONFIG_KEYS)
     assert f"{len(keys)} settable values" in " ".join(section.split())
+
+
+def test_runtime_imports_numpy_only():
+    # the package and its CLI must import without any test-only dependency
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, morsecells, morsecells.cli; "
+            "print(sorted({'scipy', 'mpmath', 'hypothesis', 'pytest'}"
+            " & {name.split('.')[0] for name in sys.modules}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_document_config_is_full_config():
@@ -627,6 +643,24 @@ def test_project_mixed_geometry_widths_exit_2(tmp_path, capsys):
         tmp_path, lambda d: d["cells"][0].update(geometry=[[0.0, 0.0, 0.0]]))
     assert run_cli("project", doc, str(tmp_path / "p.csv")) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("basis", ["pca", "0,1"])
+@pytest.mark.parametrize("kind", ["cloud", "document"])
+def test_project_one_dimensional_input_exit_2(tmp_path, capsys, kind, basis):
+    # one dimension check for both inputs, before the index range check
+    if kind == "cloud":
+        from morsecells import PointCloud
+        src = str(tmp_path / "line.csv")
+        write_point_cloud(PointCloud(np.arange(5.0)[:, None]), src)
+    else:
+        def to_1d(doc):
+            for cell in doc["cells"]:
+                cell["geometry"] = [[0.0]] * len(cell["geometry"])
+        src = edited_document(tmp_path, to_1d)
+    assert run_cli("project", src, str(tmp_path / "p.csv"), "--basis", basis) == 2
+    assert "projection needs dimension >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,14 @@ def test_read_graph_bad_header(tmp_path):
         read_graph(str(path))
 
 
+def test_read_graph_edge_count_must_match_header(tmp_path):
+    path = tmp_path / "g.txt"
+    for text in ("3 1\n0 1\n1 2\n", "3 2\n0 1\n"):
+        path.write_text(text)
+        with pytest.raises(ParseError, match="promises"):
+            read_graph(str(path))
+
+
 def test_shortest_paths_path_graph():
     g = UnweightedGraph(4, ((0, 1), (1, 2), (2, 3)))
     dist = shortest_path_distances(g)
