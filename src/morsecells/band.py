@@ -158,7 +158,7 @@ def _evolve_bands(field: DensityField, bands: list[Band], params: NebParams,
         return force, hairpin.any(axis=1)
 
     out, iterations, steps, final_force = relax(
-        nodes, [(i, i + 1) for i in range(n_nodes - 1)], slice(1, -1),
+        nodes, [(i, i + 1) for i in range(n_nodes - 1)], np.arange(1, n_nodes - 1),
         field.step_below(top), forces, TOLERANCE, params.max_steps)
     counts.update(band_iterations=iterations, band_steps=steps,
                   band_final_force=final_force)

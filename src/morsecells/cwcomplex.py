@@ -98,8 +98,7 @@ def laplacian(n: int, pairs) -> np.ndarray:
 
 def implicit_step_matrix(n: int, pairs, interior, h: float) -> np.ndarray:
     """S = h (I + h L_II)^-1, with L the Laplacian of the graph on 0..n-1 with
-    edges pairs and L_II its block on the interior vertices (an index array
-    or a slice).
+    edges pairs and L_II its block on the interior vertices, an index array.
 
     Where the spring force on the interior is -(L_II x_I + L_IB x_B),
     x_I += S @ force solves (I + h L_II) x_I' = x_I + h (rest - L_IB x_B):
@@ -116,8 +115,7 @@ def relax(stack: np.ndarray, pairs, interior, h: float, forces,
           tolerance: float, max_steps: int):
     """Relax a (B, V, n) stack of graphs that share the edges pairs.
 
-    interior picks the vertices that move, by index array or slice; a slice
-    steps them in place, where an index array gathers and scatters them.
+    interior is the index array of the vertices that move.
 
     ``forces(stack)`` returns the (B, I, n) forces on the interior vertices
     and a (B,) boolean mask of the items that are degenerate at this step.

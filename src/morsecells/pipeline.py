@@ -17,7 +17,7 @@ import numpy as np
 from .band import NebParams, OneCell, find_one_cells
 from .cwcomplex import Cell, MorseFiltration
 from .density import KernelDensity, PointCloud, _require_positive
-from .errors import ConstructionError, InvalidInputError
+from .errors import InvalidInputError
 from .maxima import AscentParams, find_zero_cells
 from .sheet import SheetParams, initial_sheet, relax_sheet, sheet_density
 
@@ -51,46 +51,41 @@ def _cycle_basis(n_vertices: int, edges: list[tuple[int, int]],
                  max_length: int, counts: dict | None = None) -> list[list[int]]:
     """Cycles of a BFS spanning-forest cycle basis of a multigraph.
 
-    Each cycle is a list of edge indices; parallel edges are honored.  Cycles
-    longer than max_length edges are dropped and counted in
-    ``counts["loops_dropped"]``.
+    Each cycle is a list of edge indices in walk order: a non-tree edge
+    (a, b), then the forest path from a to b, so that ``cycle[:0:-1]`` walks
+    from b back to a.  Parallel edges are honored.  Cycles longer than
+    max_length edges are dropped and counted in ``counts["loops_dropped"]``.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
     for idx, (a, b) in enumerate(edges):
         adj[a].append((b, idx))
         adj[b].append((a, idx))
 
-    parent_edge = [-1] * n_vertices
-    parent_vertex = [-1] * n_vertices
-    depth = [-1] * n_vertices
-    tree_edges: set[int] = set()
+    tree: list[tuple[int, int] | None] = [None] * n_vertices  # (parent, edge)
     for root in range(n_vertices):
-        if depth[root] >= 0:
+        if tree[root] is not None:
             continue
-        depth[root] = 0
+        tree[root] = (-1, -1)
         queue = deque([root])
         while queue:
             u = queue.popleft()
             for w, idx in adj[u]:
-                if depth[w] < 0:
-                    depth[w] = depth[u] + 1
-                    parent_edge[w] = idx
-                    parent_vertex[w] = u
-                    tree_edges.add(idx)
+                if tree[w] is None:
+                    tree[w] = (u, idx)
                     queue.append(w)
 
     def path_to_root_edges(v: int) -> list[int]:
         path = []
-        while parent_edge[v] >= 0:
-            path.append(parent_edge[v])
-            v = parent_vertex[v]
+        while tree[v][1] >= 0:
+            v, idx = tree[v]
+            path.append(idx)
         return path
 
     counts = {} if counts is None else counts
     counts["loops_dropped"] = 0
     cycles = []
     for idx, (a, b) in enumerate(edges):
-        if idx in tree_edges:
+        if idx in (tree[a][1], tree[b][1]):
             continue
         pa, pb = path_to_root_edges(a), path_to_root_edges(b)
         # strip the common tail up to the lowest common ancestor
@@ -106,31 +101,20 @@ def _cycle_basis(n_vertices: int, edges: list[tuple[int, int]],
 
 
 def _loop_polyline(cycle: list[int], one_cells: list[OneCell]) -> np.ndarray:
-    """Closed polyline chaining the bands of a cycle, oriented consistently."""
-    remaining = list(cycle)
-    first = one_cells[remaining.pop(0)]
-    points = [first.band.nodes]
-    start, current = first.endpoint_indices
-    while remaining:
-        for pos, idx in enumerate(remaining):
-            a, b = one_cells[idx].endpoint_indices
-            if a == current or b == current:
-                nodes = one_cells[idx].band.nodes
-                if b == current:
-                    nodes = nodes[::-1]
-                    current = a
-                else:
-                    current = b
-                points.append(nodes[1:])
-                remaining.pop(pos)
-                break
+    """Closed polyline of a cycle from ``_cycle_basis``: the first band from a
+    to b, then ``cycle[:0:-1]`` back to a, each band turned to start where the
+    last one ended and cut before its own last node."""
+    current = one_cells[cycle[0]].endpoint_indices[0]
+    points = []
+    for idx in cycle[:1] + cycle[:0:-1]:
+        nodes = one_cells[idx].band.nodes
+        a, b = one_cells[idx].endpoint_indices
+        if a == current:
+            current = b
         else:
-            raise ConstructionError("cycle edges do not chain into a loop")
-    poly = np.vstack(points)
-    # drop the closing duplicate of the start vertex
-    if np.array_equal(poly[0], poly[-1]):
-        poly = poly[:-1]
-    return poly
+            nodes, current = nodes[::-1], a
+        points.append(nodes[:-1])
+    return np.vstack(points)
 
 
 def run(cloud: PointCloud, config: PipelineConfig) -> tuple[MorseFiltration, RunReport]:
@@ -164,13 +148,8 @@ def run(cloud: PointCloud, config: PipelineConfig) -> tuple[MorseFiltration, Run
     report.counts.update(sheet_steps=0, sheet_failed=0, sheet_final_force=0.0)
     two_cells = []
     for cycle in cycles:
-        try:
-            poly = _loop_polyline(cycle, one_cells)
-            web = initial_sheet(poly, rings=config.sheet.rings,
-                                nodes_per_ring=config.sheet.nodes_per_ring)
-        except ConstructionError as exc:
-            report.notes.append(f"loop {cycle}: {exc}")
-            continue
+        web = initial_sheet(_loop_polyline(cycle, one_cells), rings=config.sheet.rings,
+                            nodes_per_ring=config.sheet.nodes_per_ring)
         relaxed = relax_sheet(field, web, config.sheet, report.counts)
         if relaxed is None:
             report.counts["sheet_failed"] += 1

@@ -67,12 +67,10 @@ def _resample_closed_polyline(loop: np.ndarray, count: int) -> np.ndarray:
         raise ConstructionError("boundary loop is degenerate (zero length)")
     cum = np.concatenate([[0.0], np.cumsum(lengths)])
     targets = np.linspace(0.0, total, count, endpoint=False)
-    out = np.empty((count, loop.shape[1]))
-    for k, t in enumerate(targets):
-        i = min(np.searchsorted(cum, t, side="right") - 1, len(lengths) - 1)
-        frac = (t - cum[i]) / lengths[i] if lengths[i] > 0 else 0.0
-        out[k] = loop[i] + frac * seg[i]
-    return out
+    # the last breakpoint at or below each target, which never starts a
+    # zero-length segment
+    i = np.minimum(np.searchsorted(cum, targets, side="right") - 1, len(lengths) - 1)
+    return loop[i] + ((targets - cum[i]) / lengths[i])[:, None] * seg[i]
 
 
 def initial_sheet(boundary_loop: np.ndarray, rings: int = 10,
@@ -88,8 +86,6 @@ def initial_sheet(boundary_loop: np.ndarray, rings: int = 10,
     loop = np.asarray(boundary_loop, dtype=float)
     if loop.ndim != 2 or loop.shape[0] < 3:
         raise ConstructionError("boundary loop needs at least 3 points")
-    if np.allclose(loop, loop[0]):
-        raise ConstructionError("boundary loop is degenerate (all points coincide)")
     if np.array_equal(loop[0], loop[-1]):
         loop = loop[:-1]
 

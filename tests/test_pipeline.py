@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morsecells import (AscentParams, NebParams, PipelineConfig, PointCloud,
                         SheetParams, band, betti, run, sheet, synth_bumpy_circle,
                         synth_gaussian_mixture)
+from morsecells.cwcomplex import components
 from morsecells.errors import InvalidInputError, NoMaximaError
 from morsecells.pipeline import _cycle_basis, _loop_polyline
 
@@ -49,6 +51,12 @@ def test_cycle_basis_disconnected_graph():
     assert len(cycles) == 1
 
 
+def test_cycle_basis_strips_the_common_path_to_the_root():
+    # edge 3 = (2, 3) closes a triangle below vertex 1, so the shared tree
+    # edge 0 = (0, 1) is stripped; the walk is 2 -> 3, then edges 2 and 1
+    assert _cycle_basis(4, [(0, 1), (1, 2), (1, 3), (2, 3)], 6) == [[3, 1, 2]]
+
+
 # ---------------------------------------------------------------------------
 # loop polyline
 
@@ -67,6 +75,42 @@ def test_loop_polyline_chains_and_orients():
     assert poly.shape == (4, 2)
     assert np.array_equal(poly[0], [0.0, 0.0])
     assert [1.0, 0.5] in poly.tolist() and [1.0, 1.5] in poly.tolist()
+
+
+@st.composite
+def multigraphs(draw):
+    """(vertex count, edges) of a multigraph: at most 7 vertices and 12
+    edges, each between distinct vertices."""
+    n = draw(st.integers(1, 7))
+    if n == 1:
+        return n, []
+    edge = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+    return n, [(a, (a + k) % n) for a, k in draw(st.lists(edge, max_size=12))]
+
+
+@settings(deadline=None, max_examples=300)
+@given(multigraphs())
+def test_cycle_basis_cycles_are_closed_walks(graph):
+    n, edges = graph
+    cycles = _cycle_basis(n, edges, len(edges) + 1)
+    adjacency = np.zeros((n, n), dtype=bool)
+    for a, b in edges:
+        adjacency[a, b] = adjacency[b, a] = True
+    assert len(cycles) == len(edges) - n + len(components(adjacency))
+    positions = np.array([[v, v * v] for v in range(n)], dtype=float)
+    cells = [_FakeOneCell([positions[a], [100.0 + idx, -1.0], positions[b]], (a, b))
+             for idx, (a, b) in enumerate(edges)]
+    for cycle in cycles:
+        assert len(set(cycle)) == len(cycle)
+        start, current = edges[cycle[0]]
+        for idx in cycle[:0:-1]:
+            a, b = edges[idx]
+            assert current in (a, b)
+            current = b if current == a else a
+        assert current == start
+        poly = _loop_polyline(cycle, cells)
+        assert poly.shape == (2 * len(cycle), 2)
+        assert np.array_equal(poly[0], positions[start])
 
 
 def test_loop_polyline_reverses_when_needed():
@@ -180,6 +224,46 @@ def test_bumpy_circle_cells_follow_the_scale(bumpy_result, scale):
     zeros = [c.geometry[0] / scale for c in filtration.cells if c.dimension == 0]
     for z, e in zip(zeros, expected):
         assert np.linalg.norm(z - e) <= 1e-12
+
+
+_ROTATION = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+_FRAME = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 2)))[0]
+_PERMUTATION = np.random.default_rng(5).permutation(1000)
+
+
+# (transform of the points, map of the geometry back, density factor, density
+# relative bound, geometry absolute bound).  Each bound is at least 10x the
+# error measured on this input, rounded up to a power of ten: rotation
+# 6.2e-16 / 3.6e-15, translation by (1e4, -3e4) 1.8e-13 / 4.4e-12, by
+# (1e6, -1e6) 5.1e-12 / 2.1e-10, row permutation 8.6e-6 / 3.7e-4 (the
+# mean-shift seeds change, so the cells move within the solver stops) and
+# embedding in R^3 3.8e-6 / 1.0e-4
+_METAMORPHIC = {
+    "rotation": (lambda x: x @ _ROTATION.T, lambda g: g @ _ROTATION, 1.0, 1e-14, 1e-13),
+    "translation_1e4": (lambda x: x + [1e4, -3e4], lambda g: g - [1e4, -3e4], 1.0,
+                        1e-11, 1e-10),
+    "translation_1e6": (lambda x: x + [1e6, -1e6], lambda g: g - [1e6, -1e6], 1.0,
+                        1e-10, 1e-8),
+    "permutation": (lambda x: x[_PERMUTATION], lambda g: g, 1.0, 1e-4, 1e-2),
+    # a plane in R^3: the kernel's normal factor 1/(sigma sqrt(2 pi)) is undone
+    "embedding_r3": (lambda x: x @ _FRAME.T, lambda g: g @ _FRAME,
+                     np.sqrt(2 * np.pi * 0.8 ** 2), 1e-4, 1e-2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_METAMORPHIC))
+def test_bumpy_circle_cells_follow_isometries(bumpy_result, name):
+    forward, back, factor, density_bound, geometry_bound = _METAMORPHIC[name]
+    cloud = synth_bumpy_circle(3, 2.0, 1000, np.random.default_rng(3),
+                               angular_spread=0.45)
+    config = PipelineConfig(sigma=0.8, seed=3, neb=NebParams(trials_per_pair=6))
+    moved = run(PointCloud(forward(cloud.points)), config)[0].cells
+    cells = bumpy_result[0].cells
+    assert ([(c.id, c.dimension, c.boundary) for c in moved]
+            == [(c.id, c.dimension, c.boundary) for c in cells])
+    for m, c in zip(moved, cells):
+        assert abs(m.density * factor - c.density) <= density_bound * c.density
+        assert np.abs(back(m.geometry) - c.geometry).max() <= geometry_bound
 
 
 def test_cell_counts_settle_by_band_tolerance_1e5(monkeypatch):

@@ -72,6 +72,19 @@ def test_initial_sheet_degenerate_loop_raises():
         initial_sheet(np.zeros((5, 2)))
 
 
+def test_initial_sheet_follows_offset_and_scale():
+    # a loop far from the origin, or tiny, is not degenerate: the web is the
+    # origin's web shifted or scaled
+    origin = initial_sheet(circle_loop(), rings=3, nodes_per_ring=6)
+    shifted = initial_sheet(circle_loop() + 1e6, rings=3, nodes_per_ring=6)
+    scaled = initial_sheet(1e-9 * circle_loop(), rings=3, nodes_per_ring=6)
+    assert np.abs(shifted.positions - 1e6 - origin.positions).max() <= 1e-9
+    assert np.abs(scaled.positions / 1e-9 - origin.positions).max() <= 1e-12
+    for web in (shifted, scaled):
+        assert web.edges == origin.edges
+        assert np.array_equal(web.boundary, origin.boundary)
+
+
 # ---------------------------------------------------------------------------
 # tangent_space
 
