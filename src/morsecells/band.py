@@ -23,6 +23,10 @@ _HAIRPIN_EPS = 1e-12
 # a band converges when its mean interior force norm falls below this; the
 # force's gradient term c·∇f⊥ is unitless and at most 1
 TOLERANCE = 1e-4
+MAX_STEPS = 200_000  # force evaluations before a band gives up
+NODE_COUNT = 11  # nodes of a trial band, endpoints included
+# the smoothing gate turns on above ALPHA and is full above BETA
+ALPHA, BETA = math.pi / 6, math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -44,19 +48,11 @@ class Band:
 
 @dataclass(frozen=True)
 class NebParams:
-    node_count: int = 11
-    alpha: float = math.pi / 6
-    beta: float = math.pi / 2
-    max_steps: int = 200_000
     trials_per_pair: int = 20
 
     def __post_init__(self):
-        if not (0 <= self.alpha < self.beta <= math.pi):
-            raise InvalidInputError("need 0 <= alpha < beta <= pi")
-        if self.node_count < 3:
-            raise InvalidInputError("node_count must be >= 3")
-        if self.trials_per_pair < 1 or self.max_steps < 0:
-            raise InvalidInputError("need trials_per_pair >= 1 and max_steps >= 0")
+        if self.trials_per_pair < 1:
+            raise InvalidInputError("trials_per_pair must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -87,9 +83,8 @@ def smoothing_weight(theta: np.ndarray | float, alpha: float,
     return (1.0 - np.cos(phase)) / 2.0
 
 
-def _interior_forces(
-    field: DensityField, nodes: np.ndarray, params: NebParams
-) -> tuple[np.ndarray, np.ndarray]:
+def _interior_forces(field: DensityField, nodes: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Forces on all interior nodes of one (N, n) band or a (B, N, n) stack.
 
     Returns (forces, hairpin_mask) shaped like the interior nodes and their
@@ -116,20 +111,20 @@ def _interior_forces(
 
     denom = np.maximum(up_norm * um_norm, _HAIRPIN_EPS)
     cos_theta = np.clip(np.einsum("...in,...in->...i", up, um) / denom, -1.0, 1.0)
-    h = smoothing_weight(np.arccos(cos_theta), params.alpha, params.beta)
+    h = smoothing_weight(np.arccos(cos_theta), ALPHA, BETA)
     smooth = h[..., None] * (up - um)
 
     return field.c * grad_perp + spring + smooth, hairpin
 
 
-def total_force(field: DensityField, band: Band, params: NebParams, i: int) -> np.ndarray:
+def total_force(field: DensityField, band: Band, i: int) -> np.ndarray:
     """Total force at interior node i (0-based); raises on a hairpin tangent."""
     tangent(band, i)  # raise DegenerateTangentError before computing anything
-    forces, _ = _interior_forces(field, band.nodes, params)
+    forces, _ = _interior_forces(field, band.nodes)
     return forces[i - 1]
 
 
-def _evolve_bands(field: DensityField, bands: list[Band], params: NebParams,
+def _evolve_bands(field: DensityField, bands: list[Band],
                   counts: dict | None = None) -> list[Band | None]:
     """Evolve equal-shaped bands side by side, each as ``evolve`` does it alone.
 
@@ -154,25 +149,26 @@ def _evolve_bands(field: DensityField, bands: list[Band], params: NebParams,
     top = field.value_batch(nodes[:, [0, -1]].reshape(-1, nodes.shape[2])).max()
 
     def forces(stack):
-        force, hairpin = _interior_forces(field, stack, params)
+        force, hairpin = _interior_forces(field, stack)
         return force, hairpin.any(axis=1)
 
     out, iterations, steps, final_force = relax(
         nodes, [(i, i + 1) for i in range(n_nodes - 1)], np.arange(1, n_nodes - 1),
-        field.step_below(top), forces, TOLERANCE, params.max_steps)
+        field.step_below(top), forces, TOLERANCE, MAX_STEPS)
     counts.update(band_iterations=iterations, band_steps=steps,
                   band_final_force=final_force)
     return [None if x is None else Band(x) for x in out]
 
 
-def evolve(field: DensityField, band: Band, params: NebParams) -> Band | None:
+def evolve(field: DensityField, band: Band) -> Band | None:
     """Semi-implicit first-order integration of v_i' = F_i on interior nodes.
 
-    The band relaxes through ``cwcomplex.relax`` to ``TOLERANCE`` at step
-    ``field.step_below`` at the denser endpoint, a bound only if the band
-    stays at or below that density.  Returns the converged band, or None.
+    The band relaxes through ``cwcomplex.relax`` to ``TOLERANCE`` within
+    ``MAX_STEPS`` at step ``field.step_below`` at the denser endpoint, a
+    bound only if the band stays at or below that density.  Returns the
+    converged band, or None.
     """
-    return _evolve_bands(field, [band], params)[0]
+    return _evolve_bands(field, [band])[0]
 
 
 def _unit_orthogonal(direction: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -359,18 +355,19 @@ def find_one_cells(
 ) -> list[OneCell]:
     """Evolve trial bands between every 0-cell pair and keep one per cluster.
 
-    Trials start on sphere arcs in sphere mode and on plane arcs otherwise,
-    and all of them evolve as one stack.  Convergent bands whose polyline
-    passes within ``field.resolution`` of a third 0-cell are dropped;
-    survivors are single-linkage clustered at the same length under the band
-    metric and the densest band of each cluster becomes a 1-cell.
-    Deterministic given the rng state.  ``counts`` receives the trial
-    outcomes: ``band_trials``, ``band_converged``, ``band_failed``
-    (non-convergent or hairpin), ``band_discarded`` (converged, but dropped
-    near a third 0-cell), ``band_iterations``, ``band_steps`` and
-    ``band_final_force``.  Every 0-cell is an endpoint, so the band step is
-    ``field.step_below`` at the densest 0-cell, a bound wherever the density
-    is no higher than at its densest mode.
+    ``params.trials_per_pair`` trials of ``NODE_COUNT`` nodes per pair start
+    on sphere arcs in sphere mode and on plane arcs otherwise, and all of
+    them evolve as one stack.  Convergent bands whose polyline passes within
+    ``field.resolution`` of a third 0-cell are dropped; survivors are
+    single-linkage clustered at the same length under the band metric and
+    the densest band of each cluster becomes a 1-cell.  Deterministic given
+    the rng state.  ``counts`` receives the trial outcomes: ``band_trials``,
+    ``band_converged``, ``band_failed`` (non-convergent or hairpin),
+    ``band_discarded`` (converged, but dropped near a third 0-cell),
+    ``band_iterations``, ``band_steps`` and ``band_final_force``.  Every
+    0-cell is an endpoint, so the band step is ``field.step_below`` at the
+    densest 0-cell, a bound wherever the density is no higher than at its
+    densest mode.
     """
     positions = np.array([z.position for z in zero_cells])
     initial_band = initial_band_sphere if sphere_mode else initial_band_general
@@ -378,10 +375,10 @@ def find_one_cells(
 
     pairs = list(combinations(range(len(zero_cells)), 2))
     # every pair's trial bands, drawn in pair order and evolved together
-    initial = [initial_band(positions[a], positions[b], params.node_count, r)
+    initial = [initial_band(positions[a], positions[b], NODE_COUNT, r)
                for a, b in pairs for r in rng.spawn(params.trials_per_pair)]
     counts = {} if counts is None else counts
-    evolved = _evolve_bands(field, initial, params, counts)
+    evolved = _evolve_bands(field, initial, counts)
     converged = sum(band is not None for band in evolved)
     counts.update(band_trials=len(initial), band_converged=converged,
                   band_failed=len(initial) - converged, band_discarded=0)

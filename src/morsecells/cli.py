@@ -43,8 +43,8 @@ def _parse_bool(raw: str) -> bool:
         raise ValueError(raw) from None
 
 
-# field type string -> parser; an optional field takes a value of its type
-_PARSERS = {"float": float, "int": int, "bool": _parse_bool, "int | None": int}
+# field type string -> parser
+_PARSERS = {"float": float, "int": int, "bool": _parse_bool}
 
 # the nested params dataclasses of PipelineConfig, by field name
 _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)

@@ -8,19 +8,10 @@ import numpy as np
 
 from .cwcomplex import components
 from .density import KernelDensity, _require_positive
-from .errors import InvalidInputError, NoMaximaError
+from .errors import NoMaximaError
 
-
-@dataclass(frozen=True)
-class AscentParams:
-    max_iterations: int = 10_000
-    seed_count: int | None = None  # None -> min(|X|, 500)
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be positive")
-        if self.seed_count is not None and self.seed_count < 1:
-            raise InvalidInputError("seed_count must be positive")
+SEED_COUNT = 500  # cloud points drawn as ascent seeds, or all if fewer
+MAX_ITERATIONS = 10_000  # mean-shift calls before an ascent gives up
 
 
 @dataclass(frozen=True)
@@ -31,9 +22,9 @@ class ZeroCell:
     density: float
 
 
-def _ascend_seeds(field: KernelDensity, seeds: np.ndarray, params: AscentParams,
-                  counts: dict | None = None, stop: float | None = None,
-                  ends: np.ndarray | None = None) -> list[np.ndarray | None]:
+def _ascend_seeds(field: KernelDensity, seeds: np.ndarray, counts: dict | None = None,
+                  stop: float | None = None, ends: np.ndarray | None = None
+                  ) -> list[np.ndarray | None]:
     """Ascend every row of an (S, n) seed array together, as ``ascend`` does
     each alone.
 
@@ -48,7 +39,7 @@ def _ascend_seeds(field: KernelDensity, seeds: np.ndarray, params: AscentParams,
     endpoint.
     ``counts`` receives ``ascent_seeds``, ``ascent_converged``,
     ``ascent_no_mass``, ``ascent_exhausted`` (still moving after
-    max_iterations), ``ascent_joined`` and ``ascent_steps`` (the rows of
+    ``MAX_ITERATIONS``), ``ascent_joined`` and ``ascent_steps`` (the rows of
     the mean-shift calls).
     """
     ys = np.array(seeds, dtype=float)
@@ -57,7 +48,7 @@ def _ascend_seeds(field: KernelDensity, seeds: np.ndarray, params: AscentParams,
     counts = {} if counts is None else counts
     counts.update(ascent_seeds=len(ys), ascent_no_mass=0, ascent_joined=0, ascent_steps=0)
     stop = field.resolution / 2000 if stop is None else stop
-    for _ in range(params.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if ends is not None and len(ends):
             squares = sum(np.square(y[:, None] - e) for y, e in zip(ys.T, ends.T))
             joined = np.sqrt(squares.min(axis=1)) <= field.resolution / 4
@@ -80,13 +71,13 @@ def _ascend_seeds(field: KernelDensity, seeds: np.ndarray, params: AscentParams,
     return out
 
 
-def ascend(field: KernelDensity, y0: np.ndarray, params: AscentParams) -> np.ndarray | None:
+def ascend(field: KernelDensity, y0: np.ndarray) -> np.ndarray | None:
     """Iterate y <- m(y) until ||m(y) - y|| < field.resolution / 2000.
 
     Returns the converged point, or None when the trajectory exceeds
-    max_iterations or loses all kernel mass.
+    ``MAX_ITERATIONS`` or loses all kernel mass.
     """
-    return _ascend_seeds(field, field._check_query(y0), params)[0]
+    return _ascend_seeds(field, field._check_query(y0))[0]
 
 
 def single_linkage(points: list[np.ndarray] | np.ndarray, threshold: float) -> list[list[int]]:
@@ -110,40 +101,39 @@ def _densest(field: KernelDensity, pts: np.ndarray) -> tuple[list[int], np.ndarr
 
 def find_zero_cells(
     field: KernelDensity,
-    params: AscentParams,
     rng: np.random.Generator,
     counts: dict | None = None,
 ) -> list[ZeroCell]:
     """Ascend from a random sample of cloud points and keep one mode per cluster.
 
-    Seeds are drawn from the cloud itself without replacement.  The search
-    has two phases, since mean shift converges only linearly near a mode:
-    all seeds ascend to a coarse stop of ``field.resolution / 10``, and only
-    the points that no endpoint explains are polished to the fine stop of
-    ``ascend``.  The coarse points are clustered by single linkage at
-    ``field.resolution``; the densest of each cluster is polished first, and
-    these are the first endpoints.  The other coarse points are polished in
-    one batch, leaving it as soon as they come within ``resolution / 4`` of
-    an endpoint (see ``_ascend_seeds``).  The endpoints are clustered again
-    and the densest member of each cluster is returned, sorted by density
-    descending (ties by lexicographic position).  Deterministic for a fixed
-    rng state.  ``counts`` receives the seed outcomes of the coarse ascent,
+    ``SEED_COUNT`` seeds, or every point of a smaller cloud, are drawn from
+    the cloud itself without replacement.  The search has two phases, since
+    mean shift converges only linearly near a mode: all seeds ascend to a
+    coarse stop of ``field.resolution / 10``, and only the points that no
+    endpoint explains are polished to the fine stop of ``ascend``.  The
+    coarse points are clustered by single linkage at ``field.resolution``;
+    the densest of each cluster is polished first, and these are the first
+    endpoints.  The other coarse points are polished in one batch, leaving
+    it as soon as they come within ``resolution / 4`` of an endpoint (see
+    ``_ascend_seeds``).  The endpoints are clustered again and the densest
+    member of each cluster is returned, sorted by density descending (ties
+    by lexicographic position).  Deterministic for a fixed rng state.
+    ``counts`` receives the seed outcomes of the coarse ascent,
     ``ascent_polished`` (seeds polished to the fine stop), ``ascent_joined``
     and ``ascent_steps`` (the mean-shift rows of all three ascents).
     """
     cloud = field.cloud
-    count = params.seed_count if params.seed_count is not None else min(len(cloud), 500)
-    count = min(count, len(cloud))
+    count = min(len(cloud), SEED_COUNT)
     idx = rng.choice(len(cloud), size=count, replace=False)
     seeds = cloud.points[idx]
 
     counts = {} if counts is None else counts
-    results = _ascend_seeds(field, seeds, params, counts, stop=field.resolution / 10)
+    results = _ascend_seeds(field, seeds, counts, stop=field.resolution / 10)
     counts["ascent_polished"] = 0
 
     def polish(batch: np.ndarray, ends: np.ndarray | None = None) -> list[np.ndarray]:
         phase = {}
-        out = _ascend_seeds(field, batch, params, phase, ends=ends)
+        out = _ascend_seeds(field, batch, phase, ends=ends)
         counts["ascent_steps"] += phase["ascent_steps"]
         counts["ascent_polished"] += phase["ascent_converged"]
         counts["ascent_joined"] += phase["ascent_joined"]

@@ -18,8 +18,10 @@ from .band import NebParams, OneCell, find_one_cells
 from .cwcomplex import Cell, MorseFiltration
 from .density import KernelDensity, PointCloud, _require_positive
 from .errors import InvalidInputError
-from .maxima import AscentParams, find_zero_cells
-from .sheet import SheetParams, initial_sheet, relax_sheet, sheet_density
+from .maxima import find_zero_cells
+from .sheet import initial_sheet, relax_sheet, sheet_density
+
+MAX_LOOP_LENGTH = 6  # longest cycle, in 1-cells, that gets a sheet
 
 
 @dataclass(frozen=True)
@@ -27,22 +29,18 @@ class PipelineConfig:
     sigma: float = 1.0
     sphere_mode: bool = False
     seed: int = 0
-    max_loop_length: int = 6
-    ascent: AscentParams = dataclass_field(default_factory=AscentParams)
     neb: NebParams = dataclass_field(default_factory=NebParams)
-    sheet: SheetParams = dataclass_field(default_factory=SheetParams)
 
     def __post_init__(self):
         _require_positive(sigma=self.sigma)
-        if self.seed < 0 or self.max_loop_length < 1:
-            raise InvalidInputError("need seed >= 0 and max_loop_length >= 1")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
 
 
 @dataclass
 class RunReport:
     counts: dict = dataclass_field(default_factory=dict)
     stage_seconds: dict = dataclass_field(default_factory=dict)
-    cell_densities: dict = dataclass_field(default_factory=dict)
     change_thresholds: list = dataclass_field(default_factory=list)
     notes: list = dataclass_field(default_factory=list)
 
@@ -125,7 +123,7 @@ def run(cloud: PointCloud, config: PipelineConfig) -> tuple[MorseFiltration, Run
     field = KernelDensity(cloud, config.sigma)
 
     t0 = time.perf_counter()
-    zero_cells = find_zero_cells(field, config.ascent, rng_zero, counts=report.counts)
+    zero_cells = find_zero_cells(field, rng_zero, counts=report.counts)
     report.stage_seconds["zero_cells"] = time.perf_counter() - t0
     report.counts["zero_cells"] = len(zero_cells)
 
@@ -141,16 +139,14 @@ def run(cloud: PointCloud, config: PipelineConfig) -> tuple[MorseFiltration, Run
 
     t0 = time.perf_counter()
     edge_list = [c.endpoint_indices for c in one_cells]
-    cycles = _cycle_basis(len(zero_cells), edge_list, config.max_loop_length,
-                          report.counts)
+    cycles = _cycle_basis(len(zero_cells), edge_list, MAX_LOOP_LENGTH, report.counts)
     report.counts["candidate_loops"] = len(cycles)
 
     report.counts.update(sheet_steps=0, sheet_failed=0, sheet_final_force=0.0)
     two_cells = []
     for cycle in cycles:
-        web = initial_sheet(_loop_polyline(cycle, one_cells), rings=config.sheet.rings,
-                            nodes_per_ring=config.sheet.nodes_per_ring)
-        relaxed = relax_sheet(field, web, config.sheet, report.counts)
+        web = initial_sheet(_loop_polyline(cycle, one_cells))
+        relaxed = relax_sheet(field, web, report.counts)
         if relaxed is None:
             report.counts["sheet_failed"] += 1
             report.notes.append(f"loop {cycle}: sheet relaxation did not converge")
@@ -179,7 +175,6 @@ def run(cloud: PointCloud, config: PipelineConfig) -> tuple[MorseFiltration, Run
         metadata={"sigma": config.sigma, "seed": config.seed,
                   "sphere_mode": config.sphere_mode},
     )
-    report.cell_densities = {c.id: c.density for c in filtration.cells}
     report.change_thresholds = sorted({c.density for c in filtration.cells},
                                       reverse=True)
     return filtration, report

@@ -23,19 +23,8 @@ STEP = 1.0  # implicit step h of relax_sheet
 # a sheet converges when its mean interior force norm falls below this, the
 # mean residual acceptance criterion 10 requires of a web on the unit circle
 TOLERANCE = 1e-3
-
-
-@dataclass(frozen=True)
-class SheetParams:
-    rings: int = 10
-    nodes_per_ring: int = 20
-    max_steps: int = 200_000
-
-    def __post_init__(self):
-        if self.rings < 1 or self.nodes_per_ring < 3:
-            raise InvalidInputError("need rings >= 1 and nodes_per_ring >= 3")
-        if self.max_steps < 0:
-            raise InvalidInputError("max_steps must be >= 0")
+MAX_STEPS = 200_000  # force evaluations before a sheet gives up
+RINGS, NODES_PER_RING = 10, 20  # the web the pipeline spans over each loop
 
 
 @dataclass(frozen=True)
@@ -73,21 +62,25 @@ def _resample_closed_polyline(loop: np.ndarray, count: int) -> np.ndarray:
     return loop[i] + ((targets - cum[i]) / lengths[i])[:, None] * seg[i]
 
 
-def initial_sheet(boundary_loop: np.ndarray, rings: int = 10,
-                  nodes_per_ring: int = 20) -> WebSheet:
+def initial_sheet(boundary_loop: np.ndarray, rings: int = RINGS,
+                  nodes_per_ring: int = NODES_PER_RING) -> WebSheet:
     """Web over a closed boundary loop: concentric rings plus a center node.
 
     Node 0 is the center (average of the resampled boundary); ring j of
     ``rings`` sits at interpolation fraction j/rings between center and
     boundary.  Ring nodes join their two ring neighbors and the same-index
     node on adjacent rings; the center joins every innermost-ring node.
-    Only the outermost ring is flagged as fixed boundary.
+    Only the outermost ring is flagged as fixed boundary.  A last point equal
+    to the first closes the loop and is dropped before the loop is counted.
     """
+    if rings < 1 or nodes_per_ring < 3:
+        raise InvalidInputError("need rings >= 1 and nodes_per_ring >= 3")
     loop = np.asarray(boundary_loop, dtype=float)
-    if loop.ndim != 2 or loop.shape[0] < 3:
-        raise ConstructionError("boundary loop needs at least 3 points")
-    if np.array_equal(loop[0], loop[-1]):
+    if loop.ndim == 2 and len(loop) and np.array_equal(loop[0], loop[-1]):
         loop = loop[:-1]
+    if loop.ndim != 2 or loop.shape[0] < 3:
+        raise ConstructionError("boundary loop needs at least 3 points besides "
+                                "a closing repeat of the first")
 
     outer = _resample_closed_polyline(loop, nodes_per_ring)
     center = outer.mean(axis=0)
@@ -190,12 +183,12 @@ def _interior_forces(field: DensityField, positions: np.ndarray,
     return forces
 
 
-def relax_sheet(field: DensityField, sheet: WebSheet, params: SheetParams,
+def relax_sheet(field: DensityField, sheet: WebSheet,
                 counts: dict | None = None) -> WebSheet | None:
     """Relax the interior nodes through ``cwcomplex.relax`` at step STEP.
 
     The sheet is a one-item stack that is never degenerate; it converges at
-    ``TOLERANCE`` or the relaxation returns None.  Boundary positions are
+    ``TOLERANCE`` within ``MAX_STEPS`` or the relaxation returns None.  Boundary positions are
     bitwise untouched.  ``counts["sheet_steps"]`` gains one per force
     evaluation, and ``counts["sheet_final_force"]`` keeps the largest final
     mean force norm of a converged sheet.
@@ -211,7 +204,7 @@ def relax_sheet(field: DensityField, sheet: WebSheet, params: SheetParams,
         return force[None], np.zeros(1, dtype=bool)
 
     (out,), _, steps, final_force = relax(sheet.positions[None], sheet.edges, interior,
-                                         STEP, forces, TOLERANCE, params.max_steps)
+                                         STEP, forces, TOLERANCE, MAX_STEPS)
     counts["sheet_steps"] += steps
     counts["sheet_final_force"] = max(counts["sheet_final_force"], final_force)
     return None if out is None else replace(sheet, positions=out)

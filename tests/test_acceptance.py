@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 import scipy.ndimage
 
-from morsecells import (AscentParams, KernelDensity, MorseFiltration,
-                        NebParams, PipelineConfig, PointCloud, SheetParams,
-                        betti, dct_basis, evolve, find_zero_cells,
-                        gradient_constant, initial_sheet, loop_persistence,
-                        mds_embed, preprocess_patches, relax_sheet, run,
+from morsecells import (KernelDensity, MorseFiltration, NebParams,
+                        PipelineConfig, PointCloud, betti, dct_basis, evolve,
+                        find_zero_cells, gradient_constant, initial_sheet,
+                        loop_persistence, mds_embed, preprocess_patches, relax_sheet, run,
                         sliding_window, superlevel_complex,
                         synth_bumpy_circle, synth_gaussian_mixture,
                         write_point_cloud)
@@ -110,7 +109,7 @@ def test_criterion_04_mean_shift_modes():
     cloud = PointCloud(centers[rng.integers(0, 2, size=200)]
                        + rng.standard_normal((200, 2)))
     field = KernelDensity(cloud, 1.0)
-    cells = find_zero_cells(field, AscentParams(), np.random.default_rng(7))
+    cells = find_zero_cells(field, np.random.default_rng(7))
     ok = len(cells) == 2
     worst = float("inf")
     if ok:
@@ -130,8 +129,7 @@ def test_criterion_05_neb_saddle():
     start = time.perf_counter()
     field = KernelDensity(PointCloud([[-2.0, 0.0], [2.0, 0.0]]), 1.0)
     p, q = np.array([-2.0, 0.0]), np.array([2.0, 0.0])
-    band = evolve(field, arc_band(p, q, np.array([0.0, 1.0]), 2.0, 11),
-                  NebParams())
+    band = evolve(field, arc_band(p, q, np.array([0.0, 1.0]), 2.0, 11))
     ok = band is not None
     off_axis = float("inf")
     density_err = float("inf")
@@ -301,8 +299,7 @@ def test_criterion_10_sheet_equilibrium():
     loop2 = np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
     sheet = initial_sheet(loop2, rings=10, nodes_per_ring=20)
-    out = relax_sheet(ConstantField(2), sheet,
-                      SheetParams())
+    out = relax_sheet(ConstantField(2), sheet)
     ok = out is not None
     residual = float("inf")
     if ok:
@@ -316,8 +313,7 @@ def test_criterion_10_sheet_equilibrium():
 
     loop3 = np.hstack([loop2, np.zeros((40, 1))])
     sheet3 = initial_sheet(loop3, rings=10, nodes_per_ring=20)
-    out3 = relax_sheet(ConstantField(3), sheet3,
-                       SheetParams())
+    out3 = relax_sheet(ConstantField(3), sheet3)
     planar = float("inf")
     if out3 is not None:
         planar = float(np.abs(out3.positions[:, 2]).max())

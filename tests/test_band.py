@@ -81,16 +81,15 @@ def test_smoothing_weight_elementwise_matches_scalar_gate():
 def test_total_force_zero_on_straight_even_band():
     field = ConstantField(2)
     b = straight_band([0.0, 0.0], [4.0, 0.0])
-    params = NebParams()
     for i in (1, 2, 3):
-        assert total_force(field, b, params, i) == pytest.approx([0.0, 0.0], abs=1e-14)
+        assert total_force(field, b, i) == pytest.approx([0.0, 0.0], abs=1e-14)
 
 
 def test_total_force_pure_spring():
     # straight band with edge lengths 1 then 2: force = (2-1) * tau
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     field = ConstantField(2)
-    force = total_force(field, Band(nodes), NebParams(), 1)
+    force = total_force(field, Band(nodes), 1)
     assert force == pytest.approx([1.0, 0.0])
 
 
@@ -101,7 +100,7 @@ def test_total_force_smoothing_gate(turn):
     up = np.array([math.cos(turn), math.sin(turn)])
     nodes = np.array([[-1.0, 0.0], [0.0, 0.0], up])
     gate = (1.0 - math.cos(math.pi * max(turn - math.pi / 6, 0.0) / (math.pi / 3))) / 2.0
-    force = total_force(ConstantField(2), Band(nodes), NebParams(), 1)
+    force = total_force(ConstantField(2), Band(nodes), 1)
     assert force == pytest.approx(gate * (up - [1.0, 0.0]), abs=1e-15)
     assert (gate == 0.0) == (turn < math.pi / 6)
 
@@ -110,9 +109,8 @@ def test_total_force_perpendicular_gradient():
     # f(x, y) = y on a horizontal band: gradient is wholly perpendicular
     field = LinearField([0.0, 1.0], c=1.0)
     b = straight_band([0.0, 0.0], [4.0, 0.0], count=5)
-    params = NebParams()
     for i in (1, 2, 3):
-        assert total_force(field, b, params, i) == pytest.approx([0.0, 1.0])
+        assert total_force(field, b, i) == pytest.approx([0.0, 1.0])
 
 
 def test_total_force_gradient_component_perpendicular_to_tangent(rng):
@@ -122,8 +120,8 @@ def test_total_force_gradient_component_perpendicular_to_tangent(rng):
     spring_smooth_field = ConstantField(3, c=2.5)
     for i in range(1, 6):
         tau = tangent(b, i)
-        full = total_force(field, b, NebParams(), i)
-        rest = total_force(spring_smooth_field, b, NebParams(), i)
+        full = total_force(field, b, i)
+        rest = total_force(spring_smooth_field, b, i)
         grad_part = full - rest
         assert abs(grad_part @ tau) <= 1e-10 * max(np.linalg.norm(grad_part), 1e-300)
 
@@ -134,7 +132,7 @@ def test_total_force_gradient_component_perpendicular_to_tangent(rng):
 def test_evolve_returns_unchanged_at_equilibrium():
     field = ConstantField(2)
     b = straight_band([0.0, 0.0], [4.0, 0.0], count=7)
-    out = evolve(field, b, NebParams())
+    out = evolve(field, b)
     assert np.array_equal(out.nodes, b.nodes)
 
 
@@ -143,7 +141,7 @@ def test_evolve_two_gaussian_saddle():
     rng = np.random.default_rng(11)
     y = np.array([0.0, 1.0])
     initial = arc_band(np.array([-2.0, 0.0]), np.array([2.0, 0.0]), y, 2.0, 11)
-    out = evolve(field, initial, NebParams())
+    out = evolve(field, initial)
     assert out is not None
     assert np.abs(out.nodes[1:-1, 1]).max() < 1e-2
     saddle = field.value(np.array([0.0, 0.0]))
@@ -155,7 +153,8 @@ def test_evolve_keeps_endpoints_bitwise_fixed(monkeypatch):
     p, q = np.array([1.0, 1.0]), np.array([-1.0, 2.0])
     initial = arc_band(p, q, _unit_perp(q - p), 1.0, 9)
     monkeypatch.setattr(band, "TOLERANCE", 1e-12)
-    out = evolve(field, initial, NebParams(max_steps=500))
+    monkeypatch.setattr(band, "MAX_STEPS", 500)
+    out = evolve(field, initial)
     nodes = out.nodes if out is not None else initial.nodes
     assert np.array_equal(nodes[0], initial.nodes[0])
     assert np.array_equal(nodes[-1], initial.nodes[-1])
@@ -168,11 +167,10 @@ def _unit_perp(v):
 
 def test_evolve_convergence_certificate():
     field = KernelDensity(PointCloud([[-2.0, 0.0], [2.0, 0.0]]), 1.0)
-    params = NebParams()
     initial = arc_band(np.array([-2.0, 0.0]), np.array([2.0, 0.0]),
                        np.array([0.0, 1.0]), 1.5, 11)
-    out = evolve(field, initial, params)
-    forces, _ = _interior_forces(field, out.nodes, params)
+    out = evolve(field, initial)
+    forces, _ = _interior_forces(field, out.nodes)
     assert np.linalg.norm(forces, axis=1).mean() < band.TOLERANCE
 
 
@@ -206,14 +204,14 @@ def test_evolve_bands_together_match_each_alone(monkeypatch):
     # the step counts below hold at RimField's step of 0.01 and a band
     # tolerance of 1e-3
     monkeypatch.setattr(band, "TOLERANCE", 1e-3)
-    params = NebParams(max_steps=1500)
+    monkeypatch.setattr(band, "MAX_STEPS", 1500)
     p, q = np.array([0.0, 0.0]), np.array([0.0, 0.05])
     bands = [
         # converges at step 21: nearly even spacing on an axis of the basin
         _on_x_axis(np.linspace(-2, 2, 7) + [0, 1e-3, -1e-3, 0, 1e-3, 0, 0]),
         # converges at step 626
         arc_band(np.array([-2.0, 0.0]), np.array([2.0, 0.0]), np.array([0.0, 1.0]), 3.0, 7),
-        # skewed spacing: needs 2598 steps, so it exhausts max_steps
+        # skewed spacing: needs 2598 steps, so it exhausts MAX_STEPS
         _on_x_axis([-4.5, 4.0, 4.1, 4.2, 4.3, 4.4, 4.5]),
         # a palindrome zigzag keeps its middle node a hairpin on every step;
         # it converges at step 697 and is rejected for the hairpins
@@ -223,15 +221,16 @@ def test_evolve_bands_together_match_each_alone(monkeypatch):
     ]
     field = RimField(c=40.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        together = _evolve_bands(field, bands, params)
-        reversed_order = _evolve_bands(field, bands[::-1], params)[::-1]
-        alone = [evolve(field, b, params) for b in bands]
+        together = _evolve_bands(field, bands)
+        reversed_order = _evolve_bands(field, bands[::-1])[::-1]
+        alone = [evolve(field, b) for b in bands]
         # each failing band fails for its own reason
-        assert evolve(field, bands[2], NebParams(**{**params.__dict__,
-                                                    "max_steps": 5000})) is not None
-        assert _interior_forces(field, bands[3].nodes, params)[1].all()
+        monkeypatch.setattr(band, "MAX_STEPS", 5000)
+        assert evolve(field, bands[2]) is not None
+        monkeypatch.setattr(band, "MAX_STEPS", 1500)
+        assert _interior_forces(field, bands[3].nodes)[1].all()
         overflow = RimField(c=40.0)
-        evolve(overflow, bands[4], params)
+        evolve(overflow, bands[4])
         assert overflow.largest > 1e150  # squares of its coordinates overflow
 
     expected = [False, False, True, True, True]
@@ -242,7 +241,7 @@ def test_evolve_bands_together_match_each_alone(monkeypatch):
             assert np.abs(t.nodes - a.nodes).max() <= 1e-12
             assert np.abs(r.nodes - a.nodes).max() <= 1e-12
             assert np.array_equal(t.nodes[[0, -1]], b.nodes[[0, -1]])
-    assert _evolve_bands(field, [], params) == []
+    assert _evolve_bands(field, []) == []
 
 
 def test_evolve_bands_together_match_each_alone_on_kde():
@@ -250,10 +249,9 @@ def test_evolve_bands_together_match_each_alone_on_kde():
     p, q = np.array([-2.0, 0.0]), np.array([2.0, 0.0])
     bands = [arc_band(p, q, np.array([0.0, s]), r, 11)
              for s, r in [(1.0, 0.5), (1.0, 2.0), (-1.0, 1.5), (1.0, 3.5)]]
-    params = NebParams()
-    together = _evolve_bands(field, bands, params)
+    together = _evolve_bands(field, bands)
     for t, b in zip(together, bands):
-        a = evolve(field, b, params)
+        a = evolve(field, b)
         assert (t is None) == (a is None)
         if a is not None:
             assert np.abs(t.nodes - a.nodes).max() <= 1e-12
@@ -276,8 +274,8 @@ def test_evolve_bands_step_follows_the_densest_endpoint_of_the_stack():
         return step_below(self, top)
 
     with mock.patch.object(KernelDensity, "step_below", recorded):
-        together = _evolve_bands(field, bands, NebParams())
-        alone = evolve(field, bands[0], NebParams())
+        together = _evolve_bands(field, bands)
+        alone = evolve(field, bands[0])
     assert tops == [pytest.approx(field.value(peak), rel=1e-12),
                     pytest.approx(field.value(lo), rel=1e-12)]
     assert field.step_below(tops[0]) < field.step_below(tops[1]) == math.e / 2
@@ -489,7 +487,7 @@ def test_find_one_cells_discards_by_segment(monkeypatch, offset, kept):
     assert np.linalg.norm(nodes, axis=1).min() > field.resolution
     # the pairs are (0, 1), (0, 2) and (1, 2); only the first band converges
     monkeypatch.setattr(band, "_evolve_bands",
-                        lambda field, initial, params, counts: [Band(nodes), None, None])
+                        lambda field, initial, counts: [Band(nodes), None, None])
     counts = {}
     out = find_one_cells(field, cells, NebParams(trials_per_pair=1),
                          np.random.default_rng(0), counts=counts)
@@ -559,7 +557,7 @@ def _relative_densities(out, cells):
                   for c in out)
 
 
-def test_find_one_cells_on_a_shrunk_ring():
+def test_find_one_cells_on_a_shrunk_ring(monkeypatch):
     # the band step and the resolution follow sigma, so a ring 200 times
     # smaller gives the same 1-cells relative to its 0-cells
     field, cells = ring_field()
@@ -569,20 +567,21 @@ def test_find_one_cells_on_a_shrunk_ring():
     scale = 0.005
     field, cells = ring_field(scale)
     counts = {}
-    params = NebParams(trials_per_pair=6, max_steps=20_000)
-    out = find_one_cells(field, cells, params, np.random.default_rng(1), counts=counts)
+    monkeypatch.setattr(band, "MAX_STEPS", 20_000)
+    out = find_one_cells(field, cells, NebParams(trials_per_pair=6), np.random.default_rng(1),
+                         counts=counts)
     assert counts["band_converged"] == 6
     assert len(out) == 2
     assert sorted(np.sign(c.band.nodes[5, 1]) for c in out) == [-1.0, 1.0]
     assert _relative_densities(out, cells) == pytest.approx(expected, abs=1e-4)
 
 
-def test_evolve_evens_skewed_spacing_at_a_large_step():
+def test_evolve_evens_skewed_spacing_at_a_large_step(monkeypatch):
     # the springs step implicitly, so a step far past the explicit bound of
     # 0.5 still evens the spacing (in 9 steps)
     xs = np.linspace(-4.5, 4.5, 7)
-    out = evolve(ConstantField(2, step=10.0), _on_x_axis([-4.5, 4.0, 4.1, 4.2, 4.3, 4.4, 4.5]),
-                 NebParams(max_steps=100))
+    monkeypatch.setattr(band, "MAX_STEPS", 100)
+    out = evolve(ConstantField(2, step=10.0), _on_x_axis([-4.5, 4.0, 4.1, 4.2, 4.3, 4.4, 4.5]))
     assert out is not None
     assert out.nodes == pytest.approx(_on_x_axis(xs).nodes, abs=1e-3)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morsecells import (Cell, MorseFiltration, NebParams, PipelineConfig,
+from morsecells import (Cell, MorseFiltration, NebParams, PipelineConfig, maxima,
                         read_point_cloud, synth_gaussian_mixture, write_point_cloud)
 from morsecells.cli import (_CONFIG_KEYS, UsageError, build_pipeline_config,
                             document_to_filtration, filtration_to_document,
@@ -55,16 +56,15 @@ def test_parse_config_full():
     seed = 7
     sphere_mode = true
     neb.trials_per_pair = 4
-    sheet.rings = 6
     """
     values = parse_config_text(text)
     assert values == {"sigma": 0.8, "seed": 7, "sphere_mode": True,
-                      "neb.trials_per_pair": 4, "sheet.rings": 6}
+                      "neb.trials_per_pair": 4}
     config = build_pipeline_config(values)
     assert config.sigma == 0.8
+    assert config.seed == 7
     assert config.neb.trials_per_pair == 4
     assert config.sphere_mode is True
-    assert config.sheet.rings == 6
 
 
 def test_parse_config_unknown_key():
@@ -124,8 +124,6 @@ def test_every_config_key_sets_its_field():
     for key, default in defaults.items():
         if isinstance(default, bool):
             value = not default
-        elif default is None:
-            value = 3
         elif isinstance(default, int):
             value = default + 1
         else:
@@ -138,8 +136,12 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_lists_every_config_key():
-    # the "key = value" section of the README names each key and their count
+    # the "key = value" section of the README names each key and their count,
+    # and its example is a valid config file
     text = README.read_text()
+    example = text[text.index("`analyze` also accepts `--config FILE`"):]
+    example = example.split("```")[1]
+    assert build_pipeline_config(parse_config_text(example)) != PipelineConfig()
     section = text[text.index("The keys are the fields of"):
                    text.index("The CLI reads the keys")]
     keys = set()
@@ -236,11 +238,9 @@ def test_analyze_missing_input_exit_2(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-def test_analyze_nonconvergence_exit_3(tmp_path, two_blob_csv, capsys):
-    cfg = tmp_path / "bad.conf"
-    cfg.write_text("ascent.max_iterations = 2\n")
-    assert run_cli("analyze", two_blob_csv, str(tmp_path / "o.json"),
-                   "--config", str(cfg)) == 3
+def test_analyze_nonconvergence_exit_3(tmp_path, two_blob_csv, capsys, monkeypatch):
+    monkeypatch.setattr(maxima, "MAX_ITERATIONS", 2)
+    assert run_cli("analyze", two_blob_csv, str(tmp_path / "o.json")) == 3
     assert "non-convergence" in capsys.readouterr().err
 
 
@@ -349,14 +349,17 @@ def test_persistence_no_loops(tmp_path, capsys):
 
 def test_document_with_removed_config_keys_still_loads(tmp_path, analyzed_doc, capsys):
     # documents written before the clustering and discard lengths, the sheet
-    # step and the solver tolerances left the config still carry them in
-    # their config block
+    # step, the solver tolerances and the fixed discretisation left the config
+    # still carry them in their config block
     doc = json.loads(Path(analyzed_doc).read_text())
-    doc["config"].update(cluster_threshold=0.3)
-    doc["config"]["ascent"].update(tolerance=1e-4)
+    doc["config"].update(
+        cluster_threshold=0.3, max_loop_length=6,
+        ascent={"max_iterations": 10_000, "seed_count": None, "tolerance": 1e-4},
+        sheet={"rings": 10, "nodes_per_ring": 20, "max_steps": 200_000,
+               "step_size": 1.0, "tolerance": 1e-3})
     doc["config"]["neb"].update(cluster_threshold=0.3, discard_radius=0.5,
-                                convergence_tolerance=1e-4)
-    doc["config"]["sheet"].update(step_size=1.0, tolerance=1e-3)
+                                convergence_tolerance=1e-4, node_count=11,
+                                alpha=math.pi / 6, beta=math.pi / 2, max_steps=200_000)
     old = tmp_path / "old.json"
     old.write_text(json.dumps(doc))
     for command in (("betti", "0.001"), ("persistence",)):
@@ -556,14 +559,18 @@ def test_analyze_unknown_config_key_exit_1(tmp_path, two_blob_csv, capsys):
                                   "neb.convergence_tolerance = nan",
                                   "ascent.tolerance = inf",
                                   "sheet.tolerance = nan",
-                                  "threads = 2"])
+                                  "threads = 2",
+                                  "sheet.rings = 10",
+                                  "ascent.max_iterations = 2",
+                                  "max_loop_length = 6"])
 def test_analyze_gradient_constant_key_is_unknown_exit_1(tmp_path, two_blob_csv,
                                                          capsys, line):
     # the force scale c, the band step, the clustering and discard length and
     # the ascent stop come from the density field, and the sheet step and the
     # band and sheet tolerances are constants: none of them is a config key.
-    # Runs are single-threaded, so threads is not one either (--threads is
-    # still accepted)
+    # Nor are the solver budgets, the seed count, the band and web sizes and
+    # the loop cap, which are module constants.  Runs are single-threaded, so
+    # threads is not one either (--threads is still accepted)
     cfg = tmp_path / "bad.conf"
     cfg.write_text(line + "\n")
     assert run_cli("analyze", two_blob_csv, str(tmp_path / "o.json"),

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import pdist, squareform
 
-from morsecells import AscentParams, KernelDensity, PointCloud, ascend, find_zero_cells, single_linkage
+from morsecells import KernelDensity, PointCloud, ascend, find_zero_cells, maxima, single_linkage
 from morsecells.errors import InvalidInputError, NoMassError, NoMaximaError
 from morsecells.maxima import _ascend_seeds
 
@@ -20,7 +20,7 @@ def two_gaussian_cloud(rng, separation=6.0, count=200):
 def test_ascend_single_point_cloud():
     x = np.array([1.5, -0.5])
     f = KernelDensity(PointCloud([x]), 1.0)
-    out = ascend(f, np.array([1.0, 0.0]), AscentParams())
+    out = ascend(f, np.array([1.0, 0.0]))
     # m is constant at x, so the first iterate already sits within the stop
     assert out is not None
     assert np.linalg.norm(out - x) < 2.0  # converged somewhere on the ray
@@ -29,27 +29,29 @@ def test_ascend_single_point_cloud():
 
 def test_ascend_symmetric_stationary_point():
     f = KernelDensity(PointCloud([[-1.0], [1.0]]), 1.0)
-    out = ascend(f, np.array([0.0]), AscentParams())
+    out = ascend(f, np.array([0.0]))
     assert out == pytest.approx([0.0], abs=1e-15)
 
 
-def test_ascend_max_iterations_returns_none():
+def test_ascend_max_iterations_returns_none(monkeypatch):
     f = KernelDensity(PointCloud([[0.0], [4.0]]), 1.0)
-    out = ascend(f, np.array([1.0]), AscentParams(max_iterations=2))
+    monkeypatch.setattr(maxima, "MAX_ITERATIONS", 2)
+    out = ascend(f, np.array([1.0]))
     assert out is None
     # the same ascent stops in its fourth iteration
-    assert ascend(f, np.array([1.0]), AscentParams(max_iterations=4)) is not None
+    monkeypatch.setattr(maxima, "MAX_ITERATIONS", 4)
+    assert ascend(f, np.array([1.0])) is not None
 
 
 def test_ascend_no_mass_returns_none():
     f = KernelDensity(PointCloud([[0.0]]), 0.01)
-    out = ascend(f, np.array([500.0]), AscentParams())
+    out = ascend(f, np.array([500.0]))
     assert out is None
 
 
-def loop_ascend(field, y, params):
+def loop_ascend(field, y):
     """Reference ascent: one mean_shift call per step."""
-    for _ in range(params.max_iterations):
+    for _ in range(maxima.MAX_ITERATIONS):
         try:
             m = field.mean_shift(y)
         except NoMassError:
@@ -60,14 +62,14 @@ def loop_ascend(field, y, params):
     return None
 
 
-def test_ascend_seeds_together_match_each_alone(rng):
+def test_ascend_seeds_together_match_each_alone(rng, monkeypatch):
     cloud = two_gaussian_cloud(rng)
     f = KernelDensity(cloud, 1.0)
-    params = AscentParams(max_iterations=12)
+    monkeypatch.setattr(maxima, "MAX_ITERATIONS", 12)
     seeds = np.vstack([cloud.points[:20], [[500.0, 500.0]]])  # the last has no mass
-    alone = [ascend(f, s, params) for s in seeds]
-    reference = [loop_ascend(f, s, params) for s in seeds]
-    together = _ascend_seeds(f, seeds, params)
+    alone = [ascend(f, s) for s in seeds]
+    reference = [loop_ascend(f, s) for s in seeds]
+    together = _ascend_seeds(f, seeds)
     # the mix holds converged seeds and seeds that used up max_iterations
     assert 0 < sum(a is None for a in alone[:-1]) < len(alone) - 1
     assert alone[-1] is None
@@ -77,37 +79,38 @@ def test_ascend_seeds_together_match_each_alone(rng):
             assert np.abs(a - b).max() <= 1e-12 and np.abs(r - b).max() <= 1e-12
 
 
-def test_ascend_seeds_no_mass_among_converged():
+def test_ascend_seeds_no_mass_among_converged(monkeypatch):
     f = KernelDensity(PointCloud([[0.0]]), 0.01)
     seeds = np.array([[0.0], [500.0], [0.001], [1e-6]])
-    out = _ascend_seeds(f, seeds, AscentParams(max_iterations=1))
+    monkeypatch.setattr(maxima, "MAX_ITERATIONS", 1)
+    out = _ascend_seeds(f, seeds)
     # 0.001 moves to 0.0 in its only iteration: not yet converged; 1e-6 is
     # within the stop f.resolution / 2000 = 2.5e-6
     assert out[0] == pytest.approx([0.0]) and out[3] == pytest.approx([1e-6])
     assert out[1] is None and out[2] is None
-    assert [ascend(f, s, AscentParams(max_iterations=1)) is None
-            for s in seeds] == [False, True, True, False]
+    assert [ascend(f, s) is None for s in seeds] == [False, True, True, False]
     counts = {}
-    _ascend_seeds(f, seeds, AscentParams(max_iterations=1), counts)
+    _ascend_seeds(f, seeds, counts)
     assert counts == {"ascent_seeds": 4, "ascent_converged": 2, "ascent_no_mass": 1,
                       "ascent_exhausted": 1, "ascent_joined": 0, "ascent_steps": 4}
 
 
-def test_ascend_seeds_join_endpoints():
+def test_ascend_seeds_join_endpoints(monkeypatch):
     f = KernelDensity(PointCloud([[0.0]]), 0.01)
     # every seed with mass starts within f.resolution / 4 = 1.25e-3 of the
     # endpoint 0, so it joins before any mean-shift call
     counts = {}
-    out = _ascend_seeds(f, np.array([[0.0], [500.0], [0.001], [1e-6]]),
-                        AscentParams(max_iterations=1), counts, ends=np.array([[0.0]]))
+    monkeypatch.setattr(maxima, "MAX_ITERATIONS", 1)
+    out = _ascend_seeds(f, np.array([[0.0], [500.0], [0.001], [1e-6]]), counts,
+                        ends=np.array([[0.0]]))
     assert out == [None] * 4
     assert counts == {"ascent_seeds": 4, "ascent_converged": 0, "ascent_no_mass": 1,
                       "ascent_exhausted": 0, "ascent_joined": 3, "ascent_steps": 1}
     # 1e-6 converges in the first call and becomes an endpoint; 0.001 moves
     # to 0 and joins it before the second call
     counts = {}
-    out = _ascend_seeds(f, np.array([[1e-6], [0.001]]), AscentParams(max_iterations=2),
-                        counts, ends=np.empty((0, 1)))
+    monkeypatch.setattr(maxima, "MAX_ITERATIONS", 2)
+    out = _ascend_seeds(f, np.array([[1e-6], [0.001]]), counts, ends=np.empty((0, 1)))
     assert out[0] == pytest.approx([1e-6]) and out[1] is None
     assert counts == {"ascent_seeds": 2, "ascent_converged": 1, "ascent_no_mass": 0,
                       "ascent_exhausted": 0, "ascent_joined": 1, "ascent_steps": 2}
@@ -118,7 +121,7 @@ def test_ascend_finds_grid_search_modes(rng):
     f = KernelDensity(cloud, 1.0)
     for center in ([0.0, 0.0], [6.0, 0.0]):
         mode = grid_search_mode(f, center, half_width=1.5)
-        out = ascend(f, np.asarray(center, dtype=float), AscentParams())
+        out = ascend(f, np.asarray(center, dtype=float))
         assert out is not None
         assert np.linalg.norm(out - mode) < 1e-2
 
@@ -196,7 +199,7 @@ def test_single_linkage_matches_scipy_across_row_blocks(rng, dim):
 def test_find_zero_cells_two_modes(rng):
     cloud = two_gaussian_cloud(rng)
     f = KernelDensity(cloud, 1.0)
-    cells = find_zero_cells(f, AscentParams(), np.random.default_rng(5))
+    cells = find_zero_cells(f, np.random.default_rng(5))
     assert len(cells) == 2
     modes = [grid_search_mode(f, c, 1.5) for c in ([0.0, 0.0], [6.0, 0.0])]
     for cell in cells:
@@ -206,25 +209,25 @@ def test_find_zero_cells_two_modes(rng):
 def test_find_zero_cells_single_mode(rng):
     cloud = PointCloud(rng.standard_normal((100, 2)))
     f = KernelDensity(cloud, 1.0)
-    cells = find_zero_cells(f, AscentParams(), np.random.default_rng(1))
+    cells = find_zero_cells(f, np.random.default_rng(1))
     assert len(cells) == 1
     mode = grid_search_mode(f, cells[0].position, 1.0)
     assert np.linalg.norm(cells[0].position - mode) < 1e-2
 
 
-def test_find_zero_cells_seed_count_bounds(rng):
+def test_find_zero_cells_seed_count_bounds(rng, monkeypatch):
     cloud = two_gaussian_cloud(rng)
     f = KernelDensity(cloud, 1.0)
-    cells = find_zero_cells(f, AscentParams(seed_count=1),
-                            np.random.default_rng(2))
+    monkeypatch.setattr(maxima, "SEED_COUNT", 1)
+    cells = find_zero_cells(f, np.random.default_rng(2))
     assert len(cells) <= 1
 
 
-def test_find_zero_cells_counts_seed_outcomes(rng):
+def test_find_zero_cells_counts_seed_outcomes(rng, monkeypatch):
     cloud = two_gaussian_cloud(rng, count=40)
     f = KernelDensity(cloud, 1.0)
     counts = {}
-    find_zero_cells(f, AscentParams(), np.random.default_rng(5), counts=counts)
+    find_zero_cells(f, np.random.default_rng(5), counts=counts)
     assert counts["ascent_seeds"] == 40
     assert (counts["ascent_converged"] + counts["ascent_no_mass"]
             + counts["ascent_exhausted"] == 40)
@@ -233,34 +236,33 @@ def test_find_zero_cells_counts_seed_outcomes(rng):
     assert counts["ascent_polished"] + counts["ascent_joined"] == counts["ascent_converged"]
     assert counts["ascent_polished"] >= 2  # one leader per mode at least
     counts = {}
+    monkeypatch.setattr(maxima, "MAX_ITERATIONS", 1)
     with pytest.raises(NoMaximaError):
-        find_zero_cells(f, AscentParams(max_iterations=1),
-                        np.random.default_rng(5), counts=counts)
+        find_zero_cells(f, np.random.default_rng(5), counts=counts)
     assert counts == {"ascent_seeds": 40, "ascent_converged": 0, "ascent_no_mass": 0,
                       "ascent_exhausted": 40, "ascent_polished": 0, "ascent_joined": 0,
                       "ascent_steps": 40}
 
 
-def test_find_zero_cells_error_when_nothing_converges(rng):
+def test_find_zero_cells_error_when_nothing_converges(rng, monkeypatch):
     cloud = two_gaussian_cloud(rng)
     f = KernelDensity(cloud, 1.0)
-    params = AscentParams(max_iterations=1)
+    monkeypatch.setattr(maxima, "MAX_ITERATIONS", 1)
     with pytest.raises(NoMaximaError) as err:
-        find_zero_cells(f, params, np.random.default_rng(3))
+        find_zero_cells(f, np.random.default_rng(3))
     assert err.value.seeds_attempted == 200
 
 
 def test_zero_cell_invariants(rng):
     cloud = two_gaussian_cloud(rng)
     f = KernelDensity(cloud, 1.0)
-    params = AscentParams()
-    cells = find_zero_cells(f, params, np.random.default_rng(4))
+    cells = find_zero_cells(f, np.random.default_rng(4))
     for cell in cells:
         # fixed-point residual and density agreement
         assert np.linalg.norm(f.mean_shift(cell.position) - cell.position) < f.resolution / 2000
         assert cell.density == pytest.approx(f.value(cell.position))
         # idempotence of ascent from the returned position
-        again = ascend(f, cell.position, params)
+        again = ascend(f, cell.position)
         assert np.linalg.norm(again - cell.position) < f.resolution / 2000
     # pairwise separation above the clustering length
     for i in range(len(cells)):
@@ -276,20 +278,20 @@ def test_find_zero_cells_deterministic_across_repeats(rng):
     f = KernelDensity(cloud, 1.0)
     outs = []
     for _ in range(3):
-        cells = find_zero_cells(f, AscentParams(), np.random.default_rng(9))
+        cells = find_zero_cells(f, np.random.default_rng(9))
         outs.append([(c.position.tobytes(), np.float64(c.density).tobytes())
                      for c in cells])
     assert outs[0] == outs[1] == outs[2]
 
 
-def one_phase_zero_cells(field, params, rng):
+def one_phase_zero_cells(field, rng):
     """Reference 0-cells: every seed ascended to the fine stop, single
     linkage at field.resolution, the densest member of each cluster; and
     the mean-shift rows it took."""
     cloud = field.cloud
     idx = rng.choice(len(cloud), size=min(len(cloud), 500), replace=False)
     counts = {}
-    pts = np.array([y for y in _ascend_seeds(field, cloud.points[idx], params, counts)
+    pts = np.array([y for y in _ascend_seeds(field, cloud.points[idx], counts)
                     if y is not None])
     dens = field.value_batch(pts)
     modes = [pts[c][np.argmax(dens[c])] for c in single_linkage(pts, field.resolution)]
@@ -315,9 +317,9 @@ def test_two_phase_search_agrees_with_one_phase(family, k):
     # the coarse ascent, the leaders and the joining batch find the modes of
     # the one-phase search, to within a quarter of the clustering length
     f = KernelDensity(agreement_cloud(family, k), 0.2 + 0.8 * k / 11)
-    reference, reference_steps = one_phase_zero_cells(f, AscentParams(), np.random.default_rng(k))
+    reference, reference_steps = one_phase_zero_cells(f, np.random.default_rng(k))
     counts = {}
-    cells = find_zero_cells(f, AscentParams(), np.random.default_rng(k), counts)
+    cells = find_zero_cells(f, np.random.default_rng(k), counts)
     assert len(cells) == len(reference)
     for cell in cells:
         assert min(np.linalg.norm(cell.position - r) for r in reference) <= f.resolution / 4

@@ -1,12 +1,9 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morsecells import (AscentParams, NebParams, PipelineConfig, PointCloud,
-                        SheetParams, band, betti, run, sheet, synth_bumpy_circle,
-                        synth_gaussian_mixture)
+from morsecells import (NebParams, PipelineConfig, PointCloud, band, betti, maxima,
+                        pipeline, run, sheet, synth_bumpy_circle, synth_gaussian_mixture)
 from morsecells.cwcomplex import components
 from morsecells.errors import InvalidInputError, NoMaximaError
 from morsecells.pipeline import _cycle_basis, _loop_polyline
@@ -162,7 +159,6 @@ def test_report_consistency(bumpy_result):
         1 for c in filtration.cells if c.dimension == 1)
     assert report.counts["two_cells"] == sum(
         1 for c in filtration.cells if c.dimension == 2)
-    assert set(report.cell_densities) == {c.id for c in filtration.cells}
     assert report.change_thresholds == sorted(
         {c.density for c in filtration.cells}, reverse=True)
     assert set(report.stage_seconds) == {"zero_cells", "one_cells", "two_cells"}
@@ -179,23 +175,24 @@ def test_report_band_counters(bumpy_result):
     assert 0.0 <= counts["band_final_force"] < band.TOLERANCE
 
 
-def test_report_sheet_and_loop_counters(bumpy_result):
+def test_report_sheet_and_loop_counters(bumpy_result, monkeypatch):
     counts = bumpy_result[1].counts
     assert counts["candidate_loops"] == counts["two_cells"] == 1
     assert counts["loops_dropped"] == counts["sheet_failed"] == 0
-    assert 1 <= counts["sheet_steps"] <= SheetParams().max_steps + 1
+    assert 1 <= counts["sheet_steps"] <= sheet.MAX_STEPS + 1
     assert 0.0 <= counts["sheet_final_force"] < sheet.TOLERANCE
     # the same run with a sheet step budget of one step, and with the loop
-    # of three 1-cells over max_loop_length
+    # of three 1-cells over MAX_LOOP_LENGTH
     cloud = synth_bumpy_circle(3, 2.0, 1000, np.random.default_rng(3),
                                angular_spread=0.45)
-    config = PipelineConfig(sigma=0.8, seed=3, neb=NebParams(trials_per_pair=6),
-                            sheet=SheetParams(max_steps=1))
+    config = PipelineConfig(sigma=0.8, seed=3, neb=NebParams(trials_per_pair=6))
+    monkeypatch.setattr(sheet, "MAX_STEPS", 1)
     counts = run(cloud, config)[1].counts
     assert counts["two_cells"] == counts["loops_dropped"] == 0
     assert counts["sheet_failed"] == 1 and counts["sheet_steps"] == 2
     assert counts["sheet_final_force"] == 0.0
-    _, report = run(cloud, replace(config, max_loop_length=2))
+    monkeypatch.setattr(pipeline, "MAX_LOOP_LENGTH", 2)
+    _, report = run(cloud, config)
     assert report.counts["candidate_loops"] == report.counts["sheet_steps"] == 0
     assert report.counts["loops_dropped"] == 1
 
@@ -309,13 +306,11 @@ def test_single_gaussian_yields_one_vertex():
     assert any("fewer than two" in note for note in report.notes)
 
 
-def test_no_maxima_error_propagates():
+def test_no_maxima_error_propagates(monkeypatch):
     cloud = PointCloud(np.random.default_rng(0).normal(size=(50, 2)))
-    config = PipelineConfig(
-        sigma=1.0, seed=0,
-        ascent=AscentParams(max_iterations=2))
+    monkeypatch.setattr(maxima, "MAX_ITERATIONS", 2)
     with pytest.raises(NoMaximaError):
-        run(cloud, config)
+        run(cloud, PipelineConfig(sigma=1.0, seed=0))
 
 
 def test_pipeline_config_validation():
@@ -336,8 +331,9 @@ def test_run_sphere_mode_picks_initial_band(monkeypatch, sphere_mode, used, unus
         monkeypatch.setattr(band, name, counted)
     cloud = synth_gaussian_mixture([[3.0, 0.0], [0.0, 3.0]], 0.5, [1.0, 1.0],
                                    200, np.random.default_rng(2))
+    monkeypatch.setattr(band, "MAX_STEPS", 10)
     config = PipelineConfig(sigma=1.0, seed=2, sphere_mode=sphere_mode,
-                            neb=NebParams(trials_per_pair=3, max_steps=10))
+                            neb=NebParams(trials_per_pair=3))
     _, report = run(cloud, config)
     assert report.counts["zero_cells"] == 2
     assert calls == {used: 3, unused: 0}

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import morsecells.sheet as sheet_module
-from morsecells import (KernelDensity, PointCloud, SheetParams, WebSheet,
-                        initial_sheet, relax_sheet, sheet_density, sheet_force,
-                        tangent_space)
+from morsecells import (KernelDensity, PointCloud, WebSheet, initial_sheet, relax_sheet,
+                        sheet_density, sheet_force, tangent_space)
 from morsecells.cwcomplex import implicit_step_matrix
 from morsecells.errors import ConstructionError, InvalidInputError
 
@@ -70,6 +69,17 @@ def test_initial_sheet_closed_loop_duplicate_endpoint_ok():
 def test_initial_sheet_degenerate_loop_raises():
     with pytest.raises(ConstructionError):
         initial_sheet(np.zeros((5, 2)))
+
+
+def test_initial_sheet_too_small_raises():
+    # the closing repeat is dropped before the points are counted: two
+    # distinct points span no web
+    with pytest.raises(ConstructionError, match="at least 3 points"):
+        initial_sheet([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], rings=2, nodes_per_ring=4)
+    # a web needs a ring, and a ring three nodes
+    for rings, nodes_per_ring in [(0, 4), (2, 2)]:
+        with pytest.raises(InvalidInputError):
+            initial_sheet(circle_loop(), rings=rings, nodes_per_ring=nodes_per_ring)
 
 
 def test_initial_sheet_follows_offset_and_scale():
@@ -182,8 +192,7 @@ def test_sheet_force_boundary_node_raises():
 def test_relax_sheet_constant_field_reaches_harmonic_equilibrium(monkeypatch):
     sheet = initial_sheet(circle_loop(), rings=5, nodes_per_ring=12)
     monkeypatch.setattr(sheet_module, "TOLERANCE", 1e-6)
-    out = relax_sheet(ConstantField(2), sheet,
-                      SheetParams(rings=5, nodes_per_ring=12))
+    out = relax_sheet(ConstantField(2), sheet)
     assert out is not None
     adj = out.neighbor_lists()
     for alpha in np.flatnonzero(~out.boundary):
@@ -195,7 +204,7 @@ def test_relax_sheet_constant_field_reaches_harmonic_equilibrium(monkeypatch):
 def test_relax_sheet_planar_input_stays_planar_in_three_dimensions():
     sheet = initial_sheet(circle_loop(dim=3), rings=4, nodes_per_ring=10)
     field = KernelDensity(PointCloud([[0.0, 0.0, 0.0]]), 1.0)
-    out = relax_sheet(field, sheet, SheetParams(rings=4, nodes_per_ring=10))
+    out = relax_sheet(field, sheet)
     assert out is not None
     assert np.abs(out.positions[:, 2]).max() <= 1e-9
 
@@ -203,20 +212,21 @@ def test_relax_sheet_planar_input_stays_planar_in_three_dimensions():
 def test_relax_sheet_boundary_bitwise_untouched():
     sheet = initial_sheet(circle_loop(), rings=4, nodes_per_ring=10)
     field = KernelDensity(PointCloud([[0.3, -0.2]]), 0.8)
-    out = relax_sheet(field, sheet, SheetParams(rings=4, nodes_per_ring=10))
+    out = relax_sheet(field, sheet)
     assert out is not None
     idx = np.flatnonzero(sheet.boundary)
     assert np.array_equal(out.positions[idx], sheet.positions[idx])
 
 
-def test_relax_sheet_max_steps_returns_none():
+def test_relax_sheet_max_steps_returns_none(monkeypatch):
     sheet = initial_sheet(circle_loop(), rings=3, nodes_per_ring=8)
     field = KernelDensity(PointCloud([[0.0, 0.0]]), 1.0)
-    out = relax_sheet(field, sheet,
-                      SheetParams(rings=3, nodes_per_ring=8, max_steps=5))
+    monkeypatch.setattr(sheet_module, "MAX_STEPS", 5)
+    out = relax_sheet(field, sheet)
     assert out is None
     # the same sheet converges at step 6
-    assert relax_sheet(field, sheet, SheetParams(rings=3, nodes_per_ring=8)) is not None
+    monkeypatch.undo()
+    assert relax_sheet(field, sheet) is not None
 
 
 def test_relax_sheet_two_gaussian_density_floor():
@@ -225,7 +235,7 @@ def test_relax_sheet_two_gaussian_density_floor():
     pts = PointCloud([[-1.5, 0.0], [1.5, 0.0]])
     field = KernelDensity(pts, 1.0)
     sheet = initial_sheet(circle_loop(radius=2.5), rings=5, nodes_per_ring=16)
-    out = relax_sheet(field, sheet, SheetParams(rings=5, nodes_per_ring=16))
+    out = relax_sheet(field, sheet)
     assert out is not None
     d = sheet_density(field, out)
     assert d <= field.value(np.array([-1.5, 0.0])) + 1e-12
@@ -296,21 +306,21 @@ def test_implicit_step_matrix_is_scaled_inverse():
     assert np.abs(step - expected).max() < 1e-12
 
 
-def test_relax_sheet_criterion_10_disk_reaches_harmonic_solve_in_few_steps():
+def test_relax_sheet_criterion_10_disk_reaches_harmonic_solve_in_few_steps(monkeypatch):
     sheet = initial_sheet(circle_loop(40), rings=10, nodes_per_ring=20)
-    out = relax_sheet(ConstantField(2), sheet,
-                      SheetParams(max_steps=100))
+    monkeypatch.setattr(sheet_module, "MAX_STEPS", 100)
+    out = relax_sheet(ConstantField(2), sheet)
     assert out is not None
     interior = ~sheet.boundary
     gap = np.linalg.norm(out.positions[interior] - harmonic_interior(sheet), axis=1)
     assert gap.max() < 1e-2
 
 
-def test_relax_sheet_planar_web_in_eight_dimensions(rng):
+def test_relax_sheet_planar_web_in_eight_dimensions(rng, monkeypatch):
     frame, _ = np.linalg.qr(rng.normal(size=(8, 2)))  # orthonormal columns
     sheet = initial_sheet(circle_loop(40) @ frame.T, rings=10, nodes_per_ring=20)
-    out = relax_sheet(ConstantField(8), sheet,
-                      SheetParams(max_steps=100))
+    monkeypatch.setattr(sheet_module, "MAX_STEPS", 100)
+    out = relax_sheet(ConstantField(8), sheet)
     assert out is not None
     interior = ~sheet.boundary
     gap = np.linalg.norm(out.positions[interior] - harmonic_interior(sheet), axis=1)
