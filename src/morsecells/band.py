@@ -76,10 +76,9 @@ def tangent(band: Band, i: int) -> np.ndarray:
     return s / norm
 
 
-def smoothing_weight(theta: np.ndarray | float, alpha: float,
-                     beta: float) -> np.ndarray | float:
-    """Gate in [0,1], elementwise: 0 below alpha, 1 above beta, raised-cosine between."""
-    phase = np.clip(np.pi * (theta - alpha) / (beta - alpha), 0.0, np.pi)
+def smoothing_weight(theta: np.ndarray | float) -> np.ndarray | float:
+    """Gate in [0,1], elementwise: 0 below ALPHA, 1 above BETA, raised-cosine between."""
+    phase = np.clip(np.pi * (theta - ALPHA) / (BETA - ALPHA), 0.0, np.pi)
     return (1.0 - np.cos(phase)) / 2.0
 
 
@@ -111,7 +110,7 @@ def _interior_forces(field: DensityField, nodes: np.ndarray
 
     denom = np.maximum(up_norm * um_norm, _HAIRPIN_EPS)
     cos_theta = np.clip(np.einsum("...in,...in->...i", up, um) / denom, -1.0, 1.0)
-    h = smoothing_weight(np.arccos(cos_theta), ALPHA, BETA)
+    h = smoothing_weight(np.arccos(cos_theta))
     smooth = h[..., None] * (up - um)
 
     return field.c * grad_perp + spring + smooth, hairpin
@@ -153,7 +152,7 @@ def _evolve_bands(field: DensityField, bands: list[Band],
         return force, hairpin.any(axis=1)
 
     out, iterations, steps, final_force = relax(
-        nodes, [(i, i + 1) for i in range(n_nodes - 1)], np.arange(1, n_nodes - 1),
+        nodes, [(i, i + 1) for i in range(n_nodes - 1)], slice(1, n_nodes - 1),
         field.step_below(top), forces, TOLERANCE, MAX_STEPS)
     counts.update(band_iterations=iterations, band_steps=steps,
                   band_final_force=final_force)

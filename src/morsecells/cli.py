@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -133,7 +134,7 @@ def document_to_filtration(doc: dict) -> MorseFiltration:
         widths = {c.geometry.shape[1] if c.geometry.ndim == 2 else None for c in cells}
         if None in widths or len(widths) > 1:
             raise DataError("cell geometry must be (m, n) rows of one common width n")
-        return MorseFiltration.build(cells, metadata=doc.get("config", {}))
+        return MorseFiltration.build(cells)
     except (KeyError, TypeError, ValueError, OverflowError, InvalidComplexError,
             InvalidInputError) as exc:
         raise DataError(f"malformed filtration document: {exc}") from None
@@ -179,7 +180,7 @@ def cmd_analyze(args) -> int:
     print("cell densities:")
     for cell in filtration.cells:
         print(f"  id={cell.id} dim={cell.dimension} density={cell.density:.6g}")
-    thresholds = report.change_thresholds
+    thresholds = sorted({c.density for c in filtration.cells}, reverse=True)
     print("threshold intervals where the model changes:")
     edges = [float("inf")] + thresholds
     for hi, lo in zip(edges, thresholds):
@@ -192,6 +193,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_betti(args) -> int:
+    if math.isnan(args.threshold):
+        raise UsageError("threshold must be a number, not nan")
     filtration = document_to_filtration(load_document(args.document))
     cells = superlevel_complex(filtration, args.threshold)
     b0, b1 = betti(cells)
@@ -267,12 +270,10 @@ def cmd_synth(args) -> int:
             centers, args.scale, None, args.count, rng)
     elif args.kind == "noisy_circle":
         cloud = ingestion.synth_noisy_circle(args.radius, args.noise, args.count, rng)
-    elif args.kind == "bumpy_circle":
+    else:  # bumpy_circle, the last of the parser's choices
         cloud = ingestion.synth_bumpy_circle(
             args.bumps, args.radius, args.count, rng,
             angular_spread=args.angular_spread, radial_noise=args.noise)
-    else:
-        raise UsageError(f"unknown synthetic kind {args.kind!r}")
     ingestion.write_point_cloud(cloud, args.output)
     return 0
 

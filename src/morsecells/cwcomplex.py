@@ -9,8 +9,9 @@ boundary-matrix column reduction.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +33,8 @@ class Cell:
             raise InvalidInputError("0-cells have empty boundary")
         if self.dimension == 1 and len(self.boundary) != 2:
             raise InvalidInputError("1-cells have exactly two faces (equal for a self-loop)")
+        if not math.isfinite(self.density):
+            raise InvalidInputError("cell density must be finite")
         object.__setattr__(self, "geometry", np.asarray(self.geometry, dtype=float))
 
 
@@ -40,13 +43,12 @@ class MorseFiltration:
     """Cells sorted by density descending with the closure property baked in."""
 
     cells: tuple[Cell, ...]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
 
     @staticmethod
-    def build(cells: list[Cell], metadata: dict | None = None) -> "MorseFiltration":
+    def build(cells: list[Cell]) -> "MorseFiltration":
         """Check closure, clamp densities below face minima, and sort."""
         if len({c.id for c in cells}) != len(cells):
             raise InvalidComplexError("duplicate cell ids")
@@ -58,7 +60,7 @@ class MorseFiltration:
                                     cell.boundary, cell.geometry)
         ordered = sorted(clamped.values(),
                          key=lambda c: (-c.density, c.dimension, c.id))
-        return MorseFiltration(cells=tuple(ordered), metadata=dict(metadata or {}))
+        return MorseFiltration(cells=tuple(ordered))
 
 
 def superlevel_complex(filtration: MorseFiltration, a: float) -> list[Cell]:
@@ -98,7 +100,8 @@ def laplacian(n: int, pairs) -> np.ndarray:
 
 def implicit_step_matrix(n: int, pairs, interior, h: float) -> np.ndarray:
     """S = h (I + h L_II)^-1, with L the Laplacian of the graph on 0..n-1 with
-    edges pairs and L_II its block on the interior vertices, an index array.
+    edges pairs and L_II its block on the interior vertices, an index array
+    or a slice.
 
     Where the spring force on the interior is -(L_II x_I + L_IB x_B),
     x_I += S @ force solves (I + h L_II) x_I' = x_I + h (rest - L_IB x_B):
@@ -115,7 +118,7 @@ def relax(stack: np.ndarray, pairs, interior, h: float, forces,
           tolerance: float, max_steps: int):
     """Relax a (B, V, n) stack of graphs that share the edges pairs.
 
-    interior is the index array of the vertices that move.
+    interior is an index array or a slice of the vertices that move.
 
     ``forces(stack)`` returns the (B, I, n) forces on the interior vertices
     and a (B,) boolean mask of the items that are degenerate at this step.

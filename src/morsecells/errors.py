@@ -14,15 +14,11 @@ class NoMassError(MorseCellsError):
 
 
 class NoMaximaError(MorseCellsError):
-    """No mean-shift seed converged; carries diagnostic counts."""
+    """No mean-shift seed converged; carries the number of seeds tried."""
 
-    def __init__(self, seeds_attempted: int, non_convergent: int):
+    def __init__(self, seeds_attempted: int):
         self.seeds_attempted = seeds_attempted
-        self.non_convergent = non_convergent
-        super().__init__(
-            f"no convergent ascent out of {seeds_attempted} seeds "
-            f"({non_convergent} non-convergent)"
-        )
+        super().__init__(f"no convergent ascent out of {seeds_attempted} seeds")
 
 
 class DegenerateTangentError(MorseCellsError):

@@ -19,6 +19,8 @@ from .density import PointCloud
 from .errors import DataError, InvalidInputError, ParseError
 
 FLOAT_FMT = "%.17g"  # exact round trip for doubles
+# mds_embed stops when the stress falls by less than this fraction in a step
+MDS_TOLERANCE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +140,13 @@ class MdsResult:
 
 
 def mds_embed(distances: np.ndarray, target_dim: int, rng: np.random.Generator,
-              max_iter: int = 1000, tol: float = 1e-12) -> MdsResult:
+              max_iter: int = 1000) -> MdsResult:
     """Embed a distance matrix by iterated Guttman transforms.
 
     Starts from a seeded uniform configuration scaled to the distance range
-    and stops when the relative stress decrease falls below tol.  Raw stress
-    is non-increasing across iterations.
+    and stops when the relative stress decrease falls below ``MDS_TOLERANCE``
+    or after max_iter transforms.  Raw stress is non-increasing across
+    iterations.
     """
     delta = np.asarray(distances, dtype=float)
     m = delta.shape[0]
@@ -164,8 +167,8 @@ def mds_embed(distances: np.ndarray, target_dim: int, rng: np.random.Generator,
         diff = points[:, None, :] - points[None, :, :]
         d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         history.append(float(np.triu((d - delta) ** 2, k=1).sum()))
-        if iteration == max_iter or (
-                iteration and history[-2] - history[-1] <= tol * max(history[-2], 1e-300)):
+        if iteration == max_iter or (iteration and history[-2] - history[-1]
+                                     <= MDS_TOLERANCE * max(history[-2], 1e-300)):
             break
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(d > 0, delta / np.where(d > 0, d, 1.0), 0.0)

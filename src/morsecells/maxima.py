@@ -146,7 +146,7 @@ def find_zero_cells(
         ends = polish(coarse[leaders])
         ends += polish(np.delete(coarse, leaders, axis=0), np.array(ends).reshape(-1, coarse.shape[1]))
     if not ends:
-        raise NoMaximaError(seeds_attempted=count, non_convergent=count)
+        raise NoMaximaError(seeds_attempted=count)
 
     best, dens = _densest(field, np.array(ends))
     cells = [ZeroCell(position=ends[k], density=float(dens[k])) for k in best]

@@ -41,7 +41,6 @@ class PipelineConfig:
 class RunReport:
     counts: dict = dataclass_field(default_factory=dict)
     stage_seconds: dict = dataclass_field(default_factory=dict)
-    change_thresholds: list = dataclass_field(default_factory=list)
     notes: list = dataclass_field(default_factory=list)
 
 
@@ -170,11 +169,4 @@ def run(cloud: PointCloud, config: PipelineConfig) -> tuple[MorseFiltration, Run
                           boundary=tuple(base + e for e in cycle),
                           geometry=web.positions))
 
-    filtration = MorseFiltration.build(
-        cells,
-        metadata={"sigma": config.sigma, "seed": config.seed,
-                  "sphere_mode": config.sphere_mode},
-    )
-    report.change_thresholds = sorted({c.density for c in filtration.cells},
-                                      reverse=True)
-    return filtration, report
+    return MorseFiltration.build(cells), report

@@ -45,23 +45,22 @@ def test_tangent_hairpin_raises():
 # smoothing weight
 
 def test_smoothing_weight_boundaries():
-    a, b = math.pi / 6, math.pi / 2
-    assert smoothing_weight(a, a, b) == 0.0
-    assert smoothing_weight(b, a, b) == 1.0
-    assert smoothing_weight((a + b) / 2, a, b) == pytest.approx(0.5)
+    a, b = band.ALPHA, band.BETA
+    assert smoothing_weight(a) == 0.0
+    assert smoothing_weight(b) == 1.0
+    assert smoothing_weight((a + b) / 2) == pytest.approx(0.5)
 
 
 def test_smoothing_weight_continuous_and_nondecreasing():
-    a, b = math.pi / 6, math.pi / 2
     grid = np.arange(0.0, math.pi, 1e-4)
-    vals = np.array([smoothing_weight(t, a, b) for t in grid])
+    vals = np.array([smoothing_weight(t) for t in grid])
     assert (np.diff(vals) >= 0).all()
     assert np.abs(np.diff(vals)).max() < 1e-3  # no jumps on a 1e-4 grid
     assert vals.min() >= 0 and vals.max() <= 1
 
 
 def test_smoothing_weight_elementwise_matches_scalar_gate():
-    a, b = math.pi / 6, math.pi / 2
+    a, b = band.ALPHA, band.BETA
 
     def scalar_gate(theta):
         if theta <= a:
@@ -72,7 +71,7 @@ def test_smoothing_weight_elementwise_matches_scalar_gate():
 
     grid = np.linspace(0.0, math.pi, 1001)
     expected = np.array([scalar_gate(t) for t in grid])
-    assert smoothing_weight(grid, a, b) == pytest.approx(expected, abs=1e-15)
+    assert smoothing_weight(grid) == pytest.approx(expected, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -202,6 +203,21 @@ def test_analyze_reports_cells_and_thresholds(tmp_path, two_blob_csv,
     assert "threshold intervals" in text
 
 
+def test_analyze_threshold_table_is_the_document_densities(tmp_path, two_blob_csv,
+                                                           fast_config, capsys):
+    out = tmp_path / "o.json"
+    assert run_cli("analyze", two_blob_csv, str(out), "--sigma", "1.0",
+                   "--seed", "21", "--config", fast_config) == 0
+    table = capsys.readouterr().out.split("where the model changes:\n")[1]
+    rows = [row for row in table.splitlines() if row.startswith("  a in ")]
+    ends = [re.match(r"  a in \((?:>= )?([^,)]+)", row).group(1) for row in rows]
+    densities = [c["density"] for c in json.loads(out.read_text())["cells"]]
+    distinct = sorted(set(densities), reverse=True)
+    assert ends == [f"{d:.6g}" for d in distinct]
+    assert [int(row.split(": ")[1].split()[0]) for row in rows] == [
+        sum(d >= lo for d in densities) for lo in distinct]
+
+
 def test_analyze_rerun_byte_identical(tmp_path, two_blob_csv, fast_config):
     out1 = str(tmp_path / "a.json")
     out2 = str(tmp_path / "b.json")
@@ -329,6 +345,21 @@ def test_betti_unknown_version_exit_2(tmp_path, capsys):
     assert "version" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [("betti", "0.1"), ("persistence",)])
+@pytest.mark.parametrize("density", [math.nan, math.inf, -math.inf])
+def test_non_finite_density_exit_2(tmp_path, capsys, command, density):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_one_cell_document(density=density)))
+    assert run_cli(command[0], str(path), *command[1:]) == 2
+    assert "density must be finite" in capsys.readouterr().err
+
+
+def test_betti_nan_threshold_exit_1(tmp_path, capsys):
+    doc = three_circle_doc(tmp_path)
+    assert run_cli("betti", doc, "nan") == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_persistence_output(tmp_path, capsys):
     from test_cwcomplex import edge, face, vert
     cells = [vert(0, 1.0), vert(1, 1.0),
@@ -367,6 +398,23 @@ def test_document_with_removed_config_keys_still_loads(tmp_path, analyzed_doc, c
         expected = capsys.readouterr().out
         assert run_cli(command[0], str(old), *command[1:]) == 0
         assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("config", ["x", ["ab"]])
+def test_document_config_block_is_not_read(tmp_path, analyzed_doc, capsys, config):
+    doc = json.loads(Path(analyzed_doc).read_text())
+    del doc["config"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    doc["config"] = config
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    for command in (("betti", "0.001"), ("persistence",)):
+        assert run_cli(command[0], analyzed_doc, *command[1:]) == 0
+        expected = capsys.readouterr().out
+        for path in (bare, edited):
+            assert run_cli(command[0], str(path), *command[1:]) == 0
+            assert capsys.readouterr().out == expected
 
 
 # ---------------------------------------------------------------------------

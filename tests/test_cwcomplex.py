@@ -53,6 +53,12 @@ def test_cell_rejects_one_cell_without_two_faces(boundary):
              geometry=np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("density", [np.nan, np.inf, -np.inf])
+def test_cell_rejects_non_finite_density(density):
+    with pytest.raises(InvalidInputError):
+        vert(0, density=density)
+
+
 def test_cell_accepts_self_loop():
     assert edge(1, 0, 0).boundary == (0, 0)
 
@@ -550,3 +556,11 @@ def test_relax_rejects_an_item_degenerate_on_over_one_percent_of_steps():
     assert out[0] is None and np.array_equal(out[1], plain[1])
     out, *_ = relax(stack, PATH, PATH_INTERIOR, 0.2, once, 1e-8, 10_000)
     assert all(np.array_equal(a, b) for a, b in zip(out, plain))
+
+
+def test_relax_slice_interior_matches_index_array():
+    stack = _path_stack(3)
+    by_index = relax(stack, PATH, PATH_INTERIOR, 0.5, _springs, 1e-8, 10_000)
+    by_slice = relax(stack, PATH, slice(1, 4), 0.5, _springs, 1e-8, 10_000)
+    assert by_slice[1:] == by_index[1:]
+    assert all(np.array_equal(a, b) for a, b in zip(by_slice[0], by_index[0]))

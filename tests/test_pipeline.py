@@ -159,8 +159,6 @@ def test_report_consistency(bumpy_result):
         1 for c in filtration.cells if c.dimension == 1)
     assert report.counts["two_cells"] == sum(
         1 for c in filtration.cells if c.dimension == 2)
-    assert report.change_thresholds == sorted(
-        {c.density for c in filtration.cells}, reverse=True)
     assert set(report.stage_seconds) == {"zero_cells", "one_cells", "two_cells"}
 
 
