@@ -3,9 +3,12 @@
 A candidate 2-cell is a web-shaped graph spanning a closed boundary loop of
 1-cell nodes.  Interior nodes feel the density gradient projected
 perpendicular to a PCA-estimated tangent plane plus the sum of neighbor
-differences.  A sheet relaxes through ``cwcomplex.relax``, the loop the
-elastic bands use too: semi-implicit steps (implicit springs, explicit
-gradient) until the mean interior force norm is below ``TOLERANCE``.
+differences.  In R^2 a node whose neighbor offsets span the plane has no
+perpendicular direction, so its force is the spring sum alone and it costs
+no gradient row and no SVD.  A sheet relaxes through ``cwcomplex.relax``,
+the loop the elastic bands use too: semi-implicit steps (implicit springs,
+explicit gradient) until the mean interior force norm is below
+``TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,10 @@ class WebSheet:
 def _resample_closed_polyline(loop: np.ndarray, count: int) -> np.ndarray:
     """count points evenly spaced by arc length along a closed polyline."""
     seg = np.diff(np.vstack([loop, loop[:1]]), axis=0)
-    lengths = np.linalg.norm(seg, axis=1)
+    # each segment is scaled by a power of two near its largest entry, which
+    # is exact, so its squares neither under- nor overflow
+    exponent = np.frexp(np.abs(seg).max(axis=1))[1]
+    lengths = np.ldexp(np.linalg.norm(np.ldexp(seg, -exponent[:, None]), axis=1), exponent)
     total = lengths.sum()
     if total <= 0:
         raise ConstructionError("boundary loop is degenerate (zero length)")
@@ -110,17 +116,36 @@ def initial_sheet(boundary_loop: np.ndarray, rings: int = RINGS,
     return WebSheet(positions=positions, edges=tuple(edges), boundary=boundary)
 
 
-def _tangent_bases(offsets: np.ndarray) -> np.ndarray:
+def _tangent_bases(centered: np.ndarray) -> np.ndarray:
     """Top-TANGENT_DIM principal directions of each node's neighbor offsets.
 
-    offsets is (r, d, n): d neighbor offsets for each of r nodes.  Returns
-    (r, TANGENT_DIM, n) orthonormal rows, with the directions past each
-    node's numerical rank zeroed instead of projecting onto noise.
+    centered is (r, d, n): d neighbor offsets for each of r nodes, less their
+    mean.  Returns (r, TANGENT_DIM, n) orthonormal rows, with the directions
+    past each node's numerical rank zeroed instead of projecting onto noise.
     """
-    centered = offsets - offsets.mean(axis=1, keepdims=True)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     ok = s[:, :TANGENT_DIM] > np.maximum(s[:, :1], 1e-300) * 1e-10
     return vt[:, :TANGENT_DIM, :] * ok[:, :, None]
+
+
+def _spans_plane(centered: np.ndarray) -> np.ndarray:
+    """Where (r, d, TANGENT_DIM) centered neighbor offsets pass the rank test
+    of ``_tangent_bases`` in every direction, decided without the SVD.
+
+    With A a node's centered offsets scaled by their largest absolute entry,
+    s1^2 * s2^2 = sum over i < j of (a_i x a_j)^2 (Cauchy-Binet) and
+    s1^2 + s2^2 = ||A||_F^2, so det > 1e-20 ||A||_F^4 gives s2 > 1e-10 s1; a
+    largest entry of at least 1e-300 puts s1 above the SVD test's floor.  The
+    cross products keep collinear offsets at det ~ 0, where the Gram form
+    g00 g11 - g01^2 can round to full rank.  A node the test rejects takes
+    the SVD path, so rejecting is always safe.
+    """
+    scale = np.abs(centered).max(axis=(1, 2))
+    a = centered / np.maximum(scale, 1e-300)[:, None, None]
+    cross = a[:, :, None, 0] * a[:, None, :, 1] - a[:, :, None, 1] * a[:, None, :, 0]
+    det = 0.5 * np.einsum("ijk,ijk->i", cross, cross)
+    frob = np.einsum("ijk,ijk->i", a, a)
+    return (scale >= 1e-300) & (det > 1e-20 * frob * frob)
 
 
 def _neighbors(sheet: WebSheet, alpha: int) -> list[int]:
@@ -138,7 +163,7 @@ def tangent_space(sheet: WebSheet, alpha: int) -> tuple[np.ndarray, bool]:
     are returned and the deficiency flag is set.
     """
     offsets = sheet.positions[_neighbors(sheet, alpha)] - sheet.positions[alpha]
-    basis = _tangent_bases(offsets[None])[0]
+    basis = _tangent_bases((offsets - offsets.mean(axis=0))[None])[0]
     basis = basis[basis.any(axis=1)]
     return basis, len(basis) < TANGENT_DIM
 
@@ -149,7 +174,7 @@ def sheet_force(field: DensityField, sheet: WebSheet, alpha: int) -> np.ndarray:
     if sheet.boundary[alpha]:
         raise InvalidInputError("forces are defined at interior nodes only")
     group = (np.array([0]), np.array([_neighbors(sheet, alpha)]))
-    return _interior_forces(field, sheet.positions, np.array([alpha]), [group])[0]
+    return _interior_forces(field, sheet.positions, np.array([alpha]), [group])[0][0]
 
 
 def _degree_groups(adj: list[list[int]], interior: np.ndarray
@@ -171,16 +196,39 @@ def _degree_groups(adj: list[list[int]], interior: np.ndarray
 
 def _interior_forces(field: DensityField, positions: np.ndarray,
                      interior: np.ndarray,
-                     groups: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    grads = field.gradient_batch(positions[interior])
-    forces = np.empty_like(grads)
+                     groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, int]:
+    """Forces at the interior nodes, and the number of gradient rows taken.
+
+    In R^TANGENT_DIM a node whose offsets span the plane has a tangent basis
+    that spans the space, so c * (g - proj) is zero up to rounding: its
+    force is the spring sum, with no gradient row and no SVD.  Every other
+    node sends its row, in interior order, to one gradient call.
+    """
+    parts = []
+    slow = np.zeros(len(interior), dtype=bool)
     for rows, nbrs in groups:
         offsets = positions[nbrs] - positions[interior[rows]][:, None, :]
-        basis = _tangent_bases(offsets)
-        g = grads[rows]
-        proj = np.einsum("ikn,in,ikm->im", basis, g, basis)
-        forces[rows] = field.c * (g - proj) + offsets.sum(axis=1)
-    return forces
+        springs = offsets.sum(axis=1)
+        # less their mean, bitwise as offsets.mean(axis=1) gives it
+        centered = offsets - (springs / nbrs.shape[1])[:, None, :]
+        if positions.shape[1] == TANGENT_DIM:
+            keep = ~_spans_plane(centered)
+        else:
+            keep = np.ones(len(rows), dtype=bool)
+        slow[rows[keep]] = True
+        parts.append((springs, centered, keep))
+    grads = np.empty((len(interior), positions.shape[1]))
+    if slow.any():
+        grads[slow] = field.gradient_batch(positions[interior[slow]])
+    forces = np.empty_like(grads)
+    for (rows, _), (springs, centered, keep) in zip(groups, parts):
+        forces[rows] = springs
+        if keep.any():
+            basis = _tangent_bases(centered[keep])
+            g = grads[rows[keep]]
+            proj = np.einsum("ikn,in,ikm->im", basis, g, basis)
+            forces[rows[keep]] += field.c * (g - proj)
+    return forces, int(np.count_nonzero(slow))
 
 
 def relax_sheet(field: DensityField, sheet: WebSheet,
@@ -190,17 +238,20 @@ def relax_sheet(field: DensityField, sheet: WebSheet,
     The sheet is a one-item stack that is never degenerate; it converges at
     ``TOLERANCE`` within ``MAX_STEPS`` or the relaxation returns None.  Boundary positions are
     bitwise untouched.  ``counts["sheet_steps"]`` gains one per force
-    evaluation, and ``counts["sheet_final_force"]`` keeps the largest final
-    mean force norm of a converged sheet.
+    evaluation, ``counts["sheet_gradient_rows"]`` the rows each evaluation
+    sends to the density gradient, and ``counts["sheet_final_force"]`` keeps
+    the largest final mean force norm of a converged sheet.
     """
     counts = {} if counts is None else counts
     counts.setdefault("sheet_steps", 0)
+    counts.setdefault("sheet_gradient_rows", 0)
     counts.setdefault("sheet_final_force", 0.0)
     interior = np.flatnonzero(~sheet.boundary)
     groups = _degree_groups(sheet.neighbor_lists(), interior)
 
     def forces(stack):
-        force = _interior_forces(field, stack[0], interior, groups)
+        force, rows = _interior_forces(field, stack[0], interior, groups)
+        counts["sheet_gradient_rows"] += rows
         return force[None], np.zeros(1, dtype=bool)
 
     (out,), _, steps, final_force = relax(sheet.positions[None], sheet.edges, interior,

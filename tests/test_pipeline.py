@@ -179,6 +179,8 @@ def test_report_sheet_and_loop_counters(bumpy_result, monkeypatch):
     assert counts["loops_dropped"] == counts["sheet_failed"] == 0
     assert 1 <= counts["sheet_steps"] <= sheet.MAX_STEPS + 1
     assert 0.0 <= counts["sheet_final_force"] < sheet.TOLERANCE
+    # every web node in R^2 spans the plane, so the sheet takes no gradient
+    assert counts["sheet_gradient_rows"] == 0
     # the same run with a sheet step budget of one step, and with the loop
     # of three 1-cells over MAX_LOOP_LENGTH
     cloud = synth_bumpy_circle(3, 2.0, 1000, np.random.default_rng(3),
@@ -223,6 +225,7 @@ def test_bumpy_circle_cells_follow_the_scale(bumpy_result, scale):
 
 _ROTATION = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
 _FRAME = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 2)))[0]
+_FRAME_R8 = np.linalg.qr(np.random.default_rng(8).standard_normal((8, 2)))[0]
 _PERMUTATION = np.random.default_rng(5).permutation(1000)
 
 
@@ -231,8 +234,10 @@ _PERMUTATION = np.random.default_rng(5).permutation(1000)
 # error measured on this input, rounded up to a power of ten: rotation
 # 6.2e-16 / 3.6e-15, translation by (1e4, -3e4) 1.8e-13 / 4.4e-12, by
 # (1e6, -1e6) 5.1e-12 / 2.1e-10, row permutation 8.6e-6 / 3.7e-4 (the
-# mean-shift seeds change, so the cells move within the solver stops) and
-# embedding in R^3 3.8e-6 / 1.0e-4
+# mean-shift seeds change, so the cells move within the solver stops),
+# embedding in R^3 3.8e-6 / 1.0e-4 and embedding in R^8 1.4e-5 / 1.1e-3 (the
+# bands leave the plane by up to 2e-4 within their stop).  The R^8 sheet takes
+# the gradient and SVD path that a planar web in R^2 skips.
 _METAMORPHIC = {
     "rotation": (lambda x: x @ _ROTATION.T, lambda g: g @ _ROTATION, 1.0, 1e-14, 1e-13),
     "translation_1e4": (lambda x: x + [1e4, -3e4], lambda g: g - [1e4, -3e4], 1.0,
@@ -243,6 +248,8 @@ _METAMORPHIC = {
     # a plane in R^3: the kernel's normal factor 1/(sigma sqrt(2 pi)) is undone
     "embedding_r3": (lambda x: x @ _FRAME.T, lambda g: g @ _FRAME,
                      np.sqrt(2 * np.pi * 0.8 ** 2), 1e-4, 1e-2),
+    "embedding_r8": (lambda x: x @ _FRAME_R8.T, lambda g: g @ _FRAME_R8,
+                     np.sqrt(2 * np.pi * 0.8 ** 2) ** 6, 1e-3, 1e-1),
 }
 
 
@@ -295,7 +302,7 @@ def test_single_gaussian_yields_one_vertex():
     assert report.counts == {"zero_cells": 1, "one_cells": 0,
                              "candidate_loops": 0, "two_cells": 0,
                              "loops_dropped": 0, "sheet_steps": 0,
-                             "sheet_failed": 0, "sheet_final_force": 0.0,
+                             "sheet_gradient_rows": 0, "sheet_failed": 0, "sheet_final_force": 0.0,
                              "ascent_seeds": 300,
                              "ascent_converged": 300, "ascent_no_mass": 0,
                              "ascent_exhausted": 0, "ascent_polished": 1,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,13 +85,22 @@ def test_initial_sheet_too_small_raises():
 
 def test_initial_sheet_follows_offset_and_scale():
     # a loop far from the origin, or tiny, is not degenerate: the web is the
-    # origin's web shifted or scaled
+    # origin's web shifted or scaled, also where the squares of the segment
+    # lengths would under- (1e-170) or overflow (1e160)
     origin = initial_sheet(circle_loop(), rings=3, nodes_per_ring=6)
     shifted = initial_sheet(circle_loop() + 1e6, rings=3, nodes_per_ring=6)
-    scaled = initial_sheet(1e-9 * circle_loop(), rings=3, nodes_per_ring=6)
     assert np.abs(shifted.positions - 1e6 - origin.positions).max() <= 1e-9
-    assert np.abs(scaled.positions / 1e-9 - origin.positions).max() <= 1e-12
-    for web in (shifted, scaled):
+    webs = [shifted]
+    for scale in (1e-9, 1e-170, 1e160):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = initial_sheet(scale * circle_loop(), rings=3, nodes_per_ring=6)
+        assert np.abs(scaled.positions / scale - origin.positions).max() <= 1e-12
+        # the outer ring sits on the 40-gon inscribed in the unit circle
+        radius = np.linalg.norm(scaled.positions[scaled.boundary] / scale, axis=1)
+        assert radius == pytest.approx(np.ones(6), abs=1 - math.cos(math.pi / 40))
+        webs.append(scaled)
+    for web in webs:
         assert web.edges == origin.edges
         assert np.array_equal(web.boundary, origin.boundary)
 
@@ -204,9 +214,12 @@ def test_relax_sheet_constant_field_reaches_harmonic_equilibrium(monkeypatch):
 def test_relax_sheet_planar_input_stays_planar_in_three_dimensions():
     sheet = initial_sheet(circle_loop(dim=3), rings=4, nodes_per_ring=10)
     field = KernelDensity(PointCloud([[0.0, 0.0, 0.0]]), 1.0)
-    out = relax_sheet(field, sheet)
+    counts = {}
+    out = relax_sheet(field, sheet, counts)
     assert out is not None
     assert np.abs(out.positions[:, 2]).max() <= 1e-9
+    # off R^2 every interior node sends its row to the gradient every step
+    assert counts["sheet_gradient_rows"] == counts["sheet_steps"] * (~sheet.boundary).sum()
 
 
 def test_relax_sheet_boundary_bitwise_untouched():
@@ -257,21 +270,74 @@ def single_node_force(field, sheet, alpha):
     return field.c * (g - basis.T @ (basis @ g)) + offsets.sum(axis=0)
 
 
-def test_batched_forces_match_single_node(rng):
+@pytest.mark.parametrize("dim", [2, 3])
+def test_batched_forces_match_single_node(rng, dim):
+    # in R^2 every jittered node spans the plane and skips its gradient; the
+    # reference keeps it, and its c * g_perp is zero up to rounding
     from morsecells.sheet import _degree_groups, _interior_forces
-    sheet = initial_sheet(circle_loop(dim=3), rings=4, nodes_per_ring=9)
+    sheet = initial_sheet(circle_loop(dim=dim), rings=4, nodes_per_ring=9)
     positions = sheet.positions + 0.05 * rng.normal(size=sheet.positions.shape)
     jittered = WebSheet(positions=positions, edges=sheet.edges,
                         boundary=sheet.boundary)
-    field = KernelDensity(PointCloud(rng.normal(size=(20, 3))), 0.9)
+    field = KernelDensity(PointCloud(rng.normal(size=(20, dim))), 0.9)
     adj = jittered.neighbor_lists()
     interior = np.flatnonzero(~jittered.boundary)
     groups = _degree_groups(adj, interior)
-    batched = _interior_forces(field, positions, interior, groups)
+    batched, rows = _interior_forces(field, positions, interior, groups)
+    assert rows == (0 if dim == 2 else len(interior))
     for row, alpha in enumerate(interior):
         single = single_node_force(field, jittered, int(alpha))
         assert batched[row] == pytest.approx(single, abs=1e-10)
         assert sheet_force(field, jittered, int(alpha)) == pytest.approx(single, abs=1e-10)
+
+
+@pytest.mark.parametrize("direction", [[1.0, 0.0], [0.6, 0.8]])
+def test_collinear_planar_node_keeps_its_perpendicular_gradient(direction):
+    # neighbors on one line through the node: rank 1 in R^2, so the gradient
+    # across the line stays in the force
+    line = np.array(direction)
+    positions = np.vstack([[0.0, 0.0], np.outer([1.0, -1.0, 2.0], line)])
+    sheet = WebSheet(positions=positions, edges=((0, 1), (0, 2), (0, 3)),
+                     boundary=np.array([False, True, True, True]))
+    field = KernelDensity(PointCloud([[0.5, -1.0], [-0.3, 0.7], [1.2, 0.4]]), 0.9)
+    force = sheet_force(field, sheet, 0)
+    assert force == pytest.approx(single_node_force(field, sheet, 0), abs=1e-12)
+    spring = positions[1:].sum(axis=0)
+    perpendicular = np.array([-line[1], line[0]])
+    assert abs((force - spring) @ perpendicular) > 1e-3
+
+
+class GradientFreeField(ConstantField):
+    """A planar field whose gradient must not be asked for."""
+
+    def gradient_batch(self, ys):
+        raise AssertionError("gradient_batch called")
+
+
+def test_full_rank_planar_web_makes_no_gradient_call():
+    sheet = initial_sheet(circle_loop(), rings=4, nodes_per_ring=10)
+    counts = {}
+    out = relax_sheet(GradientFreeField(2), sheet, counts)
+    assert out is not None
+    assert counts["sheet_steps"] >= 1 and counts["sheet_gradient_rows"] == 0
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_planar_forces_at_extreme_scales_skip_the_gradient(scale):
+    # the rank test scales each node's offsets before squaring them, so no
+    # square under- or overflows and every node still spans the plane
+    from morsecells.sheet import _degree_groups, _interior_forces
+    sheet = initial_sheet(circle_loop(), rings=4, nodes_per_ring=10)
+    interior = np.flatnonzero(~sheet.boundary)
+    groups = _degree_groups(sheet.neighbor_lists(), interior)
+    unit, _ = _interior_forces(GradientFreeField(2), sheet.positions, interior, groups)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forces, rows = _interior_forces(GradientFreeField(2), scale * sheet.positions,
+                                        interior, groups)
+    assert rows == 0
+    assert np.isfinite(forces).all()
+    assert np.abs(forces / scale - unit).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
