@@ -326,7 +326,13 @@ def band_distance(b1: Band, b2: Band) -> float:
     if not (np.array_equal(b1.nodes[0], b2.nodes[0])
             and np.array_equal(b1.nodes[-1], b2.nodes[-1])):
         raise InvalidInputError("bands have different endpoints")
-    return float(np.linalg.norm(b1.nodes[1:-1] - b2.nodes[1:-1], axis=1).mean())
+    return float(_node_gaps(b1.nodes, b2.nodes))
+
+
+def _node_gaps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean Euclidean distance over interior node pairs of (..., N, n) node
+    arrays, broadcast over their leading axes."""
+    return np.linalg.norm(x[..., 1:-1, :] - y[..., 1:-1, :], axis=-1).mean(axis=-1)
 
 
 def band_density(field: DensityField, band: Band) -> float:
@@ -385,27 +391,17 @@ def find_one_cells(
     for k, (a, b) in enumerate(pairs):
         others = np.delete(positions, [a, b], axis=0)
         trials = evolved[k * params.trials_per_pair:(k + 1) * params.trials_per_pair]
-        survivors = []
-        for band in trials:
-            if band is None:
-                continue
-            if len(others) and _polyline_distance(band.nodes, others) <= field.resolution:
-                counts["band_discarded"] += 1
-                continue
-            survivors.append(band)
-        if not survivors:
+        converged = [band for band in trials if band is not None]
+        kept = [band for band in converged if not len(others)
+                or _polyline_distance(band.nodes, others) > field.resolution]
+        counts["band_discarded"] += len(converged) - len(kept)
+        if not kept:
             continue
-
-        m = len(survivors)
-        dists = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                dists[i, j] = dists[j, i] = band_distance(survivors[i], survivors[j])
-        for cluster in components(dists <= field.resolution):
-            densities = [band_density(field, survivors[i]) for i in cluster]
+        nodes = np.stack([band.nodes for band in kept])
+        for cluster in components(_node_gaps(nodes[:, None], nodes[None]) <= field.resolution):
+            densities = [band_density(field, kept[i]) for i in cluster]
             best = cluster[int(np.argmax(densities))]
-            cells.append(OneCell(band=survivors[best],
-                                 density=float(max(densities)),
+            cells.append(OneCell(band=kept[best], density=float(max(densities)),
                                  endpoint_indices=(a, b)))
 
     cells.sort(key=lambda c: (-c.density, c.endpoint_indices))

@@ -231,6 +231,8 @@ def cmd_project(args) -> int:
     if args.input.endswith(".json"):
         doc = load_document(args.input)
         filtration = document_to_filtration(doc)
+        if not filtration.cells:
+            raise DataError("document has no cells to project")
         all_pts = np.vstack([c.geometry for c in filtration.cells])
         proj = _make_projection(all_pts, indices)
         with open(args.output, "w") as fh:
@@ -252,6 +254,8 @@ def _make_projection(points: np.ndarray, indices: tuple[int, int] | None) -> np.
     if n < 2:
         raise DataError("projection needs dimension >= 2")
     if indices is None:
+        if len(points) < 2:
+            raise DataError("PCA projection needs at least 2 points")
         return _pca_projector(points)
     i, j = indices
     if not (0 <= i < n and 0 <= j < n):

@@ -202,32 +202,26 @@ def _interior_forces(field: DensityField, positions: np.ndarray,
     In R^TANGENT_DIM a node whose offsets span the plane has a tangent basis
     that spans the space, so c * (g - proj) is zero up to rounding: its
     force is the spring sum, with no gradient row and no SVD.  Every other
-    node sends its row, in interior order, to one gradient call.
+    node sends its row, in interior order, to one gradient call and gains
+    c * (g - proj) in one update after the sweep over the degree groups.
     """
-    parts = []
+    n = positions.shape[1]
+    forces = np.empty((len(interior), n))
+    bases = np.empty((len(interior), TANGENT_DIM, n))
     slow = np.zeros(len(interior), dtype=bool)
     for rows, nbrs in groups:
         offsets = positions[nbrs] - positions[interior[rows]][:, None, :]
-        springs = offsets.sum(axis=1)
+        forces[rows] = offsets.sum(axis=1)
         # less their mean, bitwise as offsets.mean(axis=1) gives it
-        centered = offsets - (springs / nbrs.shape[1])[:, None, :]
-        if positions.shape[1] == TANGENT_DIM:
-            keep = ~_spans_plane(centered)
-        else:
-            keep = np.ones(len(rows), dtype=bool)
-        slow[rows[keep]] = True
-        parts.append((springs, centered, keep))
-    grads = np.empty((len(interior), positions.shape[1]))
-    if slow.any():
-        grads[slow] = field.gradient_batch(positions[interior[slow]])
-    forces = np.empty_like(grads)
-    for (rows, _), (springs, centered, keep) in zip(groups, parts):
-        forces[rows] = springs
+        centered = offsets - (forces[rows] / nbrs.shape[1])[:, None, :]
+        keep = ~_spans_plane(centered) if n == TANGENT_DIM else np.ones(len(rows), bool)
         if keep.any():
-            basis = _tangent_bases(centered[keep])
-            g = grads[rows[keep]]
-            proj = np.einsum("ikn,in,ikm->im", basis, g, basis)
-            forces[rows[keep]] += field.c * (g - proj)
+            bases[rows[keep]] = _tangent_bases(centered[keep])
+            slow[rows[keep]] = True
+    if slow.any():
+        g, basis = field.gradient_batch(positions[interior[slow]]), bases[slow]
+        proj = np.einsum("ikn,in,ikm->im", basis, g, basis)
+        forces[slow] += field.c * (g - proj)
     return forces, int(np.count_nonzero(slow))
 
 

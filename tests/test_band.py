@@ -495,6 +495,49 @@ def test_find_one_cells_discards_by_segment(monkeypatch, offset, kept):
     assert counts["band_converged"] == 1
 
 
+def bowed_band(lift):
+    """Five nodes from (-2, 0) to (2, 0) on the parabola of height lift."""
+    x = np.linspace(-2.0, 2.0, 5)
+    return Band(np.c_[x, lift * (1.0 - x * x / 4.0)])
+
+
+def test_find_one_cells_keeps_the_densest_band_of_each_cluster(monkeypatch):
+    # one pair, three converged bands: two 0.17 apart (under the resolution
+    # 0.5), the less dense one first, and one more on a route far below
+    field = KernelDensity(PointCloud([[-2.0, 0.0], [2.0, 0.0]]), 1.0)
+    cells = _zero_cells(field, [[-2.0, 0.0], [2.0, 0.0]])
+    low, other, high = bowed_band(0.3), bowed_band(-1.5), bowed_band(0.1)
+    assert band_distance(low, high) <= field.resolution < band_distance(low, other)
+    assert band_density(field, high) > band_density(field, low)
+    monkeypatch.setattr(band, "_evolve_bands",
+                        lambda field, initial, counts: [low, other, high])
+    counts = {}
+    out = find_one_cells(field, cells, NebParams(trials_per_pair=3),
+                         np.random.default_rng(0), counts=counts)
+    assert len(out) == 2
+    assert np.array_equal(out[0].band.nodes, high.nodes)
+    assert np.array_equal(out[1].band.nodes, other.nodes)
+    for cell in out:
+        assert cell.density == band_density(field, cell.band)
+        assert cell.endpoint_indices == (0, 1)
+    assert out[0].density > out[1].density
+    assert counts["band_discarded"] == 0
+
+
+def test_find_one_cells_pair_with_every_band_discarded(monkeypatch):
+    # both converged bands of the pair (0, 1) pass within the resolution of
+    # the third 0-cell at the origin; the other pairs' bands do not converge
+    field = KernelDensity(PointCloud([[-2.0, 0.0], [2.0, 0.0], [0.0, 0.0]]), 1.0)
+    cells = _zero_cells(field, [[-2.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
+    monkeypatch.setattr(band, "_evolve_bands", lambda field, initial, counts:
+                        [bowed_band(0.0), bowed_band(0.05)] + [None] * 4)
+    counts = {}
+    out = find_one_cells(field, cells, NebParams(trials_per_pair=2),
+                         np.random.default_rng(0), counts=counts)
+    assert out == []
+    assert counts["band_converged"] == 2 and counts["band_discarded"] == 2
+
+
 def ring_field(scale=1.0):
     """KDE of a ring of radius 2 with extra mass at (2, 0) and (-2, 0): its two
     maxima are joined by two minimum-energy paths, over the top and the bottom.

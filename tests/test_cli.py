@@ -718,6 +718,35 @@ def test_project_one_dimensional_input_exit_2(tmp_path, capsys, kind, basis):
     assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize("basis", ["pca", "0,1"])
+def test_project_document_without_cells_exit_2(tmp_path, capsys, basis):
+    # betti and persistence accept this document; project has nothing to stack
+    src = tmp_path / "empty.json"
+    src.write_text(json.dumps({"version": 1, "cells": []}))
+    assert run_cli("project", str(src), str(tmp_path / "p.csv"), "--basis", basis) == 2
+    assert "document has no cells to project" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["cloud", "document"])
+def test_project_pca_of_one_point_exit_2(tmp_path, capsys, kind):
+    # a thin SVD of one centered row has one direction, not two
+    if kind == "cloud":
+        from morsecells import PointCloud
+        src = str(tmp_path / "point.csv")
+        write_point_cloud(PointCloud(np.array([[1.0, 2.0, 3.0]])), src)
+    else:
+        src = edited_document(tmp_path, lambda d: d.update(cells=d["cells"][:1]))
+    dst = tmp_path / "p.csv"
+    assert run_cli("project", src, str(dst), "--basis", "pca") == 2
+    assert "PCA projection needs at least 2 points" in capsys.readouterr().err
+    assert not dst.exists()
+    # a coordinate basis still projects the one point
+    assert run_cli("project", src, str(dst), "--basis", "0,1") == 0
+    (row,) = dst.read_text().strip().splitlines()
+    assert len(row.split(",")) == (2 if kind == "cloud" else 4)
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: malformed input raises the package's own errors, never another
 

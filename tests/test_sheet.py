@@ -307,6 +307,41 @@ def test_collinear_planar_node_keeps_its_perpendicular_gradient(direction):
     assert abs((force - spring) @ perpendicular) > 1e-3
 
 
+def test_mixed_planar_web_forces_in_one_call():
+    # interior nodes 0-3: degree 3 (0 collinear, 1 spanning) and degree 4
+    # (2 collinear along (0.6, 0.8), 3 spanning, with node 1 a neighbor)
+    from morsecells.sheet import _degree_groups, _interior_forces
+    oblique = np.array([0.6, 0.8])
+    interior_pos = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
+    neighbors = {0: [[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]],
+                 1: [[6.0, 0.0], [5.0, 1.0]],
+                 2: [[0.0, 5.0] + t * oblique for t in (1.0, -1.0, 2.0, -2.0)],
+                 3: [[6.0, 5.0], [4.0, 5.0], [5.0, 6.0]]}
+    positions, edges = [*interior_pos], [(1, 3)]
+    for alpha, points in neighbors.items():
+        for point in points:
+            edges.append((alpha, len(positions)))
+            positions.append(point)
+    sheet = WebSheet(positions=np.array(positions), edges=tuple(edges),
+                     boundary=np.arange(len(positions)) >= 4)
+    field = LinearField([0.3, -0.7], c=1.5)
+    interior = np.arange(4)
+    adj = sheet.neighbor_lists()
+    groups = _degree_groups(adj, interior)
+    assert [len(rows) for rows, _ in groups] == [2, 2]
+    forces, rows = _interior_forces(field, sheet.positions, interior, groups)
+    assert rows == 2
+    for alpha, line in ((0, np.array([1.0, 0.0])), (2, oblique)):
+        spring = (sheet.positions[adj[alpha]] - sheet.positions[alpha]).sum(axis=0)
+        g_perp = field.w - (field.w @ line) * line
+        assert forces[alpha] == pytest.approx(spring + field.c * g_perp, abs=1e-12)
+        assert forces[alpha] == pytest.approx(sheet_force(field, sheet, alpha), abs=1e-12)
+    for alpha in (1, 3):
+        spring = (sheet.positions[adj[alpha]] - sheet.positions[alpha]).sum(axis=0)
+        assert np.array_equal(forces[alpha], spring)
+        assert np.array_equal(sheet_force(field, sheet, alpha), spring)
+
+
 class GradientFreeField(ConstantField):
     """A planar field whose gradient must not be asked for."""
 
