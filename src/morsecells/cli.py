@@ -293,8 +293,7 @@ def _parse_centers(spec: str) -> np.ndarray:
 def cmd_embed_graph(args) -> int:
     graph = ingestion.read_graph(args.input)
     distances = ingestion.shortest_path_distances(graph)
-    rng = np.random.default_rng(args.seed)
-    result = ingestion.mds_embed(distances, args.dim, rng)
+    result = ingestion.mds_embed(distances, args.dim)
     ingestion.write_point_cloud(result.cloud, args.output)
     print(f"stress={result.stress:.6g} iterations={len(result.stress_history) - 1}")
     return 0
@@ -380,7 +379,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--dim", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_embed_graph)
 
     p = sub.add_parser("preprocess-patches", help="patch statistics preprocessing")

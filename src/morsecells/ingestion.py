@@ -19,8 +19,10 @@ from .density import PointCloud
 from .errors import DataError, InvalidInputError, ParseError
 
 FLOAT_FMT = "%.17g"  # exact round trip for doubles
-# mds_embed stops when the stress falls by less than this fraction in a step
+# mds_embed stops when the stress falls by less than this fraction in a step,
+# or after this many Guttman transforms
 MDS_TOLERANCE = 1e-12
+MDS_MAX_ITERATIONS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -139,19 +141,22 @@ class MdsResult:
     stress_history: tuple[float, ...]
 
 
-def mds_embed(distances: np.ndarray, target_dim: int, rng: np.random.Generator,
-              max_iter: int = 1000) -> MdsResult:
+def mds_embed(distances: np.ndarray, target_dim: int) -> MdsResult:
     """Embed a distance matrix by iterated Guttman transforms.
 
-    Starts from a seeded uniform configuration scaled to the distance range
-    and stops when the relative stress decrease falls below ``MDS_TOLERANCE``
-    or after max_iter transforms.  Raw stress is non-increasing across
-    iterations.
+    Starts from classical scaling: the top ``target_dim`` eigenvectors of
+    -1/2 J D^2 J (D squared entrywise, J the centring matrix), scaled by the
+    square roots of their eigenvalues (negative ones clipped to zero, zero
+    columns past the number of points).  Stops when the relative stress
+    decrease falls below ``MDS_TOLERANCE`` or after ``MDS_MAX_ITERATIONS``
+    transforms.  Raw stress is non-increasing across iterations; a transform
+    that raises it by round-off is dropped.
     """
     delta = np.asarray(distances, dtype=float)
-    m = delta.shape[0]
-    if delta.ndim != 2 or delta.shape != (m, m):
-        raise InvalidInputError("distance matrix must be square")
+    if delta.ndim != 2 or delta.shape[0] != delta.shape[1] or delta.size == 0:
+        raise InvalidInputError("distance matrix must be square and non-empty")
+    if not np.isfinite(delta).all():
+        raise InvalidInputError("distances must be finite")
     if not np.allclose(delta, delta.T):
         raise InvalidInputError("distance matrix must be symmetric")
     if (delta < 0).any() or not np.allclose(np.diag(delta), 0):
@@ -159,23 +164,33 @@ def mds_embed(distances: np.ndarray, target_dim: int, rng: np.random.Generator,
     if target_dim < 1:
         raise InvalidInputError("target_dim must be >= 1")
 
-    scale = delta.max() if delta.max() > 0 else 1.0
-    points = rng.uniform(-scale / 2, scale / 2, size=(m, target_dim))
+    m = delta.shape[0]
+    centring = np.eye(m) - 1.0 / m
+    values, vectors = np.linalg.eigh(-0.5 * centring @ delta ** 2 @ centring)
+    values, vectors = values[::-1][:target_dim], vectors[:, ::-1][:, :target_dim]
+    points = np.zeros((m, target_dim))
+    points[:, :values.size] = vectors * np.sqrt(np.clip(values, 0.0, None))
     history: list[float] = []
-    for iteration in range(max_iter + 1):
+    previous = points
+    for iteration in range(MDS_MAX_ITERATIONS + 1):
         # one distance matrix gives the raw stress and the next transform
         diff = points[:, None, :] - points[None, :, :]
         d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        history.append(float(np.triu((d - delta) ** 2, k=1).sum()))
-        if iteration == max_iter or (iteration and history[-2] - history[-1]
-                                     <= MDS_TOLERANCE * max(history[-2], 1e-300)):
+        stress = float(np.triu((d - delta) ** 2, k=1).sum())
+        if history and stress > history[-1]:
+            # only round-off lets a transform raise the stress: keep the one before
+            points = previous
+            break
+        history.append(stress)
+        if iteration == MDS_MAX_ITERATIONS or (
+                iteration and history[-2] - stress <= MDS_TOLERANCE * history[-2]):
             break
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(d > 0, delta / np.where(d > 0, d, 1.0), 0.0)
         b = -ratio
         np.fill_diagonal(b, 0.0)
         np.fill_diagonal(b, -b.sum(axis=1))
-        points = b @ points / m
+        previous, points = points, b @ points / m
     return MdsResult(cloud=PointCloud(points), stress=history[-1],
                      stress_history=tuple(history))
 
@@ -239,8 +254,8 @@ class PatchConfig:
             raise InvalidInputError(f"unknown modality {self.modality!r}")
         if not 0 < self.contrast_quantile <= 1:
             raise InvalidInputError("contrast_quantile must be in (0, 1]")
-        if self.side < 2:
-            raise InvalidInputError("side must be >= 2")
+        if self.side not in _MODE_ORDER:
+            raise InvalidInputError(f"unsupported patch side {self.side}; use 3 or 5")
         if self.sample_size < 1:
             raise InvalidInputError("sample_size must be >= 1")
 

@@ -515,9 +515,25 @@ def test_embed_graph(tmp_path, capsys):
     g = tmp_path / "g.txt"
     g.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
     out = str(tmp_path / "emb.csv")
-    assert run_cli("embed-graph", str(g), out, "--dim", "2", "--seed", "0") == 0
+    assert run_cli("embed-graph", str(g), out, "--dim", "2") == 0
     assert "stress=" in capsys.readouterr().out
     assert read_point_cloud(out).points.shape == (4, 2)
+
+
+def test_embed_graph_twice_gives_identical_bytes(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    g.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+    outputs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outputs:
+        assert run_cli("embed-graph", str(g), str(out)) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
+def test_embed_graph_has_no_seed_flag(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    g.write_text("3 2\n0 1\n1 2\n")
+    assert run_cli("embed-graph", str(g), str(tmp_path / "o.csv"), "--seed", "0") == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_embed_graph_disconnected_exit_2(tmp_path, capsys):
