@@ -3,9 +3,12 @@
 A candidate 2-cell is a web-shaped graph spanning a closed boundary loop of
 1-cell nodes.  Interior nodes feel the density gradient projected
 perpendicular to a PCA-estimated tangent plane plus the sum of neighbor
-differences.  In R^2 a node whose neighbor offsets span the plane has no
-perpendicular direction, so its force is the spring sum alone and it costs
-no gradient row and no SVD.  A sheet relaxes through ``cwcomplex.relax``,
+differences.  The tangent planes of a step come from one batched ``eigh``
+of each node's neighbor Gram, reduced to the offsets' sum-zero subspace;
+a node whose Gram cannot resolve its plane takes the SVD.  In R^2 a node
+whose neighbor offsets span the plane has no perpendicular direction, so
+its force is the spring sum alone and it costs no gradient row and no
+tangent plane.  A sheet relaxes through ``cwcomplex.relax``,
 the loop the elastic bands use too: semi-implicit steps (implicit springs,
 explicit gradient) until the mean interior force norm is below
 ``TOLERANCE``.
@@ -14,6 +17,7 @@ explicit gradient) until the mean interior force norm is below
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,21 +120,72 @@ def initial_sheet(boundary_loop: np.ndarray, rings: int = RINGS,
     return WebSheet(positions=positions, edges=tuple(edges), boundary=boundary)
 
 
-def _tangent_bases(centered: np.ndarray) -> np.ndarray:
-    """Top-TANGENT_DIM principal directions of each node's neighbor offsets.
-
-    centered is (r, d, n): d neighbor offsets for each of r nodes, less their
-    mean.  Returns (r, TANGENT_DIM, n) orthonormal rows, with the directions
-    past each node's numerical rank zeroed instead of projecting onto noise.
-    """
+def _svd_bases(centered: np.ndarray) -> np.ndarray:
+    """The ``_tangent_bases`` rows from one SVD of each node's offsets."""
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     ok = s[:, :TANGENT_DIM] > np.maximum(s[:, :1], 1e-300) * 1e-10
     return vt[:, :TANGENT_DIM, :] * ok[:, :, None]
 
 
+@lru_cache(maxsize=None)
+def _helmert(d: int) -> np.ndarray:
+    """(d - 1, d) orthonormal rows spanning the vectors whose entries sum to 0."""
+    k = np.arange(1, d)[:, None]
+    j = np.arange(d)
+    rows = np.where(j < k, 1.0, np.where(j == k, -k, 0.0)) / np.sqrt(k * (k + 1.0))
+    rows.flags.writeable = False
+    return rows
+
+
+def _tangent_bases(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top-TANGENT_DIM principal directions of each node's neighbor offsets.
+
+    centered is (r, d, n): d neighbor offsets for each of r nodes, less their
+    mean.  Returns (r, TANGENT_DIM, n) orthonormal rows, with the directions
+    past each node's numerical rank zeroed instead of projecting onto noise,
+    and the (r,) mask of the nodes whose rows came from an SVD.
+
+    The offsets A of a node have rows that sum to zero, so A' = H A, with H
+    the Helmert rows, has A's right singular vectors.  After scaling each
+    node's offsets by their largest absolute entry, so that no square
+    under- or overflows, one batched ``eigh`` takes the Gram of each node's
+    smaller side: A' A'^T when d - 1 <= n, whose top two eigenvectors u give
+    the rows u^T A' after one Gram-Schmidt pass, or A^T A, whose top two
+    eigenvectors are the rows.  A node whose eigenvalues miss
+    lambda2 - lambda3 > 1e-2 lambda1, or whose largest entry is below 1e-300
+    or not finite, takes the SVD instead: past that rule the Gram's plane
+    can drift from the SVD's by more than 1e-12.  Inside it s2 > 0.1 s1, so
+    the SVD's rank test would keep both rows.  Rejecting is always safe.
+    """
+    r, d, n = centered.shape
+    if min(d - 1, n) < TANGENT_DIM:
+        return _svd_bases(centered), np.ones(r, dtype=bool)
+    scale = np.abs(centered).max(axis=(1, 2))
+    usable = (scale >= 1e-300) & np.isfinite(scale)
+    a = np.divide(centered, scale[:, None, None], out=np.zeros_like(centered),
+                  where=usable[:, None, None])
+    if d - 1 <= n:
+        a = _helmert(d) @ a
+        lam, u = np.linalg.eigh(a @ a.swapaxes(1, 2))
+        bases = u[:, :, [-1, -2]].swapaxes(1, 2) @ a
+        # Gram-Schmidt; the floors keep the rows of a rejected node finite
+        bases[:, 1] -= (np.einsum("ij,ij->i", bases[:, 0], bases[:, 1])
+                        / np.maximum(np.einsum("ij,ij->i", bases[:, 0], bases[:, 0]), 1e-300)
+                        )[:, None] * bases[:, 0]
+        bases /= np.maximum(np.sqrt(np.einsum("rkn,rkn->rk", bases, bases)), 1e-300)[:, :, None]
+    else:
+        lam, v = np.linalg.eigh(a.swapaxes(1, 2) @ a)
+        bases = v[:, :, [-1, -2]].swapaxes(1, 2)
+    third = lam[:, -3] if lam.shape[1] > 2 else 0.0
+    svd = ~(usable & (lam[:, -2] - third > 1e-2 * lam[:, -1]))
+    if svd.any():
+        bases[svd] = _svd_bases(centered[svd])
+    return bases, svd
+
+
 def _spans_plane(centered: np.ndarray) -> np.ndarray:
     """Where (r, d, TANGENT_DIM) centered neighbor offsets pass the rank test
-    of ``_tangent_bases`` in every direction, decided without the SVD.
+    of ``_svd_bases`` in every direction, decided without the SVD.
 
     With A a node's centered offsets scaled by their largest absolute entry,
     s1^2 * s2^2 = sum over i < j of (a_i x a_j)^2 (Cauchy-Binet) and
@@ -138,7 +193,7 @@ def _spans_plane(centered: np.ndarray) -> np.ndarray:
     largest entry of at least 1e-300 puts s1 above the SVD test's floor.  The
     cross products keep collinear offsets at det ~ 0, where the Gram form
     g00 g11 - g01^2 can round to full rank.  A node the test rejects takes
-    the SVD path, so rejecting is always safe.
+    ``_tangent_bases``, so rejecting is always safe.
     """
     scale = np.abs(centered).max(axis=(1, 2))
     a = centered / np.maximum(scale, 1e-300)[:, None, None]
@@ -163,7 +218,7 @@ def tangent_space(sheet: WebSheet, alpha: int) -> tuple[np.ndarray, bool]:
     are returned and the deficiency flag is set.
     """
     offsets = sheet.positions[_neighbors(sheet, alpha)] - sheet.positions[alpha]
-    basis = _tangent_bases((offsets - offsets.mean(axis=0))[None])[0]
+    basis = _tangent_bases((offsets - offsets.mean(axis=0))[None])[0][0]
     basis = basis[basis.any(axis=1)]
     return basis, len(basis) < TANGENT_DIM
 
@@ -196,33 +251,39 @@ def _degree_groups(adj: list[list[int]], interior: np.ndarray
 
 def _interior_forces(field: DensityField, positions: np.ndarray,
                      interior: np.ndarray,
-                     groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, int]:
-    """Forces at the interior nodes, and the number of gradient rows taken.
+                     groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, int, int]:
+    """Forces at the interior nodes, the number of gradient rows taken and
+    the number of tangent bases that took the SVD.
 
     In R^TANGENT_DIM a node whose offsets span the plane has a tangent basis
     that spans the space, so c * (g - proj) is zero up to rounding: its
-    force is the spring sum, with no gradient row and no SVD.  Every other
-    node sends its row, in interior order, to one gradient call and gains
-    c * (g - proj) in one update after the sweep over the degree groups.
+    force is the spring sum, with no gradient row and no tangent basis.
+    Every other node sends its row, in interior order, to one gradient call
+    and gains c * (g - proj) in one update after the sweep over the degree
+    groups.
     """
     n = positions.shape[1]
     forces = np.empty((len(interior), n))
     bases = np.empty((len(interior), TANGENT_DIM, n))
     slow = np.zeros(len(interior), dtype=bool)
+    svd_rows = 0
     for rows, nbrs in groups:
         offsets = positions[nbrs] - positions[interior[rows]][:, None, :]
         forces[rows] = offsets.sum(axis=1)
         # less their mean, bitwise as offsets.mean(axis=1) gives it
         centered = offsets - (forces[rows] / nbrs.shape[1])[:, None, :]
-        keep = ~_spans_plane(centered) if n == TANGENT_DIM else np.ones(len(rows), bool)
-        if keep.any():
-            bases[rows[keep]] = _tangent_bases(centered[keep])
-            slow[rows[keep]] = True
+        if n == TANGENT_DIM:
+            keep = ~_spans_plane(centered)
+            rows, centered = rows[keep], centered[keep]
+        if len(rows):
+            bases[rows], svd = _tangent_bases(centered)
+            slow[rows] = True
+            svd_rows += int(np.count_nonzero(svd))
     if slow.any():
         g, basis = field.gradient_batch(positions[interior[slow]]), bases[slow]
-        proj = np.einsum("ikn,in,ikm->im", basis, g, basis)
-        forces[slow] += field.c * (g - proj)
-    return forces, int(np.count_nonzero(slow))
+        along = np.einsum("ikn,in->ik", basis, g)
+        forces[slow] += field.c * (g - np.einsum("ik,ikm->im", along, basis))
+    return forces, int(np.count_nonzero(slow)), svd_rows
 
 
 def relax_sheet(field: DensityField, sheet: WebSheet,
@@ -233,19 +294,23 @@ def relax_sheet(field: DensityField, sheet: WebSheet,
     ``TOLERANCE`` within ``MAX_STEPS`` or the relaxation returns None.  Boundary positions are
     bitwise untouched.  ``counts["sheet_steps"]`` gains one per force
     evaluation, ``counts["sheet_gradient_rows"]`` the rows each evaluation
-    sends to the density gradient, and ``counts["sheet_final_force"]`` keeps
-    the largest final mean force norm of a converged sheet.
+    sends to the density gradient, ``counts["sheet_svd_rows"]`` the tangent
+    bases each evaluation takes from the SVD, and
+    ``counts["sheet_final_force"]`` keeps the largest final mean force norm
+    of a converged sheet.
     """
     counts = {} if counts is None else counts
     counts.setdefault("sheet_steps", 0)
     counts.setdefault("sheet_gradient_rows", 0)
+    counts.setdefault("sheet_svd_rows", 0)
     counts.setdefault("sheet_final_force", 0.0)
     interior = np.flatnonzero(~sheet.boundary)
     groups = _degree_groups(sheet.neighbor_lists(), interior)
 
     def forces(stack):
-        force, rows = _interior_forces(field, stack[0], interior, groups)
+        force, rows, svd_rows = _interior_forces(field, stack[0], interior, groups)
         counts["sheet_gradient_rows"] += rows
+        counts["sheet_svd_rows"] += svd_rows
         return force[None], np.zeros(1, dtype=bool)
 
     (out,), _, steps, final_force = relax(sheet.positions[None], sheet.edges, interior,

@@ -180,7 +180,8 @@ def test_report_sheet_and_loop_counters(bumpy_result, monkeypatch):
     assert 1 <= counts["sheet_steps"] <= sheet.MAX_STEPS + 1
     assert 0.0 <= counts["sheet_final_force"] < sheet.TOLERANCE
     # every web node in R^2 spans the plane, so the sheet takes no gradient
-    assert counts["sheet_gradient_rows"] == 0
+    # and no tangent basis
+    assert counts["sheet_gradient_rows"] == counts["sheet_svd_rows"] == 0
     # the same run with a sheet step budget of one step, and with the loop
     # of three 1-cells over MAX_LOOP_LENGTH
     cloud = synth_bumpy_circle(3, 2.0, 1000, np.random.default_rng(3),
@@ -237,7 +238,7 @@ _PERMUTATION = np.random.default_rng(5).permutation(1000)
 # mean-shift seeds change, so the cells move within the solver stops),
 # embedding in R^3 3.8e-6 / 1.0e-4 and embedding in R^8 1.4e-5 / 1.1e-3 (the
 # bands leave the plane by up to 2e-4 within their stop).  The R^8 sheet takes
-# the gradient and SVD path that a planar web in R^2 skips.
+# the gradient and tangent-plane path that a planar web in R^2 skips.
 _METAMORPHIC = {
     "rotation": (lambda x: x @ _ROTATION.T, lambda g: g @ _ROTATION, 1.0, 1e-14, 1e-13),
     "translation_1e4": (lambda x: x + [1e4, -3e4], lambda g: g - [1e4, -3e4], 1.0,
@@ -259,8 +260,11 @@ def test_bumpy_circle_cells_follow_isometries(bumpy_result, name):
     cloud = synth_bumpy_circle(3, 2.0, 1000, np.random.default_rng(3),
                                angular_spread=0.45)
     config = PipelineConfig(sigma=0.8, seed=3, neb=NebParams(trials_per_pair=6))
-    moved = run(PointCloud(forward(cloud.points)), config)[0].cells
+    moved, report = run(PointCloud(forward(cloud.points)), config)
+    moved = moved.cells
     cells = bumpy_result[0].cells
+    # in R^3 and R^8 every web node takes its tangent plane from the Gram
+    assert report.counts["sheet_svd_rows"] == 0
     assert ([(c.id, c.dimension, c.boundary) for c in moved]
             == [(c.id, c.dimension, c.boundary) for c in cells])
     for m, c in zip(moved, cells):
@@ -302,7 +306,8 @@ def test_single_gaussian_yields_one_vertex():
     assert report.counts == {"zero_cells": 1, "one_cells": 0,
                              "candidate_loops": 0, "two_cells": 0,
                              "loops_dropped": 0, "sheet_steps": 0,
-                             "sheet_gradient_rows": 0, "sheet_failed": 0, "sheet_final_force": 0.0,
+                             "sheet_gradient_rows": 0, "sheet_svd_rows": 0, "sheet_failed": 0,
+                             "sheet_final_force": 0.0,
                              "ascent_seeds": 300,
                              "ascent_converged": 300, "ascent_no_mass": 0,
                              "ascent_exhausted": 0, "ascent_polished": 1,

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import morsecells.sheet as sheet_module
 from morsecells import (KernelDensity, PointCloud, WebSheet, initial_sheet, relax_sheet,
@@ -270,10 +271,13 @@ def single_node_force(field, sheet, alpha):
     return field.c * (g - basis.T @ (basis @ g)) + offsets.sum(axis=0)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
 def test_batched_forces_match_single_node(rng, dim):
     # in R^2 every jittered node spans the plane and skips its gradient; the
-    # reference keeps it, and its c * g_perp is zero up to rounding
+    # reference keeps it, and its c * g_perp is zero up to rounding.  Off R^2
+    # every node takes its plane from the Gram: the 4-neighbour ring nodes
+    # from the reduced 3 x 3 one, the 9-neighbour center from the reduced
+    # 8 x 8 one in R^8 and from A^T A in R^3 and R^5
     from morsecells.sheet import _degree_groups, _interior_forces
     sheet = initial_sheet(circle_loop(dim=dim), rings=4, nodes_per_ring=9)
     positions = sheet.positions + 0.05 * rng.normal(size=sheet.positions.shape)
@@ -283,8 +287,9 @@ def test_batched_forces_match_single_node(rng, dim):
     adj = jittered.neighbor_lists()
     interior = np.flatnonzero(~jittered.boundary)
     groups = _degree_groups(adj, interior)
-    batched, rows = _interior_forces(field, positions, interior, groups)
+    batched, rows, svd_rows = _interior_forces(field, positions, interior, groups)
     assert rows == (0 if dim == 2 else len(interior))
+    assert svd_rows == 0
     for row, alpha in enumerate(interior):
         single = single_node_force(field, jittered, int(alpha))
         assert batched[row] == pytest.approx(single, abs=1e-10)
@@ -329,7 +334,7 @@ def test_mixed_planar_web_forces_in_one_call():
     adj = sheet.neighbor_lists()
     groups = _degree_groups(adj, interior)
     assert [len(rows) for rows, _ in groups] == [2, 2]
-    forces, rows = _interior_forces(field, sheet.positions, interior, groups)
+    forces, rows, _ = _interior_forces(field, sheet.positions, interior, groups)
     assert rows == 2
     for alpha, line in ((0, np.array([1.0, 0.0])), (2, oblique)):
         spring = (sheet.positions[adj[alpha]] - sheet.positions[alpha]).sum(axis=0)
@@ -365,14 +370,107 @@ def test_planar_forces_at_extreme_scales_skip_the_gradient(scale):
     sheet = initial_sheet(circle_loop(), rings=4, nodes_per_ring=10)
     interior = np.flatnonzero(~sheet.boundary)
     groups = _degree_groups(sheet.neighbor_lists(), interior)
-    unit, _ = _interior_forces(GradientFreeField(2), sheet.positions, interior, groups)
+    unit, _, _ = _interior_forces(GradientFreeField(2), sheet.positions, interior, groups)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        forces, rows = _interior_forces(GradientFreeField(2), scale * sheet.positions,
+        forces, rows, _ = _interior_forces(GradientFreeField(2), scale * sheet.positions,
                                         interior, groups)
     assert rows == 0
     assert np.isfinite(forces).all()
     assert np.abs(forces / scale - unit).max() <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
+def test_forces_in_eight_dimensions_at_extreme_scales(rng, scale):
+    # each node's offsets are scaled by their largest entry before the Gram
+    # squares them, so at 1e+-200, where the squares would under- or
+    # overflow, every node still takes its plane from the Gram
+    from morsecells.sheet import _degree_groups, _interior_forces
+    frame, _ = np.linalg.qr(rng.normal(size=(8, 2)))
+    sheet = initial_sheet(circle_loop() @ frame.T, rings=4, nodes_per_ring=10)
+    positions = sheet.positions + 0.02 * rng.normal(size=sheet.positions.shape)
+    interior = np.flatnonzero(~sheet.boundary)
+    groups = _degree_groups(sheet.neighbor_lists(), interior)
+    w = rng.normal(size=8)
+    unit, _, _ = _interior_forces(LinearField(w, c=1.5), positions, interior, groups)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forces, rows, svd_rows = _interior_forces(LinearField(scale * w, c=1.5),
+                                                  scale * positions, interior, groups)
+    assert rows == len(interior) and svd_rows == 0
+    assert np.isfinite(forces).all()
+    assert np.abs(forces / scale - unit).max() <= 1e-12
+
+
+def svd_tangent_rows(centered):
+    """The top two right singular vectors of each (d, n) slice, a row zeroed
+    where its singular value is below 1e-10 of the largest: the reference
+    for the Gram path."""
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    keep = s[:, :2] > np.maximum(s[:, :1], 1e-300) * 1e-10
+    return vt[:, :2] * keep[:, :, None]
+
+
+def offsets_with_singular_values(rng, d, n, values):
+    """(d, n) offsets whose rows sum to zero, with the given singular values
+    along random orthonormal frames."""
+    left = rng.normal(size=(d, len(values)))
+    left, _ = np.linalg.qr(left - left.mean(axis=0))
+    right, _ = np.linalg.qr(rng.normal(size=(n, len(values))))
+    return (left * values) @ right.T
+
+
+@st.composite
+def singular_values(draw):
+    """(s1, s2, s3) with s1 = 1: isotropic, planar, s2 down to 1e-6, s3
+    near-tied with s2, or collinear."""
+    s2 = draw(st.one_of(st.just(1.0), st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e)))
+    s3 = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0).map(lambda t: t * s2),
+                        st.floats(-6.0, -1.0).map(lambda e: (1.0 - 10.0 ** e) * s2)))
+    if draw(st.integers(0, 3)) == 0:  # collinear
+        s2 = s3 = 0.0
+    return (1.0, s2, s3)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([4, 12]), st.sampled_from([3, 5, 8]),
+       st.lists(singular_values(), min_size=1, max_size=4),
+       st.sampled_from([1e-150, 1.0, 1e150]), st.integers(0, 2 ** 32 - 1))
+def test_tangent_bases_match_the_svd(d, n, values, scale, seed):
+    # d = 4 takes the reduced 3 x 3 Gram, d = 12 the n x n one of A^T A
+    from morsecells.sheet import _tangent_bases
+    rng = np.random.default_rng(seed)
+    centered = scale * np.array([offsets_with_singular_values(rng, d, n, np.array(s))
+                                 for s in values])
+    reference = svd_tangent_rows(centered)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bases, svd = _tangent_bases(centered)
+    assert np.array_equal(bases[svd], reference[svd])
+    fast = ~svd
+    assert reference[fast].any(axis=2).all()
+    projector = bases[fast].swapaxes(1, 2) @ bases[fast]
+    expected = reference[fast].swapaxes(1, 2) @ reference[fast]
+    assert np.abs(projector - expected).max(initial=0.0) <= 1e-12
+    # the rule is lambda2 - lambda3 > 1e-2 lambda1; away from its edge the
+    # side each node falls on is fixed
+    gap = np.array([s2 * s2 - s3 * s3 for _, s2, s3 in values])
+    assert not svd[gap > 1.1e-2].any()
+    assert svd[gap < 0.9e-2].all()
+
+
+def test_tangent_bases_leave_tiny_and_zero_offsets_to_the_svd(rng):
+    # offsets whose largest entry is below 1e-300, and offsets that are all
+    # zero, give the SVD's rows, the zero rows of a deficient node included
+    from morsecells.sheet import _tangent_bases
+    planar = offsets_with_singular_values(rng, 4, 8, np.array([1.0, 0.5, 0.0]))
+    centered = np.array([1e-305 * planar, np.zeros((4, 8)), planar])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bases, svd = _tangent_bases(centered)
+    assert svd.tolist() == [True, True, False]
+    assert np.array_equal(bases[:2], svd_tangent_rows(centered[:2]))
+    assert not bases[1].any()
 
 
 # ---------------------------------------------------------------------------
