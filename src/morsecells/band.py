@@ -91,7 +91,7 @@ def _interior_forces(field: DensityField, nodes: np.ndarray
     call.  Hairpin nodes fall back to the forward difference tangent and are
     flagged so the caller can track persistence.
     """
-    edges = np.diff(nodes, axis=-2)
+    edges = nodes[..., 1:, :] - nodes[..., :-1, :]
     edge_norm = np.sqrt(np.einsum("...in,...in->...i", edges, edges))
     up, um = edges[..., 1:, :], edges[..., :-1, :]
     up_norm, um_norm = edge_norm[..., 1:], edge_norm[..., :-1]
@@ -103,17 +103,18 @@ def _interior_forces(field: DensityField, nodes: np.ndarray
         tau[hairpin] = up[hairpin] / np.maximum(up_norm[hairpin], _HAIRPIN_EPS)[:, None]
 
     interior = nodes[..., 1:-1, :]
-    grad = field.gradient_batch(interior.reshape(-1, nodes.shape[-1]))
-    grad = grad.reshape(interior.shape)
-    grad_perp = grad - np.einsum("...in,...in->...i", grad, tau)[..., None] * tau
-    spring = (up_norm - um_norm)[..., None] * tau
-
-    denom = np.maximum(up_norm * um_norm, _HAIRPIN_EPS)
-    cos_theta = np.clip(np.einsum("...in,...in->...i", up, um) / denom, -1.0, 1.0)
-    h = smoothing_weight(np.arccos(cos_theta))
-    smooth = h[..., None] * (up - um)
-
-    return field.c * grad_perp + spring + smooth, hairpin
+    grad = field.gradient_batch(interior.reshape(-1, nodes.shape[-1])).reshape(interior.shape)
+    # c·∇f⊥ + spring + smooth, summed in place in that order
+    force = grad - np.einsum("...in,...in->...i", grad, tau)[..., None] * tau
+    force *= field.c
+    force += (up_norm - um_norm)[..., None] * tau
+    cos_theta = np.einsum("...in,...in->...i", up, um)
+    cos_theta /= np.maximum(up_norm * um_norm, _HAIRPIN_EPS)
+    # the gate is exactly 0 where cos θ >= cos α + 1e-12: skipped if so at every node
+    if not (cos_theta >= math.cos(ALPHA) + 1e-12).all():
+        np.minimum(np.maximum(cos_theta, -1.0, out=cos_theta), 1.0, out=cos_theta)
+        force += smoothing_weight(np.arccos(cos_theta))[..., None] * (up - um)
+    return force, hairpin
 
 
 def total_force(field: DensityField, band: Band, i: int) -> np.ndarray:

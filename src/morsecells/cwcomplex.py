@@ -147,17 +147,20 @@ def relax(stack: np.ndarray, pairs, interior, h: float, forces,
         iterations += 1
         item_steps += len(ids)
         degenerate_steps += degenerate
-        mean_norm = np.sqrt(np.einsum("bin,bin->bi", force, force)).mean(axis=1)
+        norms = np.sqrt(np.einsum("bin,bin->bi", force, force))
+        mean_norm = np.add.reduce(norms, axis=1) / norms.shape[1]
         done = mean_norm < tolerance
-        for k in np.flatnonzero(done):
-            if degenerate_steps[k] <= 0.01 * (step + 1):
-                out[ids[k]] = stack[k].copy()
-                final_force = max(final_force, float(mean_norm[k]))
+        any_done = done.any()
+        if any_done:
+            for k in np.flatnonzero(done):
+                if degenerate_steps[k] <= 0.01 * (step + 1):
+                    out[ids[k]] = stack[k].copy()
+                    final_force = max(final_force, float(mean_norm[k]))
         if step == max_steps:
             break
         stack[:, interior] += implicit @ force
-        keep = ~done & np.isfinite(stack).all(axis=(1, 2))
-        if not keep.all():
+        if any_done or not np.isfinite(stack).all():
+            keep = ~done & np.isfinite(stack).all(axis=(1, 2))
             stack, ids, degenerate_steps = stack[keep], ids[keep], degenerate_steps[keep]
             if not len(ids):
                 break

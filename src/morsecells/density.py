@@ -168,11 +168,11 @@ class KernelDensity(DensityField):
         return self.sigma / (math.sqrt(math.e) * ratio)
 
     def _weights(self, ys: np.ndarray, nearest: bool = False
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray | float]:
         """Kernel weights of centred queries against the centred cloud.
 
         Returns the (q, m) weights exp(e - t) for the exponents
-        e = -||y - x||^2 / (2 sigma^2) and the (q,) shifts t: zero, or with
+        e = -||y - x||^2 / (2 sigma^2) and the shifts t: 0.0, or with
         ``nearest`` each row's largest exponent, which scales the nearest
         point's weight to 1.
         """
@@ -182,19 +182,22 @@ class KernelDensity(DensityField):
         rows[:, -1] = np.einsum("qn,qn->q", ys, ys)
         e = rows @ self._exponent_cols
         np.minimum(e, 0.0, out=e)  # rounding can leave tiny positives
-        top = np.zeros(len(ys))
+        top = 0.0
         if nearest:
             top = e.max(axis=1)
             e -= top[:, None]
         return np.exp(e, out=e), top
 
     def _sums(self, ys: np.ndarray, nearest: bool = False
-              ) -> tuple[np.ndarray, np.ndarray]:
+              ) -> tuple[np.ndarray, np.ndarray | float]:
         """Per-row [sum w x, sum w] of centred queries and the weight shifts,
         in row blocks of at most _BLOCK_ENTRIES weights."""
+        step = max(1, _BLOCK_ENTRIES // len(self._points1))
+        if len(ys) <= step:
+            w, top = self._weights(ys, nearest)
+            return w @ self._points1, top
         out = np.empty((len(ys), self.dimension + 1))
         top = np.empty(len(ys))
-        step = max(1, _BLOCK_ENTRIES // len(self._points1))
         for i in range(0, len(ys), step):
             w, top[i:i + step] = self._weights(ys[i:i + step], nearest)
             np.matmul(w, self._points1, out=out[i:i + step])
@@ -228,8 +231,10 @@ class KernelDensity(DensityField):
         ys = self._check_rows(ys) - self._centre
         sums, _ = self._sums(ys)
         # d/dy of each kernel is psi * (x - y) / sigma^2
-        out = sums[:, :-1] - sums[:, -1:] * ys
-        return self._norm_const * out / (len(self.cloud) * self.sigma**2)
+        out = np.subtract(sums[:, :-1], sums[:, -1:] * ys, out=ys)
+        out *= self._norm_const
+        out /= len(self.cloud) * self.sigma**2
+        return out
 
     def mean_shift(self, y: np.ndarray) -> np.ndarray:
         """Kernel-weighted average of the cloud at y.

@@ -86,9 +86,10 @@ def single_linkage(points: list[np.ndarray] | np.ndarray, threshold: float) -> l
     _require_positive(threshold=threshold)
     pts = np.asarray(points, dtype=float)
     adjacency = np.empty((len(pts), len(pts)), dtype=bool)
-    for i in range(0, len(pts), 64):  # in row blocks: no (m, m) float array
-        squares = sum(np.square(x[i:i + 64, None] - x) for x in pts.T)
-        adjacency[i:i + 64] = np.sqrt(squares) <= threshold
+    for i in range(0, len(pts), 64):  # blocks: no (m, m) floats; mirrored below the diagonal
+        squares = sum(np.square(x[i:i + 64, None] - x[i:]) for x in pts.T)
+        near = np.sqrt(squares) <= threshold
+        adjacency[i:i + 64, i:], adjacency[i:, i:i + 64] = near, near.T
     return components(adjacency)
 
 

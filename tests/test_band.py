@@ -125,6 +125,63 @@ def test_total_force_gradient_component_perpendicular_to_tangent(rng):
         assert abs(grad_part @ tau) <= 1e-10 * max(np.linalg.norm(grad_part), 1e-300)
 
 
+def _gated_forces(field, nodes):
+    """The band force term by term, with the smoothing gate
+    smoothing_weight(arccos(cos θ)) evaluated at every node."""
+    edges = np.diff(nodes, axis=-2)
+    edge_norm = np.sqrt(np.einsum("...in,...in->...i", edges, edges))
+    up, um = edges[..., 1:, :], edges[..., :-1, :]
+    up_norm, um_norm = edge_norm[..., 1:], edge_norm[..., :-1]
+    s = up + um
+    s_norm = np.sqrt(np.einsum("...in,...in->...i", s, s))
+    hairpin = s_norm <= 1e-12
+    tau = s / np.maximum(s_norm, 1e-12)[..., None]
+    tau[hairpin] = up[hairpin] / np.maximum(up_norm[hairpin], 1e-12)[:, None]
+    interior = nodes[..., 1:-1, :]
+    grad = field.gradient_batch(interior.reshape(-1, nodes.shape[-1])).reshape(interior.shape)
+    grad_perp = grad - np.einsum("...in,...in->...i", grad, tau)[..., None] * tau
+    spring = (up_norm - um_norm)[..., None] * tau
+    cos_theta = np.clip(np.einsum("...in,...in->...i", up, um)
+                        / np.maximum(up_norm * um_norm, 1e-12), -1.0, 1.0)
+    smooth = smoothing_weight(np.arccos(cos_theta))[..., None] * (up - um)
+    return field.c * grad_perp + spring + smooth, hairpin
+
+
+def _turning_band(turn):
+    # seven nodes, uneven edges heading 0.3 rad; the band turns by `turn` at node 3
+    headings = 0.3 + turn * (np.arange(6) >= 3)
+    lengths = np.array([1.0, 0.9, 1.1, 1.0, 0.95, 1.05])[:, None]
+    steps = lengths * np.c_[np.cos(headings), np.sin(headings)]
+    return np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)]) + [-1.0, 0.5]
+
+
+def test_interior_forces_skip_only_a_gate_that_is_zero():
+    a = band.ALPHA
+    bands = {"straight": _turning_band(0.0), "below alpha": _turning_band(0.4),
+             "alpha (1 - 1e-9)": _turning_band(a * (1 - 1e-9)),
+             "alpha - 1e-13": _turning_band(a - 1e-13),
+             "alpha (1 + 1e-9)": _turning_band(a * (1 + 1e-9)),
+             "between alpha and beta": _turning_band(1.0),
+             "past beta": _turning_band(2.0),
+             "hairpin": np.array([[0, 0], [1, .5], [2, 1], [3, 1.5], [2, 1], [1, .5], [0, 0]],
+                                 dtype=float)}
+    gated = {"alpha - 1e-13", "alpha (1 + 1e-9)", "between alpha and beta", "past beta",
+             "hairpin"}
+    field = RadialBowlField(2, c=0.7)
+    stack = np.stack(list(bands.values()))
+    forces, hairpin = _interior_forces(field, stack)
+    assert np.array_equal(hairpin, _gated_forces(field, stack)[1])
+    assert hairpin.any(axis=1).tolist() == [name == "hairpin" for name in bands]
+    for k, (name, nodes) in enumerate(bands.items()):
+        with mock.patch.object(band, "smoothing_weight", wraps=smoothing_weight) as gate:
+            alone, alone_hairpin = _interior_forces(field, nodes)
+        assert gate.called == (name in gated), name
+        reference, reference_hairpin = _gated_forces(field, nodes)
+        assert forces[k].tobytes() == alone.tobytes() == reference.tobytes(), name
+        assert np.array_equal(hairpin[k], alone_hairpin)
+        assert np.array_equal(alone_hairpin, reference_hairpin)
+
+
 # ---------------------------------------------------------------------------
 # evolve
 

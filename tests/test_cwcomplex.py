@@ -564,3 +564,33 @@ def test_relax_slice_interior_matches_index_array():
     by_slice = relax(stack, PATH, slice(1, 4), 0.5, _springs, 1e-8, 10_000)
     assert by_slice[1:] == by_index[1:]
     assert all(np.array_equal(a, b) for a, b in zip(by_slice[0], by_index[0]))
+
+
+def test_relax_item_converges_on_the_step_another_turns_non_finite():
+    seen = []
+
+    def forces(stack):
+        seen.append(stack.copy())
+        force, degenerate = _springs(stack)
+        end = stack[:, -1, 1]
+        if len(seen) == 3:
+            force[end == 0.0] = np.nan  # item 0 leaves as non-finite after this step
+            force[end == 1.0] = 0.0  # and item 1 converges on it
+        if len(seen) == 4:
+            force[end == 4.0] = np.nan  # item 4 turns non-finite on a step of its own
+        if len(seen) == 5:
+            force[end == 3.0] = 0.0  # and item 3 converges on one
+        return force, degenerate
+
+    stack = _path_stack(5)
+    out, iterations, item_steps, _ = relax(stack, PATH, PATH_INTERIOR, 0.5, forces,
+                                           1e-8, 10_000)
+    alone, alone_iterations, *_ = relax(stack[2:3], PATH, PATH_INTERIOR, 0.5, _springs,
+                                        1e-8, 10_000)
+    assert [len(s) for s in seen[:6]] == [5, 5, 5, 3, 2, 1]
+    assert out[0] is None and out[4] is None
+    assert np.array_equal(out[1], seen[2][1])
+    assert np.array_equal(out[3], seen[4][1])
+    assert np.array_equal(out[2], alone[0])
+    assert iterations == alone_iterations
+    assert item_steps == iterations + 2 * 3 + 4 + 5

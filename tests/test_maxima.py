@@ -5,6 +5,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import pdist, squareform
 
 from morsecells import KernelDensity, PointCloud, ascend, find_zero_cells, maxima, single_linkage
+from morsecells.cwcomplex import components
 from morsecells.errors import InvalidInputError, NoMassError, NoMaximaError
 from morsecells.maxima import _ascend_seeds
 
@@ -194,6 +195,44 @@ def test_single_linkage_matches_scipy_across_row_blocks(rng, dim):
     expected = sorted(np.flatnonzero(labels == k).tolist() for k in range(labels.max() + 1))
     assert 1 < len(expected) < 300
     assert single_linkage(points, t) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("grid", [True, False])
+def test_single_linkage_adjacency_matches_brute_force_across_block_edges(
+        monkeypatch, m, n, grid):
+    # grid points have exact squared distances, and the threshold is one of
+    # them, so some pairs sit exactly at it; random points take a threshold
+    # midway between two distances, and their mirrored blocks must match
+    # every pair computed the other way round
+    rng = np.random.default_rng(100 * m + n)
+    if grid:
+        points = rng.integers(-2, 3, size=(m, n)).astype(float)
+    else:
+        points = rng.uniform(-1.0, 1.0, size=(m, n))
+    dists = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1))
+    positive = np.sort(dists[dists > 0])
+    quarter = len(positive) // 4
+    if m == 1:
+        t = 1.0
+    elif grid:
+        t = positive[quarter]
+    else:
+        t = positive[quarter:quarter + 2].mean()
+    adjacencies = []
+    monkeypatch.setattr(maxima, "components",
+                        lambda a: adjacencies.append(a.copy()) or components(a))
+    clusters = single_linkage(points, t)
+
+    rows = np.sqrt(sum(np.square(x[:, None] - x) for x in points.T)) <= t
+    assert np.array_equal(adjacencies[0], rows)
+    if grid:
+        assert np.array_equal(rows, dists <= t)
+        assert m == 1 or np.count_nonzero(dists == t) >= 2
+    _, labels = connected_components(dists <= t, directed=False)
+    assert clusters == sorted(np.flatnonzero(labels == k).tolist()
+                              for k in range(labels.max() + 1))
 
 
 def test_find_zero_cells_two_modes(rng):
