@@ -172,15 +172,14 @@ def evolve(field: DensityField, band: Band) -> Band | None:
 
 
 def _unit_orthogonal(direction: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform unit vector orthogonal to direction (rotation invariance of the normal law)."""
+    """Uniform unit vector orthogonal to direction (rotation invariance of the normal law).
+
+    The projected draw is zero with probability 0; a band from a non-finite
+    one fails in ``relax``."""
     d = direction / np.linalg.norm(direction)
-    for _ in range(100):
-        y = rng.standard_normal(d.shape[0])
-        y -= (y @ d) * d
-        norm = np.linalg.norm(y)
-        if norm > 1e-12:
-            return y / norm
-    raise ConstructionError("failed to sample an orthogonal direction")
+    y = rng.standard_normal(d.shape[0])
+    y -= (y @ d) * d
+    return y / np.linalg.norm(y)
 
 
 def _straight_band(p: np.ndarray, q: np.ndarray, count: int) -> np.ndarray:

@@ -198,16 +198,19 @@ def mds_embed(distances: np.ndarray, target_dim: int) -> MdsResult:
 # ---------------------------------------------------------------------------
 # Patch preprocessing
 
-def _grid_laplacian(side: int) -> np.ndarray:
-    """Graph Laplacian of the side x side grid under 4-adjacency.
-
-    Pixels are indexed column-major to match patch vectorization; the D-inner
-    product of patches is <x, y>_D = x^T L y.
-    """
+def _grid_edges(side: int) -> np.ndarray:
+    """(E, 2) adjacent pixel pairs of the side x side grid under 4-adjacency,
+    pixels indexed column-major to match patch vectorization."""
     idx = np.arange(side * side).reshape(side, side)  # [c, r] -> c * side + r
     down = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
     right = np.stack([idx[:-1].ravel(), idx[1:].ravel()], axis=1)
-    return laplacian(side * side, np.vstack([down, right]))
+    return np.vstack([down, right])
+
+
+def _grid_laplacian(side: int) -> np.ndarray:
+    """Graph Laplacian of the side x side grid; the D-inner product of
+    patches is <x, y>_D = x^T L y."""
+    return laplacian(side * side, _grid_edges(side))
 
 
 # Mode orderings (row frequency, column frequency), skipping the constant mode.
@@ -315,8 +318,11 @@ def preprocess_patches(rasters, config: PatchConfig,
                 f"nonpositive values under log transform (sampled patch {bad})"
             )
         x = np.log(x)
-    # joint contrast: sum over adjacent pixels of the squared channel differences
-    contrast = np.sqrt(sum(np.einsum("ti,ij,tj->t", xc, lap, xc) for xc in x))
+    # joint contrast: sum over adjacent pixels of the squared channel
+    # differences, taken as differences so that a constant patch reads 0
+    a, b = _grid_edges(side).T
+    diff = x[:, :, a] - x[:, :, b]
+    contrast = np.sqrt(np.einsum("cte,cte->t", diff, diff))
     keep = _top_quantile(contrast, config.contrast_quantile)
     x, contrast = x[:, keep], contrast[keep]
     x = (x - x.mean(axis=2, keepdims=True)) / contrast[:, None]

@@ -3,15 +3,14 @@
 A candidate 2-cell is a web-shaped graph spanning a closed boundary loop of
 1-cell nodes.  Interior nodes feel the density gradient projected
 perpendicular to a PCA-estimated tangent plane plus the sum of neighbor
-differences.  The tangent planes of a step come from one batched ``eigh``
-of each node's neighbor Gram, reduced to the offsets' sum-zero subspace;
-a node whose Gram cannot resolve its plane takes the SVD.  In R^2 a node
-whose neighbor offsets span the plane has no perpendicular direction, so
-its force is the spring sum alone and it costs no gradient row and no
-tangent plane.  A sheet relaxes through ``cwcomplex.relax``,
-the loop the elastic bands use too: semi-implicit steps (implicit springs,
-explicit gradient) until the mean interior force norm is below
-``TOLERANCE``.
+differences.  In R^n with n <= 2 the tangent plane of a 2-cell is all of
+R^n, so the projected gradient is zero and the force is the spring sum
+alone.  Off the plane the tangent planes of a step come from one batched
+``eigh`` of each node's neighbor Gram, reduced to the offsets' sum-zero
+subspace; a node whose Gram cannot resolve its plane takes the SVD.  A
+sheet relaxes through ``cwcomplex.relax``, the loop the elastic bands use
+too: semi-implicit steps (implicit springs, explicit gradient) until the
+mean interior force norm is below ``TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -121,10 +120,13 @@ def initial_sheet(boundary_loop: np.ndarray, rings: int = RINGS,
 
 
 def _svd_bases(centered: np.ndarray) -> np.ndarray:
-    """The ``_tangent_bases`` rows from one SVD of each node's offsets."""
+    """The ``_tangent_bases`` rows from one SVD of each node's offsets, zero
+    rows past min(d, n)."""
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    ok = s[:, :TANGENT_DIM] > np.maximum(s[:, :1], 1e-300) * 1e-10
-    return vt[:, :TANGENT_DIM, :] * ok[:, :, None]
+    k = min(TANGENT_DIM, s.shape[1])
+    bases = np.zeros((len(centered), TANGENT_DIM, centered.shape[2]))
+    bases[:, :k] = vt[:, :k] * (s[:, :k] > np.maximum(s[:, :1], 1e-300) * 1e-10)[:, :, None]
+    return bases
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +144,9 @@ def _tangent_bases(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     centered is (r, d, n): d neighbor offsets for each of r nodes, less their
     mean.  Returns (r, TANGENT_DIM, n) orthonormal rows, with the directions
-    past each node's numerical rank zeroed instead of projecting onto noise,
-    and the (r,) mask of the nodes whose rows came from an SVD.
+    past each node's numerical rank, or past min(d, n), zeroed instead of
+    projecting onto noise, and the (r,) mask of the nodes whose rows came
+    from an SVD.
 
     The offsets A of a node have rows that sum to zero, so A' = H A, with H
     the Helmert rows, has A's right singular vectors.  After scaling each
@@ -183,26 +186,6 @@ def _tangent_bases(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bases, svd
 
 
-def _spans_plane(centered: np.ndarray) -> np.ndarray:
-    """Where (r, d, TANGENT_DIM) centered neighbor offsets pass the rank test
-    of ``_svd_bases`` in every direction, decided without the SVD.
-
-    With A a node's centered offsets scaled by their largest absolute entry,
-    s1^2 * s2^2 = sum over i < j of (a_i x a_j)^2 (Cauchy-Binet) and
-    s1^2 + s2^2 = ||A||_F^2, so det > 1e-20 ||A||_F^4 gives s2 > 1e-10 s1; a
-    largest entry of at least 1e-300 puts s1 above the SVD test's floor.  The
-    cross products keep collinear offsets at det ~ 0, where the Gram form
-    g00 g11 - g01^2 can round to full rank.  A node the test rejects takes
-    ``_tangent_bases``, so rejecting is always safe.
-    """
-    scale = np.abs(centered).max(axis=(1, 2))
-    a = centered / np.maximum(scale, 1e-300)[:, None, None]
-    cross = a[:, :, None, 0] * a[:, None, :, 1] - a[:, :, None, 1] * a[:, None, :, 0]
-    det = 0.5 * np.einsum("ijk,ijk->i", cross, cross)
-    frob = np.einsum("ijk,ijk->i", a, a)
-    return (scale >= 1e-300) & (det > 1e-20 * frob * frob)
-
-
 def _neighbors(sheet: WebSheet, alpha: int) -> list[int]:
     neighbors = sheet.neighbor_lists()[alpha]
     if len(neighbors) < TANGENT_DIM:
@@ -211,7 +194,8 @@ def _neighbors(sheet: WebSheet, alpha: int) -> list[int]:
 
 
 def tangent_space(sheet: WebSheet, alpha: int) -> tuple[np.ndarray, bool]:
-    """Tangent-plane basis of node alpha, as used by the sheet force.
+    """Top-TANGENT_DIM principal directions of node alpha's neighbor offsets:
+    in R^n, n > TANGENT_DIM, the plane the sheet force projects off.
 
     Returns (basis, deficient); basis rows are orthonormal.  When the
     neighbor offsets have rank below TANGENT_DIM, the available directions
@@ -251,39 +235,33 @@ def _degree_groups(adj: list[list[int]], interior: np.ndarray
 
 def _interior_forces(field: DensityField, positions: np.ndarray,
                      interior: np.ndarray,
-                     groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, int, int]:
-    """Forces at the interior nodes, the number of gradient rows taken and
-    the number of tangent bases that took the SVD.
+                     groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, int]:
+    """Forces at the interior nodes and the number of tangent bases that
+    took the SVD.
 
-    In R^TANGENT_DIM a node whose offsets span the plane has a tangent basis
-    that spans the space, so c * (g - proj) is zero up to rounding: its
-    force is the spring sum, with no gradient row and no tangent basis.
-    Every other node sends its row, in interior order, to one gradient call
-    and gains c * (g - proj) in one update after the sweep over the degree
-    groups.
+    In R^n with n <= TANGENT_DIM a 2-cell's tangent plane is all of R^n, so
+    the perpendicular gradient is zero and each force is the spring sum,
+    with no tangent basis and no gradient call.  Off the plane every node
+    takes its tangent basis in the sweep over the degree groups, and all
+    gain c * (g - proj) from one gradient call and one update.
     """
     n = positions.shape[1]
     forces = np.empty((len(interior), n))
     bases = np.empty((len(interior), TANGENT_DIM, n))
-    slow = np.zeros(len(interior), dtype=bool)
     svd_rows = 0
     for rows, nbrs in groups:
         offsets = positions[nbrs] - positions[interior[rows]][:, None, :]
         forces[rows] = offsets.sum(axis=1)
-        # less their mean, bitwise as offsets.mean(axis=1) gives it
-        centered = offsets - (forces[rows] / nbrs.shape[1])[:, None, :]
-        if n == TANGENT_DIM:
-            keep = ~_spans_plane(centered)
-            rows, centered = rows[keep], centered[keep]
-        if len(rows):
+        if n > TANGENT_DIM:
+            # less their mean, bitwise as offsets.mean(axis=1) gives it
+            centered = offsets - (forces[rows] / nbrs.shape[1])[:, None, :]
             bases[rows], svd = _tangent_bases(centered)
-            slow[rows] = True
             svd_rows += int(np.count_nonzero(svd))
-    if slow.any():
-        g, basis = field.gradient_batch(positions[interior[slow]]), bases[slow]
-        along = np.einsum("ikn,in->ik", basis, g)
-        forces[slow] += field.c * (g - np.einsum("ik,ikm->im", along, basis))
-    return forces, int(np.count_nonzero(slow)), svd_rows
+    if n > TANGENT_DIM:
+        g = field.gradient_batch(positions[interior])
+        along = np.einsum("ikn,in->ik", bases, g)
+        forces += field.c * (g - np.einsum("ik,ikm->im", along, bases))
+    return forces, svd_rows
 
 
 def relax_sheet(field: DensityField, sheet: WebSheet,
@@ -293,8 +271,9 @@ def relax_sheet(field: DensityField, sheet: WebSheet,
     The sheet is a one-item stack that is never degenerate; it converges at
     ``TOLERANCE`` within ``MAX_STEPS`` or the relaxation returns None.  Boundary positions are
     bitwise untouched.  ``counts["sheet_steps"]`` gains one per force
-    evaluation, ``counts["sheet_gradient_rows"]`` the rows each evaluation
-    sends to the density gradient, ``counts["sheet_svd_rows"]`` the tangent
+    evaluation, ``counts["sheet_gradient_rows"]`` the rows those evaluations
+    send to the density gradient (every interior node off the plane, none in
+    R^1 and R^2), ``counts["sheet_svd_rows"]`` the tangent
     bases each evaluation takes from the SVD, and
     ``counts["sheet_final_force"]`` keeps the largest final mean force norm
     of a converged sheet.
@@ -308,14 +287,15 @@ def relax_sheet(field: DensityField, sheet: WebSheet,
     groups = _degree_groups(sheet.neighbor_lists(), interior)
 
     def forces(stack):
-        force, rows, svd_rows = _interior_forces(field, stack[0], interior, groups)
-        counts["sheet_gradient_rows"] += rows
+        force, svd_rows = _interior_forces(field, stack[0], interior, groups)
         counts["sheet_svd_rows"] += svd_rows
         return force[None], np.zeros(1, dtype=bool)
 
     (out,), _, steps, final_force = relax(sheet.positions[None], sheet.edges, interior,
                                          STEP, forces, TOLERANCE, MAX_STEPS)
     counts["sheet_steps"] += steps
+    if sheet.positions.shape[1] > TANGENT_DIM:
+        counts["sheet_gradient_rows"] += steps * len(interior)
     counts["sheet_final_force"] = max(counts["sheet_final_force"], final_force)
     return None if out is None else replace(sheet, positions=out)
 

@@ -459,6 +459,44 @@ def test_sphere_band_degenerate_plane_raises(rng):
         initial_band_sphere(p, -p, 5, rng)
 
 
+class ScriptedNormal:
+    """A generator whose standard normal draws are the given vectors in
+    turn, the last one again and again."""
+
+    def __init__(self, *draws):
+        self.draws = [np.array(d, dtype=float) for d in draws]
+
+    def standard_normal(self, size):
+        return (self.draws.pop(0) if len(self.draws) > 1 else self.draws[0]).copy()
+
+
+def test_sphere_band_redraws_a_direction_at_an_endpoint():
+    # a zero draw has no direction, and a draw at or within 1e-9 of p-hat
+    # defines no circle apart from p-hat, so each is drawn again; a
+    # generator that only ever gives p-hat runs out of draws
+    p, q = np.array([2.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0])
+    draws = ScriptedNormal(np.zeros(3), p, [2.0, 0.0, 2e-10], [0.0, 0.0, 3.0])
+    b = initial_band_sphere(p, q, 7, draws)
+    assert np.array_equal(b.nodes, sphere_arc_band(p, q, np.array([0.0, 0.0, 1.0]), 7).nodes)
+    with pytest.raises(ConstructionError, match="non-degenerate sphere direction"):
+        initial_band_sphere(p, q, 7, ScriptedNormal(p / 2.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rng: Band(np.zeros((2, 3))), "at least 3 nodes"),
+    (lambda rng: tangent(straight_band([0.0, 0.0], [1.0, 0.0]), 0), "interior nodes only"),
+    (lambda rng: tangent(straight_band([0.0, 0.0], [1.0, 0.0]), 4), "interior nodes only"),
+    (lambda rng: initial_band_general(np.zeros(2), np.ones(3), 5, rng), "dimensions differ"),
+    (lambda rng: initial_band_general(np.ones(2), np.ones(2), 5, rng), "coincide"),
+    (lambda rng: initial_band_sphere(np.zeros(3), np.ones(3), 5, rng), "nonzero"),
+    (lambda rng: initial_band_sphere(np.ones(3), np.zeros(3), 5, rng), "nonzero"),
+], ids=["two-node-band", "tangent-at-first", "tangent-at-last", "mismatched-endpoints",
+        "coincident-endpoints", "zero-p-on-sphere", "zero-q-on-sphere"])
+def test_band_inputs_rejected(rng, call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call(rng)
+
+
 # ---------------------------------------------------------------------------
 # band metric
 

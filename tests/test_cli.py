@@ -248,6 +248,17 @@ def test_analyze_config_file(tmp_path, two_blob_csv):
     assert doc["config"]["neb"]["trials_per_pair"] == 4
 
 
+def test_analyze_prints_the_run_notes(tmp_path, capsys):
+    # one Gaussian has one 0-cell: the 1-cell stage is skipped, and said so
+    cloud = tmp_path / "one.csv"
+    write_point_cloud(synth_gaussian_mixture([[0.0, 0.0]], 1.0, None, 100,
+                                             np.random.default_rng(5)), str(cloud))
+    assert run_cli("analyze", str(cloud), str(tmp_path / "m.json"), "--sigma", "1.0") == 0
+    out = capsys.readouterr().out
+    assert "cells: 1 (1 zero, 0 one, 0 two)" in out
+    assert "note: fewer than two 0-cells; skipped the 1-cell stage" in out
+
+
 def test_analyze_missing_input_exit_2(tmp_path, capsys):
     assert run_cli("analyze", str(tmp_path / "absent.csv"),
                    str(tmp_path / "o.json")) == 2
@@ -549,6 +560,15 @@ def test_embed_graph_without_vertices_exit_2(tmp_path, capsys, header):
     g.write_text(header + "\n")
     assert run_cli("embed-graph", str(g), str(tmp_path / "o.csv")) == 2
     assert "at least one vertex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [("", "empty graph file"),
+                                           ("3 2\n0 1\n1 x\n", "edge line must be")])
+def test_embed_graph_unreadable_file_exit_2(tmp_path, capsys, text, message):
+    g = tmp_path / "g.txt"
+    g.write_text(text)
+    assert run_cli("embed-graph", str(g), str(tmp_path / "o.csv")) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_sliding_window_cli(tmp_path):

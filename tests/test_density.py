@@ -126,6 +126,13 @@ def test_batches_in_row_blocks_match_single_rows(rng, monkeypatch):
     assert f.gradient_batch(np.empty((0, 2))).shape == (0, 2)
 
 
+@pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros((3, 0)), np.zeros(0)],
+                         ids=["no-rows", "no-columns", "flat"])
+def test_empty_point_cloud_rejected(points):
+    with pytest.raises(InvalidInputError, match="non-empty"):
+        PointCloud(points)
+
+
 def test_value_dimension_mismatch():
     f = KernelDensity(PointCloud([[0.0, 0.0]]), 1.0)
     with pytest.raises(InvalidInputError):

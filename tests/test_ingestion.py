@@ -419,6 +419,34 @@ def test_sliding_window_validation():
         sliding_window(bad, 2)
 
 
+def _written(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp, rng: read_graph(_written(tmp / "g.txt", "")), ParseError, "empty graph file"),
+    (lambda tmp, rng: read_graph(_written(tmp / "g.txt", "3 2\n0 1\n1 x\n")),
+     ParseError, "edge line must be 'i j'"),
+    (lambda tmp, rng: mds_embed(np.ones((3, 3)) - np.eye(3), 0), InvalidInputError,
+     "target_dim must be >= 1"),
+    (lambda tmp, rng: preprocess_patches([np.ones((2, 8))], PatchConfig(sample_size=10), rng),
+     DataError, "too small for 3x3 patches"),
+    # log 2 and log 6 patches: the quadratic form x^T L x reads -4e-16 and
+    # +4e-15 on them
+    (lambda tmp, rng: preprocess_patches([np.full((6, 6), 2.0)], PatchConfig(sample_size=10),
+                                         rng), DataError, "zero contrast"),
+    (lambda tmp, rng: preprocess_patches([np.full((6, 6), 6.0)], PatchConfig(sample_size=10),
+                                         rng), DataError, "zero contrast"),
+    (lambda tmp, rng: sliding_window(np.arange(5.0), 2), InvalidInputError,
+     "series must be a"),
+], ids=["empty-graph-file", "bad-edge-line", "mds-target-dim-0", "raster-below-patch",
+        "zero-contrast-patches-2", "zero-contrast-patches-6", "one-dimensional-series"])
+def test_ingestion_inputs_rejected(tmp_path, rng, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path, rng)
+
+
 def test_read_series(tmp_path):
     # a series CSV (one row per variable) reads as its (variables, time) matrix
     path = tmp_path / "s.csv"
@@ -458,6 +486,14 @@ def test_synth_noisy_circle_radii(rng):
     cloud = synth_noisy_circle(3.0, 0.0, 500, rng)
     assert np.linalg.norm(cloud.points, axis=1) == pytest.approx(
         np.full(500, 3.0))
+
+
+def test_synth_noisy_circle_noise_spreads_the_radii(rng):
+    # isotropic noise of scale 0.1 on a radius-3 circle: the radius spreads
+    # by about 0.1 around 3
+    radii = np.linalg.norm(synth_noisy_circle(3.0, 0.1, 2000, rng).points, axis=1)
+    assert abs(radii.mean() - 3.0) < 0.01
+    assert 0.09 < radii.std() < 0.11
 
 
 def test_synth_bumpy_circle_modes(rng):

@@ -273,8 +273,8 @@ def single_node_force(field, sheet, alpha):
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
 def test_batched_forces_match_single_node(rng, dim):
-    # in R^2 every jittered node spans the plane and skips its gradient; the
-    # reference keeps it, and its c * g_perp is zero up to rounding.  Off R^2
+    # in R^2 every node's force is its spring sum; the reference keeps the
+    # gradient, and its c * g_perp is zero up to rounding.  Off R^2
     # every node takes its plane from the Gram: the 4-neighbour ring nodes
     # from the reduced 3 x 3 one, the 9-neighbour center from the reduced
     # 8 x 8 one in R^8 and from A^T A in R^3 and R^5
@@ -287,8 +287,7 @@ def test_batched_forces_match_single_node(rng, dim):
     adj = jittered.neighbor_lists()
     interior = np.flatnonzero(~jittered.boundary)
     groups = _degree_groups(adj, interior)
-    batched, rows, svd_rows = _interior_forces(field, positions, interior, groups)
-    assert rows == (0 if dim == 2 else len(interior))
+    batched, svd_rows = _interior_forces(field, positions, interior, groups)
     assert svd_rows == 0
     for row, alpha in enumerate(interior):
         single = single_node_force(field, jittered, int(alpha))
@@ -296,25 +295,19 @@ def test_batched_forces_match_single_node(rng, dim):
         assert sheet_force(field, jittered, int(alpha)) == pytest.approx(single, abs=1e-10)
 
 
-@pytest.mark.parametrize("direction", [[1.0, 0.0], [0.6, 0.8]])
-def test_collinear_planar_node_keeps_its_perpendicular_gradient(direction):
-    # neighbors on one line through the node: rank 1 in R^2, so the gradient
-    # across the line stays in the force
-    line = np.array(direction)
-    positions = np.vstack([[0.0, 0.0], np.outer([1.0, -1.0, 2.0], line)])
-    sheet = WebSheet(positions=positions, edges=((0, 1), (0, 2), (0, 3)),
-                     boundary=np.array([False, True, True, True]))
-    field = KernelDensity(PointCloud([[0.5, -1.0], [-0.3, 0.7], [1.2, 0.4]]), 0.9)
-    force = sheet_force(field, sheet, 0)
-    assert force == pytest.approx(single_node_force(field, sheet, 0), abs=1e-12)
-    spring = positions[1:].sum(axis=0)
-    perpendicular = np.array([-line[1], line[0]])
-    assert abs((force - spring) @ perpendicular) > 1e-3
+class GradientFreeField(ConstantField):
+    """A field whose gradient must not be asked for."""
+
+    def gradient_batch(self, ys):
+        raise AssertionError("gradient_batch called")
 
 
-def test_mixed_planar_web_forces_in_one_call():
-    # interior nodes 0-3: degree 3 (0 collinear, 1 spanning) and degree 4
-    # (2 collinear along (0.6, 0.8), 3 spanning, with node 1 a neighbor)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_forces_in_one_and_two_dimensions_are_spring_sums(dim):
+    # a 2-cell's tangent plane is all of R^1 or R^2, so every force is the
+    # spring sum bitwise, with no gradient call: interior nodes 0-3 have
+    # degree 3 (0 with collinear offsets, 1 spanning) and degree 4 (2
+    # collinear along (0.6, 0.8), 3 spanning, with node 1 a neighbor)
     from morsecells.sheet import _degree_groups, _interior_forces
     oblique = np.array([0.6, 0.8])
     interior_pos = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
@@ -327,31 +320,23 @@ def test_mixed_planar_web_forces_in_one_call():
         for point in points:
             edges.append((alpha, len(positions)))
             positions.append(point)
-    sheet = WebSheet(positions=np.array(positions), edges=tuple(edges),
+    sheet = WebSheet(positions=np.array(positions)[:, :dim], edges=tuple(edges),
                      boundary=np.arange(len(positions)) >= 4)
-    field = LinearField([0.3, -0.7], c=1.5)
-    interior = np.arange(4)
+    field = GradientFreeField(dim)
     adj = sheet.neighbor_lists()
+    springs = [(sheet.positions[adj[alpha]] - sheet.positions[alpha]).sum(axis=0)
+               for alpha in range(4)]
+    for alpha in range(4):
+        assert np.array_equal(sheet_force(field, sheet, alpha), springs[alpha])
+    interior = np.arange(4)
     groups = _degree_groups(adj, interior)
     assert [len(rows) for rows, _ in groups] == [2, 2]
-    forces, rows, _ = _interior_forces(field, sheet.positions, interior, groups)
-    assert rows == 2
-    for alpha, line in ((0, np.array([1.0, 0.0])), (2, oblique)):
-        spring = (sheet.positions[adj[alpha]] - sheet.positions[alpha]).sum(axis=0)
-        g_perp = field.w - (field.w @ line) * line
-        assert forces[alpha] == pytest.approx(spring + field.c * g_perp, abs=1e-12)
-        assert forces[alpha] == pytest.approx(sheet_force(field, sheet, alpha), abs=1e-12)
-    for alpha in (1, 3):
-        spring = (sheet.positions[adj[alpha]] - sheet.positions[alpha]).sum(axis=0)
-        assert np.array_equal(forces[alpha], spring)
-        assert np.array_equal(sheet_force(field, sheet, alpha), spring)
-
-
-class GradientFreeField(ConstantField):
-    """A planar field whose gradient must not be asked for."""
-
-    def gradient_batch(self, ys):
-        raise AssertionError("gradient_batch called")
+    forces, svd_rows = _interior_forces(field, sheet.positions, interior, groups)
+    assert np.array_equal(forces, np.array(springs)) and svd_rows == 0
+    counts = {}
+    assert relax_sheet(field, sheet, counts) is not None
+    assert counts["sheet_steps"] >= 1
+    assert counts["sheet_gradient_rows"] == counts["sheet_svd_rows"] == 0
 
 
 def test_full_rank_planar_web_makes_no_gradient_call():
@@ -364,18 +349,17 @@ def test_full_rank_planar_web_makes_no_gradient_call():
 
 @pytest.mark.parametrize("scale", [1e-100, 1e100])
 def test_planar_forces_at_extreme_scales_skip_the_gradient(scale):
-    # the rank test scales each node's offsets before squaring them, so no
-    # square under- or overflows and every node still spans the plane
+    # in R^2 the force is the spring sum at any scale: no square is formed,
+    # and the gradient is never asked for
     from morsecells.sheet import _degree_groups, _interior_forces
     sheet = initial_sheet(circle_loop(), rings=4, nodes_per_ring=10)
     interior = np.flatnonzero(~sheet.boundary)
     groups = _degree_groups(sheet.neighbor_lists(), interior)
-    unit, _, _ = _interior_forces(GradientFreeField(2), sheet.positions, interior, groups)
+    unit, _ = _interior_forces(GradientFreeField(2), sheet.positions, interior, groups)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        forces, rows, _ = _interior_forces(GradientFreeField(2), scale * sheet.positions,
-                                        interior, groups)
-    assert rows == 0
+        forces, _ = _interior_forces(GradientFreeField(2), scale * sheet.positions,
+                                     interior, groups)
     assert np.isfinite(forces).all()
     assert np.abs(forces / scale - unit).max() <= 1e-12
 
@@ -392,12 +376,12 @@ def test_forces_in_eight_dimensions_at_extreme_scales(rng, scale):
     interior = np.flatnonzero(~sheet.boundary)
     groups = _degree_groups(sheet.neighbor_lists(), interior)
     w = rng.normal(size=8)
-    unit, _, _ = _interior_forces(LinearField(w, c=1.5), positions, interior, groups)
+    unit, _ = _interior_forces(LinearField(w, c=1.5), positions, interior, groups)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        forces, rows, svd_rows = _interior_forces(LinearField(scale * w, c=1.5),
-                                                  scale * positions, interior, groups)
-    assert rows == len(interior) and svd_rows == 0
+        forces, svd_rows = _interior_forces(LinearField(scale * w, c=1.5),
+                                            scale * positions, interior, groups)
+    assert svd_rows == 0
     assert np.isfinite(forces).all()
     assert np.abs(forces / scale - unit).max() <= 1e-12
 
@@ -457,6 +441,27 @@ def test_tangent_bases_match_the_svd(d, n, values, scale, seed):
     gap = np.array([s2 * s2 - s3 * s3 for _, s2, s3 in values])
     assert not svd[gap > 1.1e-2].any()
     assert svd[gap < 0.9e-2].all()
+
+
+@pytest.mark.parametrize("neighbors", [[[1.0, 2.0, -1.0], [-3.0, 0.5, 2.0]],
+                                       [[1.0], [-2.0], [4.0]]])
+def test_tangent_bases_below_the_plane_pad_with_zero_rows(neighbors):
+    # a degree-2 node in R^3 and a node in R^1 have min(d - 1, n) < 2, so the
+    # SVD takes them at once; its one direction is followed by a zero row
+    from morsecells.sheet import _tangent_bases
+    neighbors = np.array(neighbors)
+    d, n = neighbors.shape
+    sheet = WebSheet(positions=np.vstack([np.zeros(n), neighbors]),
+                     edges=tuple((0, i) for i in range(1, d + 1)),
+                     boundary=np.arange(d + 1) > 0)
+    centered = neighbors - neighbors.mean(axis=0)
+    bases, svd = _tangent_bases(centered[None])
+    assert bases.shape == (1, 2, n) and svd.tolist() == [True]
+    line = centered[-1] / np.linalg.norm(centered[-1])
+    assert abs(bases[0, 0] @ line) == pytest.approx(1.0, abs=1e-12)
+    assert not bases[0, 1].any()
+    basis, deficient = tangent_space(sheet, 0)
+    assert deficient and np.array_equal(basis, bases[0, :1])
 
 
 def test_tangent_bases_leave_tiny_and_zero_offsets_to_the_svd(rng):
