@@ -291,12 +291,12 @@ def initial_band_sphere(
         if norm < 1e-12:
             continue
         y /= norm
+        # three distinct points of a sphere are never collinear: past this
+        # check y lies over 2e-10·|q^ - p^| from the line through p^ and q^,
+        # far above the 1e-12·|q^ - p^| that _circumcircle refuses
         if min(np.linalg.norm(y - ph), np.linalg.norm(y - qh)) < 1e-9:
             continue
-        try:
-            return sphere_arc_band(p, q, y, node_count)
-        except ConstructionError:
-            continue
+        return sphere_arc_band(p, q, y, node_count)
     raise ConstructionError("failed to sample a non-degenerate sphere direction")
 
 

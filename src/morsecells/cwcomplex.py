@@ -36,6 +36,8 @@ class Cell:
         if not math.isfinite(self.density):
             raise InvalidInputError("cell density must be finite")
         object.__setattr__(self, "geometry", np.asarray(self.geometry, dtype=float))
+        if not np.isfinite(self.geometry).all():
+            raise InvalidInputError("cell geometry must be finite")
 
 
 @dataclass(frozen=True)

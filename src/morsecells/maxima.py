@@ -23,31 +23,29 @@ class ZeroCell:
 
 
 def _ascend_seeds(field: KernelDensity, seeds: np.ndarray, counts: dict | None = None,
-                  stop: float | None = None, ends: np.ndarray | None = None
-                  ) -> list[np.ndarray | None]:
+                  ends: np.ndarray | None = None) -> list[np.ndarray | None]:
     """Ascend every row of an (S, n) seed array together, as ``ascend`` does
     each alone.
 
     Every iteration makes one mean-shift call over the seeds still moving.  A
-    seed converges when its mean-shift step is shorter than ``stop``, by
-    default ``field.resolution / 2000`` (σ/4000 for the KDE, 1e-4 at
-    σ = 0.4), so the stop scales with σ as mean shift does; it leaves the
-    stack then, or when it loses all kernel mass.  With ``ends``, an (E, n)
-    array of endpoints, a seed within ``field.resolution / 4`` of an
-    endpoint leaves the stack before its next mean-shift call as joined
-    (its entry stays None), and every seed that converges becomes an
-    endpoint.
+    seed converges when its mean-shift step is shorter than
+    ``field.resolution / 2000`` (σ/4000 for the KDE, 1e-4 at σ = 0.4), so
+    the stop scales with σ as mean shift does; it leaves the stack then, or
+    when it loses all kernel mass.  With ``ends``, an (E, n) array of
+    endpoints, a seed within ``field.resolution / 4`` of an endpoint leaves
+    the stack before its next mean-shift call as joined (its entry stays
+    None), and every seed that converges becomes an endpoint.
     ``counts`` receives ``ascent_seeds``, ``ascent_converged``,
     ``ascent_no_mass``, ``ascent_exhausted`` (still moving after
     ``MAX_ITERATIONS``), ``ascent_joined`` and ``ascent_steps`` (the rows of
-    the mean-shift calls).
+    the mean-shift calls); the first is the sum of the next four.
     """
     ys = np.array(seeds, dtype=float)
     out: list[np.ndarray | None] = [None] * len(ys)
     ids = np.arange(len(ys))
     counts = {} if counts is None else counts
     counts.update(ascent_seeds=len(ys), ascent_no_mass=0, ascent_joined=0, ascent_steps=0)
-    stop = field.resolution / 2000 if stop is None else stop
+    stop = field.resolution / 2000
     for _ in range(MAX_ITERATIONS):
         if ends is not None and len(ends):
             squares = sum(np.square(y[:, None] - e) for y, e in zip(ys.T, ends.T))
@@ -93,13 +91,6 @@ def single_linkage(points: list[np.ndarray] | np.ndarray, threshold: float) -> l
     return components(adjacency)
 
 
-def _densest(field: KernelDensity, pts: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Index of the densest point of each single-linkage cluster of ``pts``
-    at ``field.resolution``, and the densities of ``pts``."""
-    dens = field.value_batch(pts)
-    return [c[int(np.argmax(dens[c]))] for c in single_linkage(pts, field.resolution)], dens
-
-
 def find_zero_cells(
     field: KernelDensity,
     rng: np.random.Generator,
@@ -108,48 +99,28 @@ def find_zero_cells(
     """Ascend from a random sample of cloud points and keep one mode per cluster.
 
     ``SEED_COUNT`` seeds, or every point of a smaller cloud, are drawn from
-    the cloud itself without replacement.  The search has two phases, since
-    mean shift converges only linearly near a mode: all seeds ascend to a
-    coarse stop of ``field.resolution / 10``, and only the points that no
-    endpoint explains are polished to the fine stop of ``ascend``.  The
-    coarse points are clustered by single linkage at ``field.resolution``;
-    the densest of each cluster is polished first, and these are the first
-    endpoints.  The other coarse points are polished in one batch, leaving
-    it as soon as they come within ``resolution / 4`` of an endpoint (see
-    ``_ascend_seeds``).  The endpoints are clustered again and the densest
-    member of each cluster is returned, sorted by density descending (ties
-    by lexicographic position).  Deterministic for a fixed rng state.
-    ``counts`` receives the seed outcomes of the coarse ascent,
-    ``ascent_polished`` (seeds polished to the fine stop), ``ascent_joined``
-    and ``ascent_steps`` (the mean-shift rows of all three ascents).
+    the cloud itself without replacement.  They ascend together to the fine
+    stop of ``ascend``, and since mean shift converges only linearly near a
+    mode, a seed stops as soon as it comes within ``resolution / 4`` of a
+    point that has already converged (see ``_ascend_seeds``).  The converged
+    points are clustered by single linkage at ``field.resolution`` and the
+    densest member of each cluster is returned, sorted by density
+    descending (ties by lexicographic position).  Deterministic for a fixed
+    rng state.  ``counts`` receives the seed outcomes of ``_ascend_seeds``.
     """
     cloud = field.cloud
     count = min(len(cloud), SEED_COUNT)
     idx = rng.choice(len(cloud), size=count, replace=False)
     seeds = cloud.points[idx]
 
-    counts = {} if counts is None else counts
-    results = _ascend_seeds(field, seeds, counts, stop=field.resolution / 10)
-    counts["ascent_polished"] = 0
-
-    def polish(batch: np.ndarray, ends: np.ndarray | None = None) -> list[np.ndarray]:
-        phase = {}
-        out = _ascend_seeds(field, batch, phase, ends=ends)
-        counts["ascent_steps"] += phase["ascent_steps"]
-        counts["ascent_polished"] += phase["ascent_converged"]
-        counts["ascent_joined"] += phase["ascent_joined"]
-        return [y for y in out if y is not None]
-
-    coarse = np.array([r for r in results if r is not None]).reshape(-1, seeds.shape[1])
-    ends = []
-    if len(coarse):
-        leaders, _ = _densest(field, coarse)
-        ends = polish(coarse[leaders])
-        ends += polish(np.delete(coarse, leaders, axis=0), np.array(ends).reshape(-1, coarse.shape[1]))
+    ends = [y for y in _ascend_seeds(field, seeds, counts, np.empty((0, seeds.shape[1])))
+            if y is not None]
     if not ends:
         raise NoMaximaError(seeds_attempted=count)
 
-    best, dens = _densest(field, np.array(ends))
+    pts = np.array(ends)
+    dens = field.value_batch(pts)
+    best = [c[int(np.argmax(dens[c]))] for c in single_linkage(pts, field.resolution)]
     cells = [ZeroCell(position=ends[k], density=float(dens[k])) for k in best]
     cells.sort(key=lambda c: (-c.density, tuple(c.position)))
     return cells

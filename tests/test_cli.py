@@ -365,6 +365,20 @@ def test_non_finite_density_exit_2(tmp_path, capsys, command, density):
     assert "density must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [("project", "--basis", "pca"),
+                                     ("project", "--basis", "0,1"), ("betti", "0.1")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_geometry_exit_2(tmp_path, capsys, command, value):
+    # json.load reads NaN and Infinity, so the cell must refuse them
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_one_cell_document(geometry=[[value, 1.0], [0.0, 0.0]])))
+    out = tmp_path / "out.csv"
+    args = (str(path), str(out)) if command[0] == "project" else (str(path),)
+    assert run_cli(command[0], *args, *command[1:]) == 2
+    assert "geometry must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_betti_nan_threshold_exit_1(tmp_path, capsys):
     doc = three_circle_doc(tmp_path)
     assert run_cli("betti", doc, "nan") == 1

@@ -267,20 +267,18 @@ def test_find_zero_cells_counts_seed_outcomes(rng, monkeypatch):
     f = KernelDensity(cloud, 1.0)
     counts = {}
     find_zero_cells(f, np.random.default_rng(5), counts=counts)
-    assert counts["ascent_seeds"] == 40
-    assert (counts["ascent_converged"] + counts["ascent_no_mass"]
-            + counts["ascent_exhausted"] == 40)
+    # every seed converges, joins an endpoint, loses its mass or runs out
+    assert counts["ascent_seeds"] == 40 == (
+        counts["ascent_converged"] + counts["ascent_joined"] + counts["ascent_no_mass"]
+        + counts["ascent_exhausted"])
     assert counts["ascent_steps"] > 40  # no seed converges in its first iteration
-    # every coarse point is polished to the fine stop or joins an endpoint
-    assert counts["ascent_polished"] + counts["ascent_joined"] == counts["ascent_converged"]
-    assert counts["ascent_polished"] >= 2  # one leader per mode at least
+    assert counts["ascent_converged"] >= 2  # one endpoint per mode at least
     counts = {}
     monkeypatch.setattr(maxima, "MAX_ITERATIONS", 1)
     with pytest.raises(NoMaximaError):
         find_zero_cells(f, np.random.default_rng(5), counts=counts)
     assert counts == {"ascent_seeds": 40, "ascent_converged": 0, "ascent_no_mass": 0,
-                      "ascent_exhausted": 40, "ascent_polished": 0, "ascent_joined": 0,
-                      "ascent_steps": 40}
+                      "ascent_exhausted": 40, "ascent_joined": 0, "ascent_steps": 40}
 
 
 def test_find_zero_cells_error_when_nothing_converges(rng, monkeypatch):
@@ -352,9 +350,10 @@ def agreement_cloud(family, k):
 
 @pytest.mark.parametrize("k", range(12))
 @pytest.mark.parametrize("family", ["two_gaussians", "clusters", "ring"])
-def test_two_phase_search_agrees_with_one_phase(family, k):
-    # the coarse ascent, the leaders and the joining batch find the modes of
-    # the one-phase search, to within a quarter of the clustering length
+def test_joining_search_agrees_with_ascending_every_seed(family, k):
+    # seeds that stop at the first endpoint they reach find the modes of
+    # the search that ascends every seed to the fine stop, to within a
+    # quarter of the clustering length, in fewer mean-shift rows
     f = KernelDensity(agreement_cloud(family, k), 0.2 + 0.8 * k / 11)
     reference, reference_steps = one_phase_zero_cells(f, np.random.default_rng(k))
     counts = {}

@@ -309,9 +309,9 @@ def test_single_gaussian_yields_one_vertex():
                              "sheet_gradient_rows": 0, "sheet_svd_rows": 0, "sheet_failed": 0,
                              "sheet_final_force": 0.0,
                              "ascent_seeds": 300,
-                             "ascent_converged": 300, "ascent_no_mass": 0,
-                             "ascent_exhausted": 0, "ascent_polished": 1,
-                             "ascent_joined": 299, "ascent_steps": 1467}
+                             "ascent_converged": 2, "ascent_no_mass": 0,
+                             "ascent_exhausted": 0, "ascent_joined": 298,
+                             "ascent_steps": 2400}
     assert len(filtration.cells) == 1
     assert any("fewer than two" in note for note in report.notes)
 
