@@ -141,8 +141,8 @@ def run(cloud: PointCloud, config: PipelineConfig) -> tuple[MorseFiltration, Run
     cycles = _cycle_basis(len(zero_cells), edge_list, MAX_LOOP_LENGTH, report.counts)
     report.counts["candidate_loops"] = len(cycles)
 
-    report.counts.update(sheet_steps=0, sheet_gradient_rows=0, sheet_svd_rows=0,
-                         sheet_failed=0, sheet_final_force=0.0)
+    report.counts.update(sheet_steps=0, sheet_gradient_rows=0, sheet_failed=0,
+                         sheet_final_force=0.0)
     two_cells = []
     for cycle in cycles:
         web = initial_sheet(_loop_polyline(cycle, one_cells))

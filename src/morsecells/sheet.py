@@ -2,21 +2,20 @@
 
 A candidate 2-cell is a web-shaped graph spanning a closed boundary loop of
 1-cell nodes.  Interior nodes feel the density gradient projected
-perpendicular to a PCA-estimated tangent plane plus the sum of neighbor
+perpendicular to the web's tangent plane plus the sum of neighbor
 differences.  In R^n with n <= 2 the tangent plane of a 2-cell is all of
 R^n, so the projected gradient is zero and the force is the spring sum
-alone.  Off the plane the tangent planes of a step come from one batched
-``eigh`` of each node's neighbor Gram, reduced to the offsets' sum-zero
-subspace; a node whose Gram cannot resolve its plane takes the SVD.  A
-sheet relaxes through ``cwcomplex.relax``, the loop the elastic bands use
-too: semi-implicit steps (implicit springs, explicit gradient) until the
-mean interior force norm is below ``TOLERANCE``.
+alone.  Off the plane each node's tangent plane is the span of two chords
+of the web's own grid of rings and spokes, orthonormalised in closed form
+for all nodes at once.  A sheet relaxes through ``cwcomplex.relax``, the
+loop the elastic bands use too: semi-implicit steps (implicit springs,
+explicit gradient) until the mean interior force norm is below
+``TOLERANCE``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,15 +34,21 @@ RINGS, NODES_PER_RING = 10, 20  # the web the pipeline spans over each loop
 
 @dataclass(frozen=True)
 class WebSheet:
-    """Node positions plus fixed web wiring; boundary nodes never move."""
+    """Node positions plus fixed web wiring; boundary nodes never move.
+
+    chords[alpha] holds two (tail, head) node pairs; the chords
+    x[head] - x[tail] span interior node alpha's tangent plane.
+    """
 
     positions: np.ndarray            # (V, n)
     edges: tuple[tuple[int, int], ...]
     boundary: np.ndarray             # (V,) bool, True = fixed
+    chords: np.ndarray               # (V, 2, 2) int
 
     def __post_init__(self):
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
         object.__setattr__(self, "boundary", np.asarray(self.boundary, dtype=bool))
+        object.__setattr__(self, "chords", np.asarray(self.chords, dtype=np.intp))
 
     def neighbor_lists(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.positions.shape[0])]
@@ -81,6 +86,12 @@ def initial_sheet(boundary_loop: np.ndarray, rings: int = RINGS,
     node on adjacent rings; the center joins every innermost-ring node.
     Only the outermost ring is flagged as fixed boundary.  A last point equal
     to the first closes the loop and is dropped before the loop is counted.
+
+    An interior ring node (j, k) takes the ring chord (j, k-1) -> (j, k+1)
+    and the spoke chord (j-1, k) -> (j+1, k), ring 0 being the center.  The
+    center takes two chords of ring 1, slot 0 -> h and q -> q + h with
+    h = floor(npr/2) and q = ceil(npr/4); these are never parallel on a
+    regular polygon.  Boundary nodes get zero chords (node 0 -> node 0).
     """
     if rings < 1 or nodes_per_ring < 3:
         raise InvalidInputError("need rings >= 1 and nodes_per_ring >= 3")
@@ -114,79 +125,50 @@ def initial_sheet(boundary_loop: np.ndarray, rings: int = RINGS,
     for k in range(npr):
         edges.append((0, node(1, k)))
 
+    chords = np.zeros((n_nodes, 2, 2), dtype=np.intp)
+    half, quarter = npr // 2, -(-npr // 4)
+    chords[0] = [[node(1, 0), node(1, half)], [node(1, quarter), node(1, quarter + half)]]
+    j, k = np.divmod(np.arange(npr, rings * npr), npr)  # interior ring j >= 1, slot k
+    inner = np.where(j > 1, node(j - 1, k), 0)
+    chords[node(j, k)] = np.array([[node(j, k - 1), node(j, k + 1)],
+                                   [inner, node(j + 1, k)]]).transpose(2, 0, 1)
+
     boundary = np.zeros(n_nodes, dtype=bool)
     boundary[1 + (rings - 1) * npr:] = True
-    return WebSheet(positions=positions, edges=tuple(edges), boundary=boundary)
+    return WebSheet(positions=positions, edges=tuple(edges), boundary=boundary,
+                    chords=chords)
 
 
-def _svd_bases(centered: np.ndarray) -> np.ndarray:
-    """The ``_tangent_bases`` rows from one SVD of each node's offsets, zero
-    rows past min(d, n)."""
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    k = min(TANGENT_DIM, s.shape[1])
-    bases = np.zeros((len(centered), TANGENT_DIM, centered.shape[2]))
-    bases[:, :k] = vt[:, :k] * (s[:, :k] > np.maximum(s[:, :1], 1e-300) * 1e-10)[:, :, None]
-    return bases
+def _grid_bases(positions: np.ndarray, chords: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the planes spanned by r nodes' grid chords, as a
+    (TANGENT_DIM, n, r) array: basis row k of node i is [k, :, i].
 
-
-@lru_cache(maxsize=None)
-def _helmert(d: int) -> np.ndarray:
-    """(d - 1, d) orthonormal rows spanning the vectors whose entries sum to 0."""
-    k = np.arange(1, d)[:, None]
-    j = np.arange(d)
-    rows = np.where(j < k, 1.0, np.where(j == k, -k, 0.0)) / np.sqrt(k * (k + 1.0))
-    rows.flags.writeable = False
-    return rows
-
-
-def _tangent_bases(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top-TANGENT_DIM principal directions of each node's neighbor offsets.
-
-    centered is (r, d, n): d neighbor offsets for each of r nodes, less their
-    mean.  Returns (r, TANGENT_DIM, n) orthonormal rows, with the directions
-    past each node's numerical rank, or past min(d, n), zeroed instead of
-    projecting onto noise, and the (r,) mask of the nodes whose rows came
-    from an SVD.
-
-    The offsets A of a node have rows that sum to zero, so A' = H A, with H
-    the Helmert rows, has A's right singular vectors.  After scaling each
-    node's offsets by their largest absolute entry, so that no square
-    under- or overflows, one batched ``eigh`` takes the Gram of each node's
-    smaller side: A' A'^T when d - 1 <= n, whose top two eigenvectors u give
-    the rows u^T A' after one Gram-Schmidt pass, or A^T A, whose top two
-    eigenvectors are the rows.  A node whose eigenvalues miss
-    lambda2 - lambda3 > 1e-2 lambda1, or whose largest entry is below 1e-300
-    or not finite, takes the SVD instead: past that rule the Gram's plane
-    can drift from the SVD's by more than 1e-12.  Inside it s2 > 0.1 s1, so
-    the SVD's rank test would keep both rows.  Rejecting is always safe.
+    chords is (r, 2, 2): two (tail, head) node pairs per node, each giving
+    the chord x[head] - x[tail].  Each chord is scaled by its largest
+    absolute entry, so that no square under- or overflows.  The first row is
+    the first chord made unit; the second is the second chord less its part
+    along the first, taken twice (Gram-Schmidt), made unit.  A zero chord
+    gives a zero row, as does a second chord whose part off the first is at
+    most 1e-10 of its length.  The coordinates run along the leading axis,
+    so each sum over them is one pass over all nodes.
     """
-    r, d, n = centered.shape
-    if min(d - 1, n) < TANGENT_DIM:
-        return _svd_bases(centered), np.ones(r, dtype=bool)
-    scale = np.abs(centered).max(axis=(1, 2))
-    usable = (scale >= 1e-300) & np.isfinite(scale)
-    a = np.divide(centered, scale[:, None, None], out=np.zeros_like(centered),
-                  where=usable[:, None, None])
-    if d - 1 <= n:
-        a = _helmert(d) @ a
-        lam, u = np.linalg.eigh(a @ a.swapaxes(1, 2))
-        bases = u[:, :, [-1, -2]].swapaxes(1, 2) @ a
-        # Gram-Schmidt; the floors keep the rows of a rejected node finite
-        bases[:, 1] -= (np.einsum("ij,ij->i", bases[:, 0], bases[:, 1])
-                        / np.maximum(np.einsum("ij,ij->i", bases[:, 0], bases[:, 0]), 1e-300)
-                        )[:, None] * bases[:, 0]
-        bases /= np.maximum(np.sqrt(np.einsum("rkn,rkn->rk", bases, bases)), 1e-300)[:, :, None]
-    else:
-        lam, v = np.linalg.eigh(a.swapaxes(1, 2) @ a)
-        bases = v[:, :, [-1, -2]].swapaxes(1, 2)
-    third = lam[:, -3] if lam.shape[1] > 2 else 0.0
-    svd = ~(usable & (lam[:, -2] - third > 1e-2 * lam[:, -1]))
-    if svd.any():
-        bases[svd] = _svd_bases(centered[svd])
-    return bases, svd
+    ends = np.take(np.ascontiguousarray(positions.T), chords.T, axis=1)
+    d = ends[:, 1] - ends[:, 0]
+    scale = np.abs(d).max(axis=0)
+    d /= np.where(scale > 0, scale, 1.0)
+    # a nonzero scaled chord has a largest entry of 1, so a norm of at least 1
+    norms = np.sqrt(np.einsum("nkr,nkr->kr", d, d))
+    first = d[:, 0] / np.maximum(norms[0], 1.0)
+    second = d[:, 1] - np.einsum("nr,nr->r", first, d[:, 1]) * first
+    second -= np.einsum("nr,nr->r", first, second) * first
+    length = np.sqrt(np.einsum("nr,nr->r", second, second))
+    length[length <= 1e-10 * norms[1]] = np.inf
+    return np.stack([first, second / length])
 
 
-def _neighbors(sheet: WebSheet, alpha: int) -> list[int]:
+def _interior_neighbors(sheet: WebSheet, alpha: int) -> list[int]:
+    if sheet.boundary[alpha]:
+        raise InvalidInputError("forces and tangent planes are defined at interior nodes only")
     neighbors = sheet.neighbor_lists()[alpha]
     if len(neighbors) < TANGENT_DIM:
         raise InvalidInputError(f"node {alpha} has fewer than {TANGENT_DIM} neighbors")
@@ -194,15 +176,15 @@ def _neighbors(sheet: WebSheet, alpha: int) -> list[int]:
 
 
 def tangent_space(sheet: WebSheet, alpha: int) -> tuple[np.ndarray, bool]:
-    """Top-TANGENT_DIM principal directions of node alpha's neighbor offsets:
-    in R^n, n > TANGENT_DIM, the plane the sheet force projects off.
+    """The span of interior node alpha's two grid chords: in R^n,
+    n > TANGENT_DIM, the plane the sheet force projects off.
 
-    Returns (basis, deficient); basis rows are orthonormal.  When the
-    neighbor offsets have rank below TANGENT_DIM, the available directions
-    are returned and the deficiency flag is set.
+    Returns (basis, deficient); basis rows are orthonormal.  When the chords
+    span less than a plane, the available directions are returned and the
+    deficiency flag is set.  A boundary node has no chords.
     """
-    offsets = sheet.positions[_neighbors(sheet, alpha)] - sheet.positions[alpha]
-    basis = _tangent_bases((offsets - offsets.mean(axis=0))[None])[0][0]
+    _interior_neighbors(sheet, alpha)
+    basis = _grid_bases(sheet.positions, sheet.chords[[alpha]])[:, :, 0]
     basis = basis[basis.any(axis=1)]
     return basis, len(basis) < TANGENT_DIM
 
@@ -210,10 +192,9 @@ def tangent_space(sheet: WebSheet, alpha: int) -> tuple[np.ndarray, bool]:
 def sheet_force(field: DensityField, sheet: WebSheet, alpha: int) -> np.ndarray:
     """Perpendicular gradient force plus the neighbor-difference spring sum
     at interior node alpha: its row of the batched force."""
-    if sheet.boundary[alpha]:
-        raise InvalidInputError("forces are defined at interior nodes only")
-    group = (np.array([0]), np.array([_neighbors(sheet, alpha)]))
-    return _interior_forces(field, sheet.positions, np.array([alpha]), [group])[0][0]
+    group = (np.array([0]), np.array([_interior_neighbors(sheet, alpha)]))
+    return _interior_forces(field, sheet.positions, np.array([alpha]), [group],
+                            sheet.chords[[alpha]])[0]
 
 
 def _degree_groups(adj: list[list[int]], interior: np.ndarray
@@ -234,34 +215,28 @@ def _degree_groups(adj: list[list[int]], interior: np.ndarray
 
 
 def _interior_forces(field: DensityField, positions: np.ndarray,
-                     interior: np.ndarray,
-                     groups: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, int]:
-    """Forces at the interior nodes and the number of tangent bases that
-    took the SVD.
+                     interior: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]],
+                     chords: np.ndarray) -> np.ndarray:
+    """Forces at the interior nodes; chords holds the interior nodes' rows
+    of ``WebSheet.chords``.
 
-    In R^n with n <= TANGENT_DIM a 2-cell's tangent plane is all of R^n, so
-    the perpendicular gradient is zero and each force is the spring sum,
-    with no tangent basis and no gradient call.  Off the plane every node
-    takes its tangent basis in the sweep over the degree groups, and all
-    gain c * (g - proj) from one gradient call and one update.
+    Each force starts as the spring sum from the sweep over the degree
+    groups.  In R^n with n <= TANGENT_DIM a 2-cell's tangent plane is all of
+    R^n, so the perpendicular gradient is zero and the spring sum is the
+    force, with no tangent basis and no gradient call.  Off the plane all
+    nodes take their grid bases at once and gain c * (g - proj) from one
+    gradient call and one update.
     """
     n = positions.shape[1]
     forces = np.empty((len(interior), n))
-    bases = np.empty((len(interior), TANGENT_DIM, n))
-    svd_rows = 0
     for rows, nbrs in groups:
-        offsets = positions[nbrs] - positions[interior[rows]][:, None, :]
-        forces[rows] = offsets.sum(axis=1)
-        if n > TANGENT_DIM:
-            # less their mean, bitwise as offsets.mean(axis=1) gives it
-            centered = offsets - (forces[rows] / nbrs.shape[1])[:, None, :]
-            bases[rows], svd = _tangent_bases(centered)
-            svd_rows += int(np.count_nonzero(svd))
+        forces[rows] = (positions[nbrs] - positions[interior[rows]][:, None, :]).sum(axis=1)
     if n > TANGENT_DIM:
+        bases = _grid_bases(positions, chords)
         g = field.gradient_batch(positions[interior])
-        along = np.einsum("ikn,in->ik", bases, g)
-        forces += field.c * (g - np.einsum("ik,ikm->im", along, bases))
-    return forces, svd_rows
+        along = np.einsum("knr,rn->kr", bases, g)
+        forces += field.c * (g - np.einsum("kr,knr->rn", along, bases))
+    return forces
 
 
 def relax_sheet(field: DensityField, sheet: WebSheet,
@@ -273,22 +248,20 @@ def relax_sheet(field: DensityField, sheet: WebSheet,
     bitwise untouched.  ``counts["sheet_steps"]`` gains one per force
     evaluation, ``counts["sheet_gradient_rows"]`` the rows those evaluations
     send to the density gradient (every interior node off the plane, none in
-    R^1 and R^2), ``counts["sheet_svd_rows"]`` the tangent
-    bases each evaluation takes from the SVD, and
-    ``counts["sheet_final_force"]`` keeps the largest final mean force norm
-    of a converged sheet.
+    R^1 and R^2), and ``counts["sheet_final_force"]`` keeps the largest
+    final mean force norm of a converged sheet.  Off the plane each
+    evaluation takes the tangent planes from the sheet's grid chords.
     """
     counts = {} if counts is None else counts
     counts.setdefault("sheet_steps", 0)
     counts.setdefault("sheet_gradient_rows", 0)
-    counts.setdefault("sheet_svd_rows", 0)
     counts.setdefault("sheet_final_force", 0.0)
     interior = np.flatnonzero(~sheet.boundary)
     groups = _degree_groups(sheet.neighbor_lists(), interior)
+    chords = sheet.chords[interior]
 
     def forces(stack):
-        force, svd_rows = _interior_forces(field, stack[0], interior, groups)
-        counts["sheet_svd_rows"] += svd_rows
+        force = _interior_forces(field, stack[0], interior, groups, chords)
         return force[None], np.zeros(1, dtype=bool)
 
     (out,), _, steps, final_force = relax(sheet.positions[None], sheet.edges, interior,

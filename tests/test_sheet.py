@@ -1,9 +1,9 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import morsecells.sheet as sheet_module
 from morsecells import (KernelDensity, PointCloud, WebSheet, initial_sheet, relax_sheet,
@@ -84,6 +84,29 @@ def test_initial_sheet_too_small_raises():
             initial_sheet(circle_loop(), rings=rings, nodes_per_ring=nodes_per_ring)
 
 
+def test_initial_sheet_chords_join_grid_neighbors():
+    # a ring node's chords join its two ring and its two spoke neighbours,
+    # the center's two chords join ring-1 nodes and are never parallel on
+    # the regular ring a circle gives, and a boundary node's are zero
+    rings = 3
+    for npr in range(3, 41):
+        sheet = initial_sheet(circle_loop(), rings=rings, nodes_per_ring=npr)
+        adj = sheet.neighbor_lists()
+        chords = sheet.chords
+        assert chords.shape == (1 + rings * npr, 2, 2)
+        assert not chords[sheet.boundary].any()
+        for alpha in range(1, 1 + (rings - 1) * npr):
+            ring, spoke = chords[alpha]
+            assert set(ring) | set(spoke) == set(adj[alpha])
+            # the ring chord stays on alpha's ring
+            assert {(node - 1) // npr for node in ring} == {(alpha - 1) // npr}
+        assert set(chords[0].ravel()) <= set(adj[0])
+        first, second = (sheet.positions[head] - sheet.positions[tail]
+                         for tail, head in chords[0])
+        sine = abs(first[0] * second[1] - first[1] * second[0])
+        assert sine >= 0.5 * np.linalg.norm(first) * np.linalg.norm(second)
+
+
 def test_initial_sheet_follows_offset_and_scale():
     # a loop far from the origin, or tiny, is not degenerate: the web is the
     # origin's web shifted or scaled, also where the squares of the segment
@@ -104,6 +127,7 @@ def test_initial_sheet_follows_offset_and_scale():
     for web in webs:
         assert web.edges == origin.edges
         assert np.array_equal(web.boundary, origin.boundary)
+        assert np.array_equal(web.chords, origin.chords)
 
 
 # ---------------------------------------------------------------------------
@@ -119,38 +143,65 @@ def test_tangent_space_planar_neighbors():
     assert basis @ basis.T == pytest.approx(np.eye(2), abs=1e-12)
 
 
+def no_chords(count):
+    """Zero chords for count nodes, as a boundary node has."""
+    return np.zeros((count, 2, 2), dtype=int)
+
+
 def test_tangent_space_collinear_neighbors_deficient():
+    # both chords of node 0 lie along the x axis
     positions = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]])
+    chords = no_chords(4)
+    chords[0] = [[2, 1], [0, 3]]
     sheet = WebSheet(positions=positions, edges=((0, 1), (0, 2), (0, 3)),
-                     boundary=np.array([False, True, True, True]))
+                     boundary=np.array([False, True, True, True]), chords=chords)
     basis, deficient = tangent_space(sheet, 0)
     assert deficient
     assert basis.shape == (1, 2)
     assert np.abs(basis[0]) == pytest.approx([1.0, 0.0])
 
 
+@pytest.mark.parametrize("angle", [0.0, 1e-12, 1e-7, 1e-3])
+def test_chords_at_a_small_angle(rng, angle):
+    # chords along an oblique line of R^8 leave a rounding residue that the
+    # 1e-10 rule drops; past it, the rows stay orthonormal to 1e-12 however
+    # nearly parallel the chords are.  The second row takes the positions'
+    # rounding off the plane times 1 / angle
+    frame, _ = np.linalg.qr(rng.normal(size=(8, 2)))
+    positions = np.zeros((5, 8))
+    positions[1:3] = [[-1.0, 0.0], [2.0, 0.0]] @ frame.T
+    positions[3:5] = 0.7 * np.array([[-math.cos(angle), -math.sin(angle)],
+                                     [math.cos(angle), math.sin(angle)]]) @ frame.T
+    chords = no_chords(5)
+    chords[0] = [[1, 2], [3, 4]]
+    sheet = WebSheet(positions=positions, edges=tuple((0, i) for i in range(1, 5)),
+                     boundary=np.arange(5) > 0, chords=chords)
+    basis, deficient = tangent_space(sheet, 0)
+    assert deficient == (angle < 1e-10)
+    assert np.abs(basis @ basis.T - np.eye(len(basis))).max() <= 1e-12
+    assert np.abs(basis @ frame @ frame.T - basis).max() <= (1e-12 if deficient else 1e-14 / angle)
+
+
 def test_tangent_space_plane_in_five_dimensions(rng):
-    # neighbors on a random 2-plane in R^5: reconstructed basis must span it
+    # a hexagon web on a random 2-plane in R^5: every interior node's
+    # reconstructed basis must span it
     q, _ = np.linalg.qr(rng.normal(size=(5, 2)))
     plane = q.T  # (2, 5) orthonormal
     theta = np.linspace(0, 2 * math.pi, 6, endpoint=False)
     coords = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    neighbors = coords @ plane
-    positions = np.vstack([np.zeros(5), neighbors])
-    edges = tuple((0, i) for i in range(1, 7))
-    sheet = WebSheet(positions=positions, edges=edges,
-                     boundary=np.array([False] + [True] * 6))
-    basis, deficient = tangent_space(sheet, 0)
-    assert not deficient
-    # residual of projecting the true plane onto the recovered basis
-    residual = plane - (plane @ basis.T) @ basis
-    assert np.abs(residual).max() < 1e-10
+    sheet = initial_sheet(coords @ plane, rings=3, nodes_per_ring=6)
+    for alpha in np.flatnonzero(~sheet.boundary):
+        basis, deficient = tangent_space(sheet, alpha)
+        assert not deficient
+        # residual of projecting the true plane onto the recovered basis
+        residual = plane - (plane @ basis.T) @ basis
+        assert np.abs(residual).max() < 1e-10
 
 
 def test_tangent_space_too_few_neighbors_raises():
     positions = np.array([[0.0, 0.0], [1.0, 0.0]])
     sheet = WebSheet(positions=positions, edges=((0, 1),),
-                     boundary=np.array([False, True]))
+                     boundary=np.array([False, True]), chords=no_chords(2))
     with pytest.raises(InvalidInputError):
         tangent_space(sheet, 0)
     with pytest.raises(InvalidInputError):
@@ -192,9 +243,13 @@ def test_sheet_force_in_plane_gradient_removed():
 
 
 def test_sheet_force_boundary_node_raises():
-    sheet = initial_sheet(circle_loop(), rings=2, nodes_per_ring=6)
+    # a boundary node has no force, and no chords to give it a plane
+    sheet = initial_sheet(circle_loop(dim=3), rings=2, nodes_per_ring=6)
+    alpha = int(np.flatnonzero(sheet.boundary)[0])
     with pytest.raises(InvalidInputError):
-        sheet_force(ConstantField(2), sheet, int(np.flatnonzero(sheet.boundary)[0]))
+        sheet_force(ConstantField(3), sheet, alpha)
+    with pytest.raises(InvalidInputError):
+        tangent_space(sheet, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -260,35 +315,29 @@ def test_relax_sheet_two_gaussian_density_floor():
 # batched force path agrees with the single-node reference
 
 def single_node_force(field, sheet, alpha):
-    """The sheet force at one node, from its own SVD of the centered
-    neighbor offsets: the reference for the batched path."""
+    """The sheet force at one node, its plane from a QR of its two grid
+    chords: the reference for the batched path."""
     neighbors = sheet.neighbor_lists()[alpha]
-    offsets = sheet.positions[neighbors] - sheet.positions[alpha]
-    _, s, vt = np.linalg.svd(offsets - offsets.mean(axis=0), full_matrices=False)
-    rank = int((s > max(s[0], 1e-300) * 1e-10).sum())
-    basis = vt[:min(2, rank)]
+    spring = (sheet.positions[neighbors] - sheet.positions[alpha]).sum(axis=0)
+    tails, heads = sheet.chords[alpha].T
+    plane, _ = np.linalg.qr((sheet.positions[heads] - sheet.positions[tails]).T)
     g = field.gradient_batch(sheet.positions[alpha][None, :])[0]
-    return field.c * (g - basis.T @ (basis @ g)) + offsets.sum(axis=0)
+    return field.c * (g - plane @ (plane.T @ g)) + spring
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
 def test_batched_forces_match_single_node(rng, dim):
     # in R^2 every node's force is its spring sum; the reference keeps the
-    # gradient, and its c * g_perp is zero up to rounding.  Off R^2
-    # every node takes its plane from the Gram: the 4-neighbour ring nodes
-    # from the reduced 3 x 3 one, the 9-neighbour center from the reduced
-    # 8 x 8 one in R^8 and from A^T A in R^3 and R^5
+    # gradient, and its c * g_perp is zero up to rounding.  Off R^2 every
+    # node, the 9-neighbour center included, takes its plane from its chords
     from morsecells.sheet import _degree_groups, _interior_forces
     sheet = initial_sheet(circle_loop(dim=dim), rings=4, nodes_per_ring=9)
     positions = sheet.positions + 0.05 * rng.normal(size=sheet.positions.shape)
-    jittered = WebSheet(positions=positions, edges=sheet.edges,
-                        boundary=sheet.boundary)
+    jittered = replace(sheet, positions=positions)
     field = KernelDensity(PointCloud(rng.normal(size=(20, dim))), 0.9)
-    adj = jittered.neighbor_lists()
     interior = np.flatnonzero(~jittered.boundary)
-    groups = _degree_groups(adj, interior)
-    batched, svd_rows = _interior_forces(field, positions, interior, groups)
-    assert svd_rows == 0
+    groups = _degree_groups(jittered.neighbor_lists(), interior)
+    batched = _interior_forces(field, positions, interior, groups, jittered.chords[interior])
     for row, alpha in enumerate(interior):
         single = single_node_force(field, jittered, int(alpha))
         assert batched[row] == pytest.approx(single, abs=1e-10)
@@ -321,7 +370,7 @@ def test_forces_in_one_and_two_dimensions_are_spring_sums(dim):
             edges.append((alpha, len(positions)))
             positions.append(point)
     sheet = WebSheet(positions=np.array(positions)[:, :dim], edges=tuple(edges),
-                     boundary=np.arange(len(positions)) >= 4)
+                     boundary=np.arange(len(positions)) >= 4, chords=no_chords(len(positions)))
     field = GradientFreeField(dim)
     adj = sheet.neighbor_lists()
     springs = [(sheet.positions[adj[alpha]] - sheet.positions[alpha]).sum(axis=0)
@@ -331,12 +380,12 @@ def test_forces_in_one_and_two_dimensions_are_spring_sums(dim):
     interior = np.arange(4)
     groups = _degree_groups(adj, interior)
     assert [len(rows) for rows, _ in groups] == [2, 2]
-    forces, svd_rows = _interior_forces(field, sheet.positions, interior, groups)
-    assert np.array_equal(forces, np.array(springs)) and svd_rows == 0
+    forces = _interior_forces(field, sheet.positions, interior, groups, sheet.chords[interior])
+    assert np.array_equal(forces, np.array(springs))
     counts = {}
     assert relax_sheet(field, sheet, counts) is not None
     assert counts["sheet_steps"] >= 1
-    assert counts["sheet_gradient_rows"] == counts["sheet_svd_rows"] == 0
+    assert counts["sheet_gradient_rows"] == 0
 
 
 def test_full_rank_planar_web_makes_no_gradient_call():
@@ -355,127 +404,131 @@ def test_planar_forces_at_extreme_scales_skip_the_gradient(scale):
     sheet = initial_sheet(circle_loop(), rings=4, nodes_per_ring=10)
     interior = np.flatnonzero(~sheet.boundary)
     groups = _degree_groups(sheet.neighbor_lists(), interior)
-    unit, _ = _interior_forces(GradientFreeField(2), sheet.positions, interior, groups)
+    chords = sheet.chords[interior]
+    unit = _interior_forces(GradientFreeField(2), sheet.positions, interior, groups, chords)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        forces, _ = _interior_forces(GradientFreeField(2), scale * sheet.positions,
-                                     interior, groups)
+        forces = _interior_forces(GradientFreeField(2), scale * sheet.positions,
+                                  interior, groups, chords)
     assert np.isfinite(forces).all()
     assert np.abs(forces / scale - unit).max() <= 1e-12
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
 def test_forces_in_eight_dimensions_at_extreme_scales(rng, scale):
-    # each node's offsets are scaled by their largest entry before the Gram
-    # squares them, so at 1e+-200, where the squares would under- or
-    # overflow, every node still takes its plane from the Gram
-    from morsecells.sheet import _degree_groups, _interior_forces
+    # each chord is scaled by its largest entry before it is squared, so at
+    # 1e+-200, where the squares would under- or overflow, every node keeps
+    # both rows of its plane
+    from morsecells.sheet import _degree_groups, _grid_bases, _interior_forces
     frame, _ = np.linalg.qr(rng.normal(size=(8, 2)))
     sheet = initial_sheet(circle_loop() @ frame.T, rings=4, nodes_per_ring=10)
     positions = sheet.positions + 0.02 * rng.normal(size=sheet.positions.shape)
     interior = np.flatnonzero(~sheet.boundary)
     groups = _degree_groups(sheet.neighbor_lists(), interior)
+    chords = sheet.chords[interior]
     w = rng.normal(size=8)
-    unit, _ = _interior_forces(LinearField(w, c=1.5), positions, interior, groups)
+    unit = _interior_forces(LinearField(w, c=1.5), positions, interior, groups, chords)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        forces, svd_rows = _interior_forces(LinearField(scale * w, c=1.5),
-                                            scale * positions, interior, groups)
-    assert svd_rows == 0
+        bases = _grid_bases(scale * positions, chords)
+        forces = _interior_forces(LinearField(scale * w, c=1.5), scale * positions,
+                                  interior, groups, chords)
+    assert bases.any(axis=1).all()
     assert np.isfinite(forces).all()
     assert np.abs(forces / scale - unit).max() <= 1e-12
 
 
 def svd_tangent_rows(centered):
     """The top two right singular vectors of each (d, n) slice, a row zeroed
-    where its singular value is below 1e-10 of the largest: the reference
-    for the Gram path."""
+    where its singular value is below 1e-10 of the largest: the principal
+    (PCA) plane of each node's centred neighbour offsets."""
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     keep = s[:, :2] > np.maximum(s[:, :1], 1e-300) * 1e-10
     return vt[:, :2] * keep[:, :, None]
 
 
-def offsets_with_singular_values(rng, d, n, values):
-    """(d, n) offsets whose rows sum to zero, with the given singular values
-    along random orthonormal frames."""
-    left = rng.normal(size=(d, len(values)))
-    left, _ = np.linalg.qr(left - left.mean(axis=0))
-    right, _ = np.linalg.qr(rng.normal(size=(n, len(values))))
-    return (left * values) @ right.T
+def projectors(sheet):
+    """(grid, pca): each interior node's projector onto its plane from the
+    solver's grid chords, and from the PCA of its neighbour offsets."""
+    from morsecells.sheet import _grid_bases
+    interior = np.flatnonzero(~sheet.boundary)
+    grid = _grid_bases(sheet.positions, sheet.chords[interior]).transpose(2, 0, 1)
+    pca = np.empty_like(grid)
+    adj = sheet.neighbor_lists()
+    for degree in {len(adj[alpha]) for alpha in interior}:
+        rows = np.array([r for r, alpha in enumerate(interior) if len(adj[alpha]) == degree])
+        offsets = (sheet.positions[[adj[alpha] for alpha in interior[rows]]]
+                   - sheet.positions[interior[rows]][:, None, :])
+        pca[rows] = svd_tangent_rows(offsets - offsets.mean(axis=1, keepdims=True))
+    return grid.swapaxes(1, 2) @ grid, pca.swapaxes(1, 2) @ pca
 
 
-@st.composite
-def singular_values(draw):
-    """(s1, s2, s3) with s1 = 1: isotropic, planar, s2 down to 1e-6, s3
-    near-tied with s2, or collinear."""
-    s2 = draw(st.one_of(st.just(1.0), st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e)))
-    s3 = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0).map(lambda t: t * s2),
-                        st.floats(-6.0, -1.0).map(lambda e: (1.0 - 10.0 ** e) * s2)))
-    if draw(st.integers(0, 3)) == 0:  # collinear
-        s2 = s3 = 0.0
-    return (1.0, s2, s3)
+@pytest.mark.parametrize("dim", [3, 5, 8])
+@pytest.mark.parametrize("npr", [3, 4, 5, 6, 7, 8, 20])
+def test_grid_planes_are_exact_on_planar_webs(rng, dim, npr):
+    # on a web in a 2-plane of R^dim every interior node's chords, the
+    # center's too, span that plane, as its neighbours' PCA does
+    frame, _ = np.linalg.qr(rng.normal(size=(dim, 2)))
+    sheet = initial_sheet(circle_loop() @ frame.T, rings=4, nodes_per_ring=npr)
+    grid, pca = projectors(sheet)
+    plane = frame @ frame.T
+    assert np.abs(grid - plane).max() <= 1e-12
+    assert np.abs(pca - plane).max() <= 1e-12
+    for alpha in np.flatnonzero(~sheet.boundary):
+        basis, deficient = tangent_space(sheet, alpha)
+        assert not deficient
+        assert np.abs(basis @ basis.T - np.eye(2)).max() <= 1e-12
+        assert np.abs(basis.T @ basis - plane).max() <= 1e-12
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.sampled_from([4, 12]), st.sampled_from([3, 5, 8]),
-       st.lists(singular_values(), min_size=1, max_size=4),
-       st.sampled_from([1e-150, 1.0, 1e150]), st.integers(0, 2 ** 32 - 1))
-def test_tangent_bases_match_the_svd(d, n, values, scale, seed):
-    # d = 4 takes the reduced 3 x 3 Gram, d = 12 the n x n one of A^T A
-    from morsecells.sheet import _tangent_bases
-    rng = np.random.default_rng(seed)
-    centered = scale * np.array([offsets_with_singular_values(rng, d, n, np.array(s))
-                                 for s in values])
-    reference = svd_tangent_rows(centered)
+def test_grid_planes_approach_pca_as_the_web_refines(rng):
+    # on a curved web the chords' plane and the PCA plane differ at second
+    # order: the largest projector gap measured 0.0279, 0.0105 and 0.0031
+    # at these sizes, each halving of the spacing dividing it by 2.6 and 3.4
+    # on the way to 4
+    frame, _ = np.linalg.qr(rng.normal(size=(8, 3)))
+    gaps = []
+    for rings, npr in [(8, 16), (16, 32), (32, 64)]:
+        sheet = initial_sheet(circle_loop(2 * npr), rings=rings, nodes_per_ring=npr)
+        x, y = sheet.positions.T
+        surface = np.stack([x, y, 0.2 * (x * x - y * y) + 0.1 * x * y + 0.1 * x * x * y],
+                           axis=1)
+        grid, pca = projectors(replace(sheet, positions=surface @ frame.T))
+        gaps.append(np.abs(grid - pca).max())
+    assert all(gap <= bound for gap, bound in zip(gaps, [0.035, 0.013, 0.004]))
+    assert gaps[1] <= gaps[0] / 2.5 and gaps[2] <= gaps[1] / 2.5
+
+
+def test_zero_chord_gives_a_zero_row_and_a_finite_force(rng):
+    # a ring node whose two ring neighbours coincide keeps the spoke row
+    # alone; a node given zero chords keeps no row and feels the whole
+    # gradient.  Neither warns, and every force stays finite
+    from morsecells.sheet import _degree_groups, _interior_forces
+    frame, _ = np.linalg.qr(rng.normal(size=(8, 2)))
+    sheet = initial_sheet(circle_loop() @ frame.T, rings=4, nodes_per_ring=10)
+    alpha = 1 + 10 + 3  # ring 2, slot 3
+    positions = sheet.positions.copy()
+    positions[alpha + 1] = positions[alpha - 1]
+    chords = sheet.chords.copy()
+    chords[alpha + 10] = 0  # ring 3, slot 3
+    sheet = replace(sheet, positions=positions, chords=chords)
+    field = LinearField(rng.normal(size=8), c=1.5)
+    interior = np.flatnonzero(~sheet.boundary)
+    groups = _degree_groups(sheet.neighbor_lists(), interior)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bases, svd = _tangent_bases(centered)
-    assert np.array_equal(bases[svd], reference[svd])
-    fast = ~svd
-    assert reference[fast].any(axis=2).all()
-    projector = bases[fast].swapaxes(1, 2) @ bases[fast]
-    expected = reference[fast].swapaxes(1, 2) @ reference[fast]
-    assert np.abs(projector - expected).max(initial=0.0) <= 1e-12
-    # the rule is lambda2 - lambda3 > 1e-2 lambda1; away from its edge the
-    # side each node falls on is fixed
-    gap = np.array([s2 * s2 - s3 * s3 for _, s2, s3 in values])
-    assert not svd[gap > 1.1e-2].any()
-    assert svd[gap < 0.9e-2].all()
-
-
-@pytest.mark.parametrize("neighbors", [[[1.0, 2.0, -1.0], [-3.0, 0.5, 2.0]],
-                                       [[1.0], [-2.0], [4.0]]])
-def test_tangent_bases_below_the_plane_pad_with_zero_rows(neighbors):
-    # a degree-2 node in R^3 and a node in R^1 have min(d - 1, n) < 2, so the
-    # SVD takes them at once; its one direction is followed by a zero row
-    from morsecells.sheet import _tangent_bases
-    neighbors = np.array(neighbors)
-    d, n = neighbors.shape
-    sheet = WebSheet(positions=np.vstack([np.zeros(n), neighbors]),
-                     edges=tuple((0, i) for i in range(1, d + 1)),
-                     boundary=np.arange(d + 1) > 0)
-    centered = neighbors - neighbors.mean(axis=0)
-    bases, svd = _tangent_bases(centered[None])
-    assert bases.shape == (1, 2, n) and svd.tolist() == [True]
-    line = centered[-1] / np.linalg.norm(centered[-1])
-    assert abs(bases[0, 0] @ line) == pytest.approx(1.0, abs=1e-12)
-    assert not bases[0, 1].any()
-    basis, deficient = tangent_space(sheet, 0)
-    assert deficient and np.array_equal(basis, bases[0, :1])
-
-
-def test_tangent_bases_leave_tiny_and_zero_offsets_to_the_svd(rng):
-    # offsets whose largest entry is below 1e-300, and offsets that are all
-    # zero, give the SVD's rows, the zero rows of a deficient node included
-    from morsecells.sheet import _tangent_bases
-    planar = offsets_with_singular_values(rng, 4, 8, np.array([1.0, 0.5, 0.0]))
-    centered = np.array([1e-305 * planar, np.zeros((4, 8)), planar])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        bases, svd = _tangent_bases(centered)
-    assert svd.tolist() == [True, True, False]
-    assert np.array_equal(bases[:2], svd_tangent_rows(centered[:2]))
-    assert not bases[1].any()
+        basis, deficient = tangent_space(sheet, alpha)
+        empty, empty_deficient = tangent_space(sheet, alpha + 10)
+        forces = _interior_forces(field, positions, interior, groups, chords[interior])
+        single = sheet_force(field, sheet, alpha + 10)
+    assert deficient and basis.shape == (1, 8)
+    spoke = positions[alpha + 10] - positions[alpha - 10]
+    assert abs(basis[0] @ spoke) == pytest.approx(np.linalg.norm(spoke), rel=1e-12)
+    assert empty_deficient and empty.shape == (0, 8)
+    assert np.isfinite(forces).all()
+    spring = (positions[sheet.neighbor_lists()[alpha + 10]] - positions[alpha + 10]).sum(axis=0)
+    assert np.array_equal(single, forces[alpha + 10])  # interior row = node index here
+    assert single == pytest.approx(spring + 1.5 * field.w, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
