@@ -167,20 +167,20 @@ class KernelDensity(DensityField):
         ratio = max(2.0 * math.exp(-1.5), top / self._norm_const)
         return self.sigma / (math.sqrt(math.e) * ratio)
 
-    def _weights(self, ys: np.ndarray, nearest: bool = False
+    def _weights(self, ys: np.ndarray, nearest: bool = False, out: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray | float]:
         """Kernel weights of centred queries against the centred cloud.
 
         Returns the (q, m) weights exp(e - t) for the exponents
         e = -||y - x||^2 / (2 sigma^2) and the shifts t: 0.0, or with
         ``nearest`` each row's largest exponent, which scales the nearest
-        point's weight to 1.
+        point's weight to 1.  The weights go into ``out`` if it is given.
         """
         rows = np.empty((len(ys), self.dimension + 2))
         rows[:, :-2] = ys
         rows[:, -2] = 1.0
         rows[:, -1] = np.einsum("qn,qn->q", ys, ys)
-        e = rows @ self._exponent_cols
+        e = np.matmul(rows, self._exponent_cols, out=out)
         np.minimum(e, 0.0, out=e)  # rounding can leave tiny positives
         top = 0.0
         if nearest:
@@ -189,17 +189,16 @@ class KernelDensity(DensityField):
         return np.exp(e, out=e), top
 
     def _sums(self, ys: np.ndarray, nearest: bool = False
-              ) -> tuple[np.ndarray, np.ndarray | float]:
+              ) -> tuple[np.ndarray, np.ndarray]:
         """Per-row [sum w x, sum w] of centred queries and the weight shifts,
-        in row blocks of at most _BLOCK_ENTRIES weights."""
+        in row blocks of at most _BLOCK_ENTRIES weights, each written in turn
+        into one block array per call, so that a call holds a single block."""
         step = max(1, _BLOCK_ENTRIES // len(self._points1))
-        if len(ys) <= step:
-            w, top = self._weights(ys, nearest)
-            return w @ self._points1, top
+        block = np.empty((min(step, len(ys)), len(self._points1)))
         out = np.empty((len(ys), self.dimension + 1))
         top = np.empty(len(ys))
         for i in range(0, len(ys), step):
-            w, top[i:i + step] = self._weights(ys[i:i + step], nearest)
+            w, top[i:i + step] = self._weights(ys[i:i + step], nearest, block[:len(ys) - i])
             np.matmul(w, self._points1, out=out[i:i + step])
         return out, top
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -110,6 +111,7 @@ def test_far_query_has_no_mass(offset):
 
 def test_batches_in_row_blocks_match_single_rows(rng, monkeypatch):
     import morsecells.density as density
+    block_entries = density._BLOCK_ENTRIES
     pts = rng.normal(size=(40, 2))
     ys = rng.normal(size=(25, 2))
     f = KernelDensity(PointCloud(pts), 0.6)
@@ -124,6 +126,39 @@ def test_batches_in_row_blocks_match_single_rows(rng, monkeypatch):
     assert np.abs(blocked_shift - whole_shift).max() <= 1e-14 * np.abs(whole_shift).max()
     assert f.value_batch(np.empty((0, 2))).shape == (0,)
     assert f.gradient_batch(np.empty((0, 2))).shape == (0, 2)
+    # A blocked call equals, bit for bit, one call per block: every block
+    # writes the whole of its slice of the call's one weight array, and
+    # reads nothing another block left there.  The last block is short, and
+    # one row lies beyond the reach of every kernel.
+    for (m, n, block_rows), offset in itertools.product(
+            [(40, 2, 3), (37, 3, 5), (1000, 2, None), (500, 8, None)], [0.0, 1e4]):
+        monkeypatch.setattr(density, "_BLOCK_ENTRIES", block_rows * m if block_rows else block_entries)
+        step = density._BLOCK_ENTRIES // m
+        f = KernelDensity(PointCloud(rng.normal(size=(m, n)) + offset), 0.6)
+        ys = rng.normal(size=(2 * step + step // 2 + 1, n)) + offset
+        ys[step + 1] += 1e3
+        assert np.flatnonzero(~f.mean_shift_batch(ys)[1]).tolist() == [step + 1]
+        for name, batch in [("value", f.value_batch), ("gradient", f.gradient_batch),
+                            ("shift", lambda y: f.mean_shift_batch(y)[0]),
+                            ("has_mass", lambda y: f.mean_shift_batch(y)[1])]:
+            parts = np.concatenate([batch(ys[i:i + step]) for i in range(0, len(ys), step)])
+            assert np.array_equal(batch(ys), parts, equal_nan=True), (m, n, offset, name)
+
+
+def test_blocked_batch_holds_one_weight_block(rng):
+    import morsecells.density as density
+    m = 1000
+    step = density._BLOCK_ENTRIES // m
+    f = KernelDensity(PointCloud(rng.normal(size=(m, 2))), 0.8)
+    ys = rng.normal(size=(4 * step + 3, 2))
+    for batch in (f.value_batch, f.gradient_batch, f.mean_shift_batch):
+        tracemalloc.start()
+        try:
+            batch(ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * step * m * 8, (batch.__name__, peak / (step * m * 8))
 
 
 @pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros((3, 0)), np.zeros(0)],
