@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cwcomplex import components, relax
+from .cwcomplex import components, laplacian, relax
 from .density import DensityField
 from .errors import ConstructionError, DegenerateTangentError, InvalidInputError
 from .maxima import ZeroCell
@@ -128,8 +128,8 @@ def _evolve_bands(field: DensityField, bands: list[Band],
                   counts: dict | None = None) -> list[Band | None]:
     """Evolve equal-shaped bands side by side, each as ``evolve`` does it alone.
 
-    The bands relax as one stack through ``cwcomplex.relax``, on the path
-    graph of their nodes with the endpoints fixed; a band is degenerate at a
+    The bands relax as one stack through ``cwcomplex.relax``, on the
+    Laplacian of the path through their nodes with the endpoints fixed; a band is degenerate at a
     step where one of its nodes is a hairpin.  One step h serves the whole
     stack: ``field.step_below(top)`` for top the densest endpoint of the
     stack.  The step is bounded only where the bands stay at or below top;
@@ -152,9 +152,10 @@ def _evolve_bands(field: DensityField, bands: list[Band],
         force, hairpin = _interior_forces(field, stack)
         return force, hairpin.any(axis=1)
 
+    path = laplacian(n_nodes, [(i, i + 1) for i in range(n_nodes - 1)])
     out, iterations, steps, final_force = relax(
-        nodes, [(i, i + 1) for i in range(n_nodes - 1)], slice(1, n_nodes - 1),
-        field.step_below(top), forces, TOLERANCE, MAX_STEPS)
+        nodes, path, slice(1, n_nodes - 1), field.step_below(top), forces,
+        TOLERANCE, MAX_STEPS)
     counts.update(band_iterations=iterations, band_steps=steps,
                   band_final_force=final_force)
     return [None if x is None else Band(x) for x in out]

@@ -100,36 +100,36 @@ def laplacian(n: int, pairs) -> np.ndarray:
     return lap
 
 
-def implicit_step_matrix(n: int, pairs, interior, h: float) -> np.ndarray:
-    """S = h (I + h L_II)^-1, with L the Laplacian of the graph on 0..n-1 with
-    edges pairs and L_II its block on the interior vertices, an index array
-    or a slice.
+def implicit_step_matrix(lap: np.ndarray, interior, h: float) -> np.ndarray:
+    """S = h (I + h L_II)^-1, with L a graph Laplacian from ``laplacian`` and
+    L_II its block on the interior vertices, an index array or a slice.
 
     Where the spring force on the interior is -(L_II x_I + L_IB x_B),
     x_I += S @ force solves (I + h L_II) x_I' = x_I + h (rest - L_IB x_B):
     the springs step implicitly and the rest of the force explicitly.
     """
-    m = h * laplacian(n, pairs)[interior][:, interior]
+    m = h * lap[interior][:, interior]
     m.flat[::len(m) + 1] += 1.0
     m = np.linalg.inv(m)
     m *= h
     return m
 
 
-def relax(stack: np.ndarray, pairs, interior, h: float, forces,
+def relax(stack: np.ndarray, lap: np.ndarray, interior, h: float, forces,
           tolerance: float, max_steps: int):
-    """Relax a (B, V, n) stack of graphs that share the edges pairs.
+    """Relax a (B, V, n) stack of graphs that share the (V, V) Laplacian lap.
 
     interior is an index array or a slice of the vertices that move.
 
     ``forces(stack)`` returns the (B, I, n) forces on the interior vertices
     and a (B,) boolean mask of the items that are degenerate at this step.
     Every step moves the interior by x_I += S @ F, with S from
-    ``implicit_step_matrix`` at step h; the other vertices never move.  An
-    item converges at the first step where its mean interior force norm is
-    below tolerance (checked before stepping), unless it was degenerate on
-    more than 1% of its steps so far.  It leaves the stack when it converges
-    or its coordinates turn non-finite, and fails after max_steps steps.
+    ``implicit_step_matrix`` of lap at step h; the other vertices never
+    move.  An item converges at the first step where its mean interior force
+    norm is below tolerance (checked before stepping), unless it was
+    degenerate on more than 1% of its steps so far.  It leaves the stack
+    when it converges or its coordinates turn non-finite, and fails after
+    max_steps steps.
     Under a force that treats the items apart, each ends as it would alone.
 
     Returns (items, iterations, item_steps, final_force): per item its
@@ -138,7 +138,7 @@ def relax(stack: np.ndarray, pairs, interior, h: float, forces,
     force norm of a converged item at its convergence (0.0 if none did).
     """
     stack = np.array(stack, dtype=float)
-    implicit = implicit_step_matrix(stack.shape[1], pairs, interior, h)
+    implicit = implicit_step_matrix(lap, interior, h)
     out: list[np.ndarray | None] = [None] * len(stack)
     ids = np.arange(len(stack))
     degenerate_steps = np.zeros(len(stack), dtype=int)

@@ -3,14 +3,15 @@
 A candidate 2-cell is a web-shaped graph spanning a closed boundary loop of
 1-cell nodes.  Interior nodes feel the density gradient projected
 perpendicular to the web's tangent plane plus the sum of neighbor
-differences.  In R^n with n <= 2 the tangent plane of a 2-cell is all of
-R^n, so the projected gradient is zero and the force is the spring sum
-alone.  Off the plane each node's tangent plane is the span of two chords
-of the web's own grid of rings and spokes, orthonormalised in closed form
-for all nodes at once.  A sheet relaxes through ``cwcomplex.relax``, the
-loop the elastic bands use too: semi-implicit steps (implicit springs,
-explicit gradient) until the mean interior force norm is below
-``TOLERANCE``.
+differences, -(L x) with L the web's graph Laplacian.  In R^n with n <= 2
+the tangent plane of a 2-cell is all of R^n, so the projected gradient is
+zero and the force is the spring sum alone.  Off the plane each node's
+tangent plane is the span of two chords of the web's own grid of rings and
+spokes, orthonormalised in closed form for all nodes at once.  A sheet
+relaxes through ``cwcomplex.relax``, the loop the elastic bands use too:
+semi-implicit steps (implicit springs, explicit gradient) until the mean
+interior force norm is below ``TOLERANCE``.  One Laplacian per sheet gives
+both the spring sums and the implicit step.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cwcomplex import relax
+from .cwcomplex import laplacian, relax
 from .density import DensityField
 from .errors import ConstructionError, InvalidInputError
 
@@ -191,47 +192,32 @@ def tangent_space(sheet: WebSheet, alpha: int) -> tuple[np.ndarray, bool]:
 
 def sheet_force(field: DensityField, sheet: WebSheet, alpha: int) -> np.ndarray:
     """Perpendicular gradient force plus the neighbor-difference spring sum
-    at interior node alpha: its row of the batched force."""
-    group = (np.array([0]), np.array([_interior_neighbors(sheet, alpha)]))
-    return _interior_forces(field, sheet.positions, np.array([alpha]), [group],
-                            sheet.chords[[alpha]])[0]
+    at interior node alpha: its row of the batched force over all interior
+    nodes, so it equals the solver's force bitwise."""
+    _interior_neighbors(sheet, alpha)
+    interior = np.flatnonzero(~sheet.boundary)
+    rows = laplacian(len(sheet.positions), sheet.edges)[interior]
+    forces = _interior_forces(field, sheet.positions, interior, rows, sheet.chords[interior])
+    return forces[np.searchsorted(interior, alpha)]
 
 
-def _degree_groups(adj: list[list[int]], interior: np.ndarray
-                   ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Interior nodes grouped by degree for batched linear algebra.
+def _interior_forces(field: DensityField, positions: np.ndarray, interior: np.ndarray,
+                     rows: np.ndarray, chords: np.ndarray) -> np.ndarray:
+    """Forces at the interior nodes; rows and chords hold the interior
+    nodes' rows of the web's (V, V) Laplacian and of ``WebSheet.chords``.
 
-    Each entry is (rows into the interior array, neighbor index matrix).
+    Each force starts as the spring sum -(L x) of its Laplacian row, one
+    matmul for all nodes.  The rows sum to zero, so the positions are taken
+    relative to node 0, the web's center, which keeps the sums as accurate
+    as the neighbor differences far from the origin.  In R^n with
+    n <= TANGENT_DIM a 2-cell's tangent plane is all of R^n, so the
+    perpendicular gradient is zero and the spring sum is the force, with no
+    tangent basis and no gradient call.  Off the plane all nodes take their
+    grid bases at once and gain c * (g - proj) from one gradient call and
+    one update.
     """
-    by_degree: dict[int, list[int]] = {}
-    for row, alpha in enumerate(interior):
-        by_degree.setdefault(len(adj[alpha]), []).append(row)
-    groups = []
-    for degree, rows in sorted(by_degree.items()):
-        rows = np.array(rows)
-        nbrs = np.array([adj[interior[r]] for r in rows])
-        groups.append((rows, nbrs))
-    return groups
-
-
-def _interior_forces(field: DensityField, positions: np.ndarray,
-                     interior: np.ndarray, groups: list[tuple[np.ndarray, np.ndarray]],
-                     chords: np.ndarray) -> np.ndarray:
-    """Forces at the interior nodes; chords holds the interior nodes' rows
-    of ``WebSheet.chords``.
-
-    Each force starts as the spring sum from the sweep over the degree
-    groups.  In R^n with n <= TANGENT_DIM a 2-cell's tangent plane is all of
-    R^n, so the perpendicular gradient is zero and the spring sum is the
-    force, with no tangent basis and no gradient call.  Off the plane all
-    nodes take their grid bases at once and gain c * (g - proj) from one
-    gradient call and one update.
-    """
-    n = positions.shape[1]
-    forces = np.empty((len(interior), n))
-    for rows, nbrs in groups:
-        forces[rows] = (positions[nbrs] - positions[interior[rows]][:, None, :]).sum(axis=1)
-    if n > TANGENT_DIM:
+    forces = rows @ (positions[0] - positions)
+    if positions.shape[1] > TANGENT_DIM:
         bases = _grid_bases(positions, chords)
         g = field.gradient_batch(positions[interior])
         along = np.einsum("knr,rn->kr", bases, g)
@@ -243,8 +229,10 @@ def relax_sheet(field: DensityField, sheet: WebSheet,
                 counts: dict | None = None) -> WebSheet | None:
     """Relax the interior nodes through ``cwcomplex.relax`` at step STEP.
 
-    The sheet is a one-item stack that is never degenerate; it converges at
-    ``TOLERANCE`` within ``MAX_STEPS`` or the relaxation returns None.  Boundary positions are
+    The web's Laplacian is built once: its interior rows give the spring
+    sums and ``relax`` forms the implicit step from it.  The sheet is a
+    one-item stack that is never degenerate; it converges at ``TOLERANCE``
+    within ``MAX_STEPS`` or the relaxation returns None.  Boundary positions are
     bitwise untouched.  ``counts["sheet_steps"]`` gains one per force
     evaluation, ``counts["sheet_gradient_rows"]`` the rows those evaluations
     send to the density gradient (every interior node off the plane, none in
@@ -257,14 +245,14 @@ def relax_sheet(field: DensityField, sheet: WebSheet,
     counts.setdefault("sheet_gradient_rows", 0)
     counts.setdefault("sheet_final_force", 0.0)
     interior = np.flatnonzero(~sheet.boundary)
-    groups = _degree_groups(sheet.neighbor_lists(), interior)
-    chords = sheet.chords[interior]
+    lap = laplacian(len(sheet.positions), sheet.edges)
+    rows, chords = lap[interior], sheet.chords[interior]
 
     def forces(stack):
-        force = _interior_forces(field, stack[0], interior, groups, chords)
+        force = _interior_forces(field, stack[0], interior, rows, chords)
         return force[None], np.zeros(1, dtype=bool)
 
-    (out,), _, steps, final_force = relax(sheet.positions[None], sheet.edges, interior,
+    (out,), _, steps, final_force = relax(sheet.positions[None], lap, interior,
                                          STEP, forces, TOLERANCE, MAX_STEPS)
     counts["sheet_steps"] += steps
     if sheet.positions.shape[1] > TANGENT_DIM:

@@ -481,9 +481,9 @@ def test_betti_b0_matches_scipy_on_random_one_skeletons(graph, shuffle):
     assert betti(cells)[0] == len(scipy_partition(n, pairs))
 
 
-# relax on a path graph of five vertices in the plane; item k runs from
-# (0, 0) to (1, k), so a force callback can tell the items apart
-PATH = [(i, i + 1) for i in range(4)]
+# relax on the Laplacian of a path graph of five vertices in the plane; item
+# k runs from (0, 0) to (1, k), so a force callback can tell the items apart
+PATH = laplacian(5, [(i, i + 1) for i in range(4)])
 PATH_INTERIOR = np.arange(1, 4)
 
 
