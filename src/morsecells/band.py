@@ -82,14 +82,14 @@ def smoothing_weight(theta: np.ndarray | float) -> np.ndarray | float:
     return (1.0 - np.cos(phase)) / 2.0
 
 
-def _interior_forces(field: DensityField, nodes: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Forces on all interior nodes of one (N, n) band or a (B, N, n) stack.
+def _interior_forces(field: DensityField, nodes: np.ndarray) -> np.ndarray:
+    """Forces on all interior nodes of one (N, n) band or a (B, N, n) stack,
+    shaped like those interior nodes; the density gradient of every band
+    comes from one batched call.
 
-    Returns (forces, hairpin_mask) shaped like the interior nodes and their
-    first axes; the density gradient of every band comes from one batched
-    call.  Hairpin nodes fall back to the forward difference tangent and are
-    flagged so the caller can track persistence.
+    At a fold, where u+ + u- is zero, the tangent is zero, so that node
+    takes the whole gradient, no spring term and full smoothing, which
+    straightens the fold.
     """
     edges = nodes[..., 1:, :] - nodes[..., :-1, :]
     edge_norm = np.sqrt(np.einsum("...in,...in->...i", edges, edges))
@@ -97,10 +97,7 @@ def _interior_forces(field: DensityField, nodes: np.ndarray
     up_norm, um_norm = edge_norm[..., 1:], edge_norm[..., :-1]
     s = up + um
     s_norm = np.sqrt(np.einsum("...in,...in->...i", s, s))
-    hairpin = s_norm <= _HAIRPIN_EPS
     tau = s / np.maximum(s_norm, _HAIRPIN_EPS)[..., None]
-    if hairpin.any():
-        tau[hairpin] = up[hairpin] / np.maximum(up_norm[hairpin], _HAIRPIN_EPS)[:, None]
 
     interior = nodes[..., 1:-1, :]
     grad = field.gradient_batch(interior.reshape(-1, nodes.shape[-1])).reshape(interior.shape)
@@ -114,14 +111,13 @@ def _interior_forces(field: DensityField, nodes: np.ndarray
     if not (cos_theta >= math.cos(ALPHA) + 1e-12).all():
         np.minimum(np.maximum(cos_theta, -1.0, out=cos_theta), 1.0, out=cos_theta)
         force += smoothing_weight(np.arccos(cos_theta))[..., None] * (up - um)
-    return force, hairpin
+    return force
 
 
 def total_force(field: DensityField, band: Band, i: int) -> np.ndarray:
     """Total force at interior node i (0-based); raises on a hairpin tangent."""
     tangent(band, i)  # raise DegenerateTangentError before computing anything
-    forces, _ = _interior_forces(field, band.nodes)
-    return forces[i - 1]
+    return _interior_forces(field, band.nodes)[i - 1]
 
 
 def _evolve_bands(field: DensityField, bands: list[Band],
@@ -129,16 +125,17 @@ def _evolve_bands(field: DensityField, bands: list[Band],
     """Evolve equal-shaped bands side by side, each as ``evolve`` does it alone.
 
     The bands relax as one stack through ``cwcomplex.relax``, on the
-    Laplacian of the path through their nodes with the endpoints fixed; a band is degenerate at a
-    step where one of its nodes is a hairpin.  One step h serves the whole
-    stack: ``field.step_below(top)`` for top the densest endpoint of the
-    stack.  The step is bounded only where the bands stay at or below top;
-    ``find_one_cells`` meets that, since its endpoints are all the 0-cells.
-    A band therefore steps by the stack it is in: alone, or beside less
-    dense endpoints, it may take a longer step.  ``counts`` receives
-    ``band_iterations`` (force evaluations of the stack), ``band_steps``
-    (bands times force evaluations) and ``band_final_force`` (the largest
-    final mean force norm of a converged band).
+    Laplacian of the path through their nodes with the endpoints fixed; a
+    band fails if it runs out of steps or its nodes turn non-finite.  One
+    step h serves the whole stack: ``field.step_below(top)`` for top the
+    densest endpoint of the stack.  The step is bounded only where the bands
+    stay at or below top; ``find_one_cells`` meets that, since its endpoints
+    are all the 0-cells.  A band therefore steps by the stack it is in:
+    alone, or beside less dense endpoints, it may take a longer step.
+    ``counts`` receives ``band_iterations`` (force evaluations of the
+    stack), ``band_steps`` (bands times force evaluations) and
+    ``band_final_force`` (the largest final mean force norm of a converged
+    band).
     """
     counts = {} if counts is None else counts
     counts.update(band_steps=0, band_iterations=0, band_final_force=0.0)
@@ -147,15 +144,10 @@ def _evolve_bands(field: DensityField, bands: list[Band],
     nodes = np.stack([b.nodes for b in bands])
     n_nodes = nodes.shape[1]
     top = field.value_batch(nodes[:, [0, -1]].reshape(-1, nodes.shape[2])).max()
-
-    def forces(stack):
-        force, hairpin = _interior_forces(field, stack)
-        return force, hairpin.any(axis=1)
-
     path = laplacian(n_nodes, [(i, i + 1) for i in range(n_nodes - 1)])
     out, iterations, steps, final_force = relax(
-        nodes, path, slice(1, n_nodes - 1), field.step_below(top), forces,
-        TOLERANCE, MAX_STEPS)
+        nodes, path, slice(1, n_nodes - 1), field.step_below(top),
+        lambda stack: _interior_forces(field, stack), TOLERANCE, MAX_STEPS)
     counts.update(band_iterations=iterations, band_steps=steps,
                   band_final_force=final_force)
     return [None if x is None else Band(x) for x in out]
@@ -275,7 +267,9 @@ def initial_band_sphere(
 
     Unit nodes are evenly spaced along the circle through p/||p||, q/||q|| and
     a random unit vector y, on the arc avoiding y; node i is then scaled by
-    the linear interpolation of ||p|| and ||q||.
+    the linear interpolation of ||p|| and ||q||.  y is one normal draw made
+    unit; a draw on p/||p|| or q/||q||, of probability 0, defines no circle
+    and ``_circumcircle`` refuses it.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -285,20 +279,8 @@ def initial_band_sphere(
     ph, qh = p / np_, q / nq
     if abs(float(ph @ qh)) > 1.0 - 1e-12:
         raise ConstructionError("endpoint directions are parallel; plane is degenerate")
-
-    for _ in range(100):
-        y = rng.standard_normal(p.shape[0])
-        norm = np.linalg.norm(y)
-        if norm < 1e-12:
-            continue
-        y /= norm
-        # three distinct points of a sphere are never collinear: past this
-        # check y lies over 2e-10·|q^ - p^| from the line through p^ and q^,
-        # far above the 1e-12·|q^ - p^| that _circumcircle refuses
-        if min(np.linalg.norm(y - ph), np.linalg.norm(y - qh)) < 1e-9:
-            continue
-        return sphere_arc_band(p, q, y, node_count)
-    raise ConstructionError("failed to sample a non-degenerate sphere direction")
+    y = rng.standard_normal(p.shape[0])
+    return sphere_arc_band(p, q, y / np.linalg.norm(y), node_count)
 
 
 def sphere_arc_band(p: np.ndarray, q: np.ndarray, y: np.ndarray,
@@ -368,7 +350,7 @@ def find_one_cells(
     single-linkage clustered at the same length under the band metric and
     the densest band of each cluster becomes a 1-cell.  Deterministic given
     the rng state.  ``counts`` receives the trial outcomes: ``band_trials``,
-    ``band_converged``, ``band_failed`` (non-convergent or hairpin),
+    ``band_converged``, ``band_failed`` (out of steps or non-finite),
     ``band_discarded`` (converged, but dropped near a third 0-cell),
     ``band_iterations``, ``band_steps`` and ``band_final_force``.  Every
     0-cell is an endpoint, so the band step is ``field.step_below`` at the

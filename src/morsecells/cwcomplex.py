@@ -121,13 +121,11 @@ def relax(stack: np.ndarray, lap: np.ndarray, interior, h: float, forces,
 
     interior is an index array or a slice of the vertices that move.
 
-    ``forces(stack)`` returns the (B, I, n) forces on the interior vertices
-    and a (B,) boolean mask of the items that are degenerate at this step.
+    ``forces(stack)`` returns the (B, I, n) forces on the interior vertices.
     Every step moves the interior by x_I += S @ F, with S from
     ``implicit_step_matrix`` of lap at step h; the other vertices never
     move.  An item converges at the first step where its mean interior force
-    norm is below tolerance (checked before stepping), unless it was
-    degenerate on more than 1% of its steps so far.  It leaves the stack
+    norm is below tolerance (checked before stepping).  It leaves the stack
     when it converges or its coordinates turn non-finite, and fails after
     max_steps steps.
     Under a force that treats the items apart, each ends as it would alone.
@@ -141,29 +139,26 @@ def relax(stack: np.ndarray, lap: np.ndarray, interior, h: float, forces,
     implicit = implicit_step_matrix(lap, interior, h)
     out: list[np.ndarray | None] = [None] * len(stack)
     ids = np.arange(len(stack))
-    degenerate_steps = np.zeros(len(stack), dtype=int)
     iterations = item_steps = 0
     final_force = 0.0
     for step in range(max_steps + 1):
-        force, degenerate = forces(stack)
+        force = forces(stack)
         iterations += 1
         item_steps += len(ids)
-        degenerate_steps += degenerate
         norms = np.sqrt(np.einsum("bin,bin->bi", force, force))
         mean_norm = np.add.reduce(norms, axis=1) / norms.shape[1]
         done = mean_norm < tolerance
         any_done = done.any()
         if any_done:
             for k in np.flatnonzero(done):
-                if degenerate_steps[k] <= 0.01 * (step + 1):
-                    out[ids[k]] = stack[k].copy()
-                    final_force = max(final_force, float(mean_norm[k]))
+                out[ids[k]] = stack[k].copy()
+                final_force = max(final_force, float(mean_norm[k]))
         if step == max_steps:
             break
         stack[:, interior] += implicit @ force
         if any_done or not np.isfinite(stack).all():
             keep = ~done & np.isfinite(stack).all(axis=(1, 2))
-            stack, ids, degenerate_steps = stack[keep], ids[keep], degenerate_steps[keep]
+            stack, ids = stack[keep], ids[keep]
             if not len(ids):
                 break
     return out, iterations, item_steps, final_force

@@ -231,13 +231,14 @@ def relax_sheet(field: DensityField, sheet: WebSheet,
 
     The web's Laplacian is built once: its interior rows give the spring
     sums and ``relax`` forms the implicit step from it.  The sheet is a
-    one-item stack that is never degenerate; it converges at ``TOLERANCE``
-    within ``MAX_STEPS`` or the relaxation returns None.  Boundary positions are
-    bitwise untouched.  ``counts["sheet_steps"]`` gains one per force
-    evaluation, ``counts["sheet_gradient_rows"]`` the rows those evaluations
-    send to the density gradient (every interior node off the plane, none in
-    R^1 and R^2), and ``counts["sheet_final_force"]`` keeps the largest
-    final mean force norm of a converged sheet.  Off the plane each
+    one-item stack; it converges at ``TOLERANCE`` within ``MAX_STEPS``, or
+    it runs out of steps or turns non-finite and the relaxation returns
+    None.  Boundary positions are bitwise untouched.
+    ``counts["sheet_steps"]`` gains one per force evaluation,
+    ``counts["sheet_gradient_rows"]`` the rows those evaluations send to the
+    density gradient (every interior node off the plane, none in R^1 and
+    R^2), and ``counts["sheet_final_force"]`` keeps the largest final mean
+    force norm of a converged sheet.  Off the plane each
     evaluation takes the tangent planes from the sheet's grid chords.
     """
     counts = {} if counts is None else counts
@@ -249,8 +250,7 @@ def relax_sheet(field: DensityField, sheet: WebSheet,
     rows, chords = lap[interior], sheet.chords[interior]
 
     def forces(stack):
-        force = _interior_forces(field, stack[0], interior, rows, chords)
-        return force[None], np.zeros(1, dtype=bool)
+        return _interior_forces(field, stack[0], interior, rows, chords)[None]
 
     (out,), _, steps, final_force = relax(sheet.positions[None], lap, interior,
                                          STEP, forces, TOLERANCE, MAX_STEPS)

@@ -4,10 +4,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from morsecells import (Band, KernelDensity, NebParams, PointCloud, ZeroCell, band,
-                        band_density, band_distance, evolve, find_one_cells,
-                        initial_band_general, initial_band_sphere,
-                        smoothing_weight, tangent, total_force)
+from morsecells import (Band, KernelDensity, NebParams, PipelineConfig, PointCloud,
+                        ZeroCell, band, band_density, band_distance, evolve,
+                        find_one_cells, initial_band_general, initial_band_sphere, run,
+                        smoothing_weight, synth_bumpy_circle, tangent, total_force)
 from morsecells.band import _evolve_bands, _interior_forces, arc_band, sphere_arc_band
 from morsecells.errors import (ConstructionError, DegenerateTangentError,
                                InvalidInputError)
@@ -134,9 +134,7 @@ def _gated_forces(field, nodes):
     up_norm, um_norm = edge_norm[..., 1:], edge_norm[..., :-1]
     s = up + um
     s_norm = np.sqrt(np.einsum("...in,...in->...i", s, s))
-    hairpin = s_norm <= 1e-12
     tau = s / np.maximum(s_norm, 1e-12)[..., None]
-    tau[hairpin] = up[hairpin] / np.maximum(up_norm[hairpin], 1e-12)[:, None]
     interior = nodes[..., 1:-1, :]
     grad = field.gradient_batch(interior.reshape(-1, nodes.shape[-1])).reshape(interior.shape)
     grad_perp = grad - np.einsum("...in,...in->...i", grad, tau)[..., None] * tau
@@ -144,7 +142,7 @@ def _gated_forces(field, nodes):
     cos_theta = np.clip(np.einsum("...in,...in->...i", up, um)
                         / np.maximum(up_norm * um_norm, 1e-12), -1.0, 1.0)
     smooth = smoothing_weight(np.arccos(cos_theta))[..., None] * (up - um)
-    return field.c * grad_perp + spring + smooth, hairpin
+    return field.c * grad_perp + spring + smooth
 
 
 def _turning_band(turn):
@@ -163,23 +161,27 @@ def test_interior_forces_skip_only_a_gate_that_is_zero():
              "alpha (1 + 1e-9)": _turning_band(a * (1 + 1e-9)),
              "between alpha and beta": _turning_band(1.0),
              "past beta": _turning_band(2.0),
-             "hairpin": np.array([[0, 0], [1, .5], [2, 1], [3, 1.5], [2, 1], [1, .5], [0, 0]],
-                                 dtype=float)}
+             # folds back on itself at node 3: a zero tangent there, so the
+             # whole gradient, no spring term and full smoothing
+             "fold": np.array([[0, 0], [1, .5], [2, 1], [3, 1.5], [2, 1], [1, .5], [0, 0]],
+                              dtype=float)}
     gated = {"alpha - 1e-13", "alpha (1 + 1e-9)", "between alpha and beta", "past beta",
-             "hairpin"}
+             "fold"}
     field = RadialBowlField(2, c=0.7)
     stack = np.stack(list(bands.values()))
-    forces, hairpin = _interior_forces(field, stack)
-    assert np.array_equal(hairpin, _gated_forces(field, stack)[1])
-    assert hairpin.any(axis=1).tolist() == [name == "hairpin" for name in bands]
+    with np.errstate(all="raise"):
+        forces = _interior_forces(field, stack)
+    assert np.isfinite(forces).all()
     for k, (name, nodes) in enumerate(bands.items()):
         with mock.patch.object(band, "smoothing_weight", wraps=smoothing_weight) as gate:
-            alone, alone_hairpin = _interior_forces(field, nodes)
+            alone = _interior_forces(field, nodes)
         assert gate.called == (name in gated), name
-        reference, reference_hairpin = _gated_forces(field, nodes)
+        reference = _gated_forces(field, nodes)
         assert forces[k].tobytes() == alone.tobytes() == reference.tobytes(), name
-        assert np.array_equal(hairpin[k], alone_hairpin)
-        assert np.array_equal(alone_hairpin, reference_hairpin)
+    fold = bands["fold"]
+    up, um = fold[4] - fold[3], fold[3] - fold[2]
+    assert np.array_equal(forces[-1, 2],
+                          field.c * field.gradient_batch(fold[3:4])[0] + (up - um))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +228,46 @@ def test_evolve_convergence_certificate():
     initial = arc_band(np.array([-2.0, 0.0]), np.array([2.0, 0.0]),
                        np.array([0.0, 1.0]), 1.5, 11)
     out = evolve(field, initial)
-    forces, _ = _interior_forces(field, out.nodes)
+    forces = _interior_forces(field, out.nodes)
     assert np.linalg.norm(forces, axis=1).mean() < band.TOLERANCE
+
+
+def test_evolve_straightens_a_fold():
+    # nodes 3 and 5 coincide, node 4 one unit above them: the band folds back
+    # on itself at node 4, whose tangent is exactly zero at the first step
+    field = KernelDensity(PointCloud([[-2.0, 0.0], [2.0, 0.0]]), 1.0)
+    p, q = np.array([-2.0, 0.0]), np.array([2.0, 0.0])
+    nodes = np.linspace(p, q, 8)
+    nodes[5] = nodes[3]
+    nodes[4] = nodes[3] + [0.0, 1.0]
+    with pytest.raises(DegenerateTangentError):
+        tangent(Band(nodes), 4)
+    out = evolve(field, Band(nodes))
+    assert out is not None
+    smooth = evolve(field, arc_band(p, q, np.array([0.0, 1.0]), 1.5, 8))
+    assert np.abs(out.nodes - smooth.nodes).max() <= 1e-3
+
+
+def test_bands_of_the_bumpy_circle_never_fold(monkeypatch):
+    # no node of any band ever comes near a fold, where |u+ + u-| is 0: the
+    # premise on which a fold needs no rule of its own
+    cloud = synth_bumpy_circle(3, 2.0, 1000, np.random.default_rng(3), angular_spread=0.45)
+    ratios = []
+    forces = band._interior_forces
+
+    def recording(field, nodes):
+        edges = np.diff(nodes, axis=-2)
+        up, um = edges[..., 1:, :], edges[..., :-1, :]
+        longer = np.maximum(np.linalg.norm(up, axis=-1), np.linalg.norm(um, axis=-1))
+        ratios.append((np.linalg.norm(up + um, axis=-1) / longer).min())
+        return forces(field, nodes)
+
+    monkeypatch.setattr(band, "_interior_forces", recording)
+    config = PipelineConfig(sigma=0.8, seed=3, neb=NebParams(trials_per_pair=6))
+    _, report = run(cloud, config)
+    assert report.counts["one_cells"] == 3
+    assert len(ratios) == report.counts["band_iterations"]
+    assert min(ratios) >= 1.0
 
 
 class RimField(FixedStepField):
@@ -269,9 +309,6 @@ def test_evolve_bands_together_match_each_alone(monkeypatch):
         arc_band(np.array([-2.0, 0.0]), np.array([2.0, 0.0]), np.array([0.0, 1.0]), 3.0, 7),
         # skewed spacing: needs 2598 steps, so it exhausts MAX_STEPS
         _on_x_axis([-4.5, 4.0, 4.1, 4.2, 4.3, 4.4, 4.5]),
-        # a palindrome zigzag keeps its middle node a hairpin on every step;
-        # it converges at step 697 and is rejected for the hairpins
-        Band(np.array([p, q, p, q, p, q, p])),
         # outside the rim the gradient drives it to overflow by step 620
         arc_band(np.array([10.0, 0.0]), np.array([10.0, 10.0]), np.array([1.0, 0.0]), 4.0, 7),
     ]
@@ -284,12 +321,11 @@ def test_evolve_bands_together_match_each_alone(monkeypatch):
         monkeypatch.setattr(band, "MAX_STEPS", 5000)
         assert evolve(field, bands[2]) is not None
         monkeypatch.setattr(band, "MAX_STEPS", 1500)
-        assert _interior_forces(field, bands[3].nodes)[1].all()
         overflow = RimField(c=40.0)
-        evolve(overflow, bands[4])
+        evolve(overflow, bands[3])
         assert overflow.largest > 1e150  # squares of its coordinates overflow
 
-    expected = [False, False, True, True, True]
+    expected = [False, False, True, True]
     for run in (together, reversed_order, alone):
         assert [b is None for b in run] == expected
     for t, r, a, b in zip(together, reversed_order, alone, bands):
@@ -470,16 +506,15 @@ class ScriptedNormal:
         return (self.draws.pop(0) if len(self.draws) > 1 else self.draws[0]).copy()
 
 
-def test_sphere_band_redraws_a_direction_at_an_endpoint():
-    # a zero draw has no direction, and a draw at or within 1e-9 of p-hat
-    # defines no circle apart from p-hat, so each is drawn again; a
-    # generator that only ever gives p-hat runs out of draws
+def test_sphere_band_takes_one_draw_and_refuses_an_endpoint():
+    # the draw, made unit, is the circle's third point; a draw on p-hat or
+    # q-hat defines no circle apart from them
     p, q = np.array([2.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0])
-    draws = ScriptedNormal(np.zeros(3), p, [2.0, 0.0, 2e-10], [0.0, 0.0, 3.0])
-    b = initial_band_sphere(p, q, 7, draws)
+    b = initial_band_sphere(p, q, 7, ScriptedNormal([0.0, 0.0, 3.0]))
     assert np.array_equal(b.nodes, sphere_arc_band(p, q, np.array([0.0, 0.0, 1.0]), 7).nodes)
-    with pytest.raises(ConstructionError, match="non-degenerate sphere direction"):
-        initial_band_sphere(p, q, 7, ScriptedNormal(p / 2.0))
+    for endpoint in (p, q):
+        with pytest.raises(ConstructionError, match="collinear"):
+            initial_band_sphere(p, q, 7, ScriptedNormal(endpoint))
 
 
 @pytest.mark.parametrize("call, message", [

@@ -495,8 +495,7 @@ def _path_stack(items: int) -> np.ndarray:
 
 
 def _springs(stack):
-    force = stack[:, :-2] - 2.0 * stack[:, 1:-1] + stack[:, 2:]
-    return force, np.zeros(len(stack), dtype=bool)
+    return stack[:, :-2] - 2.0 * stack[:, 1:-1] + stack[:, 2:]
 
 
 def test_relax_springs_space_a_path_evenly():
@@ -523,10 +522,10 @@ def test_relax_non_finite_item_leaves_its_stack_mate_alone():
 
     def forces(stack):
         calls.append(len(stack))
-        force, degenerate = _springs(stack)
+        force = _springs(stack)
         if len(calls) >= 3:
             force[stack[:, -1, 1] == 0.0] = np.nan
-        return force, degenerate
+        return force
 
     stack = _path_stack(2)
     out, iterations, item_steps, _ = relax(stack, PATH, PATH_INTERIOR, 0.5, forces,
@@ -535,27 +534,6 @@ def test_relax_non_finite_item_leaves_its_stack_mate_alone():
     assert out[0] is None
     assert np.array_equal(out[1], alone[0])
     assert item_steps == iterations + 3  # item 0 left after its third evaluation
-
-
-def test_relax_rejects_an_item_degenerate_on_over_one_percent_of_steps():
-    stack = _path_stack(2)
-    plain, iterations, *_ = relax(stack, PATH, PATH_INTERIOR, 0.2, _springs, 1e-8,
-                                  10_000)
-    assert iterations >= 100
-
-    def always(stack):
-        return _springs(stack)[0], stack[:, -1, 1] == 0.0
-
-    calls = []
-
-    def once(stack):
-        calls.append(None)
-        return _springs(stack)[0], np.full(len(stack), len(calls) == 1)
-
-    out, *_ = relax(stack, PATH, PATH_INTERIOR, 0.2, always, 1e-8, 10_000)
-    assert out[0] is None and np.array_equal(out[1], plain[1])
-    out, *_ = relax(stack, PATH, PATH_INTERIOR, 0.2, once, 1e-8, 10_000)
-    assert all(np.array_equal(a, b) for a, b in zip(out, plain))
 
 
 def test_relax_slice_interior_matches_index_array():
@@ -571,7 +549,7 @@ def test_relax_item_converges_on_the_step_another_turns_non_finite():
 
     def forces(stack):
         seen.append(stack.copy())
-        force, degenerate = _springs(stack)
+        force = _springs(stack)
         end = stack[:, -1, 1]
         if len(seen) == 3:
             force[end == 0.0] = np.nan  # item 0 leaves as non-finite after this step
@@ -580,7 +558,7 @@ def test_relax_item_converges_on_the_step_another_turns_non_finite():
             force[end == 4.0] = np.nan  # item 4 turns non-finite on a step of its own
         if len(seen) == 5:
             force[end == 3.0] = 0.0  # and item 3 converges on one
-        return force, degenerate
+        return force
 
     stack = _path_stack(5)
     out, iterations, item_steps, _ = relax(stack, PATH, PATH_INTERIOR, 0.5, forces,
