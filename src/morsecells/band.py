@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cwcomplex import components, laplacian, relax
+from .cwcomplex import components, implicit_step_matrix, laplacian, relax
 from .density import DensityField
 from .errors import ConstructionError, DegenerateTangentError, InvalidInputError
 from .maxima import ZeroCell
@@ -124,13 +124,14 @@ def _evolve_bands(field: DensityField, bands: list[Band],
                   counts: dict | None = None) -> list[Band | None]:
     """Evolve equal-shaped bands side by side, each as ``evolve`` does it alone.
 
-    The bands relax as one stack through ``cwcomplex.relax``, on the
-    Laplacian of the path through their nodes with the endpoints fixed; a
-    band fails if it runs out of steps or its nodes turn non-finite.  One
-    step h serves the whole stack: ``field.step_below(top)`` for top the
-    densest endpoint of the stack.  The step is bounded only where the bands
-    stay at or below top; ``find_one_cells`` meets that, since its endpoints
-    are all the 0-cells.  A band therefore steps by the stack it is in:
+    The bands relax as one stack through ``cwcomplex.relax``, with the
+    implicit step that ``implicit_step_matrix`` forms from the Laplacian of
+    the path through their nodes, the endpoints fixed; a band fails if it
+    runs out of steps or its nodes turn non-finite.  One step h serves the
+    whole stack: ``field.step_below(top)`` for top the densest endpoint of
+    the stack.  The step is bounded only where the bands stay at or below
+    top; ``find_one_cells`` meets that, since its endpoints are all the
+    0-cells.  A band therefore steps by the stack it is in:
     alone, or beside less dense endpoints, it may take a longer step.
     ``counts`` receives ``band_iterations`` (force evaluations of the
     stack), ``band_steps`` (bands times force evaluations) and
@@ -145,8 +146,9 @@ def _evolve_bands(field: DensityField, bands: list[Band],
     n_nodes = nodes.shape[1]
     top = field.value_batch(nodes[:, [0, -1]].reshape(-1, nodes.shape[2])).max()
     path = laplacian(n_nodes, [(i, i + 1) for i in range(n_nodes - 1)])
+    interior = slice(1, n_nodes - 1)
     out, iterations, steps, final_force = relax(
-        nodes, path, slice(1, n_nodes - 1), field.step_below(top),
+        nodes, implicit_step_matrix(path, interior, field.step_below(top)), interior,
         lambda stack: _interior_forces(field, stack), TOLERANCE, MAX_STEPS)
     counts.update(band_iterations=iterations, band_steps=steps,
                   band_final_force=final_force)

@@ -115,15 +115,15 @@ def implicit_step_matrix(lap: np.ndarray, interior, h: float) -> np.ndarray:
     return m
 
 
-def relax(stack: np.ndarray, lap: np.ndarray, interior, h: float, forces,
+def relax(stack: np.ndarray, implicit: np.ndarray, interior, forces,
           tolerance: float, max_steps: int):
-    """Relax a (B, V, n) stack of graphs that share the (V, V) Laplacian lap.
+    """Relax a (B, V, n) stack of graphs that share one implicit step.
 
-    interior is an index array or a slice of the vertices that move.
+    interior is an index array or a slice of the I vertices that move, and
+    implicit is their (I, I) step matrix S from ``implicit_step_matrix``.
 
     ``forces(stack)`` returns the (B, I, n) forces on the interior vertices.
-    Every step moves the interior by x_I += S @ F, with S from
-    ``implicit_step_matrix`` of lap at step h; the other vertices never
+    Every step moves the interior by x_I += S @ F; the other vertices never
     move.  An item converges at the first step where its mean interior force
     norm is below tolerance (checked before stepping).  It leaves the stack
     when it converges or its coordinates turn non-finite, and fails after
@@ -136,7 +136,6 @@ def relax(stack: np.ndarray, lap: np.ndarray, interior, h: float, forces,
     force norm of a converged item at its convergence (0.0 if none did).
     """
     stack = np.array(stack, dtype=float)
-    implicit = implicit_step_matrix(lap, interior, h)
     out: list[np.ndarray | None] = [None] * len(stack)
     ids = np.arange(len(stack))
     iterations = item_steps = 0

@@ -1,62 +1,101 @@
 """2-cell search: web-graph sheets relaxed under gradient and spring forces.
 
-A candidate 2-cell is a web-shaped graph spanning a closed boundary loop of
-1-cell nodes.  Interior nodes feel the density gradient projected
-perpendicular to the web's tangent plane plus the sum of neighbor
-differences, -(L x) with L the web's graph Laplacian.  In R^n with n <= 2
-the tangent plane of a 2-cell is all of R^n, so the projected gradient is
-zero and the force is the spring sum alone.  Off the plane each node's
-tangent plane is the span of two chords of the web's own grid of rings and
-spokes, orthonormalised in closed form for all nodes at once.  A sheet
-relaxes through ``cwcomplex.relax``, the loop the elastic bands use too:
-semi-implicit steps (implicit springs, explicit gradient) until the mean
-interior force norm is below ``TOLERANCE``.  One Laplacian per sheet gives
-both the spring sums and the implicit step.
+A candidate 2-cell is a web spanning a closed boundary loop of 1-cell
+nodes: a centre and ``RINGS`` rings of ``NODES_PER_RING`` nodes, the
+outermost ring fixed.  Every sheet has this one web, so its wiring (edges,
+grid chords, the interior rows of its graph Laplacian L and the implicit
+step) is built once per process, on first use, by ``_wiring``.  Interior
+nodes feel the density gradient projected perpendicular to the web's
+tangent plane plus the sum of neighbor differences, -(L x).  In R^n with
+n <= 2 the tangent plane of a 2-cell is all of R^n, so the projected
+gradient is zero and the force is the spring sum alone.  Off the plane each
+node's tangent plane is the span of two chords of the web's own grid of
+rings and spokes, orthonormalised in closed form for all nodes at once.  A
+sheet relaxes through ``cwcomplex.relax``, the loop the elastic bands use
+too: semi-implicit steps (implicit springs, explicit gradient) until the
+mean interior force norm is below ``TOLERANCE``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .cwcomplex import laplacian, relax
+from .cwcomplex import implicit_step_matrix, laplacian, relax
 from .density import DensityField
 from .errors import ConstructionError, InvalidInputError
 
-TANGENT_DIM = 2  # 2-cells only; the general-k construction is not run
+TANGENT_DIM = 2  # 2-cells
 STEP = 1.0  # implicit step h of relax_sheet
 # a sheet converges when its mean interior force norm falls below this, the
 # mean residual acceptance criterion 10 requires of a web on the unit circle
 TOLERANCE = 1e-3
 MAX_STEPS = 200_000  # force evaluations before a sheet gives up
 RINGS, NODES_PER_RING = 10, 20  # the web the pipeline spans over each loop
+NODES = 1 + RINGS * NODES_PER_RING
+INTERIOR = slice(0, NODES - NODES_PER_RING)  # the outer ring is the last nodes
+
+
+class Wiring(NamedTuple):
+    """The web's read-only wiring, shared by every sheet.
+
+    Node 0 is the centre and ring j = 1..RINGS holds nodes
+    1 + (j - 1) NODES_PER_RING onward, slot k at offset k.  edges is (E, 2).
+    chords[alpha] holds interior node alpha's two (tail, head) node pairs;
+    the chords x[head] - x[tail] span its tangent plane.  rows holds the
+    interior rows of L, and step is S = STEP (I + STEP L_II)^-1.
+    """
+
+    edges: np.ndarray   # (E, 2) int
+    chords: np.ndarray  # (I, 2, 2) int
+    rows: np.ndarray    # (I, NODES)
+    step: np.ndarray    # (I, I)
+
+
+@functools.cache
+def _wiring() -> Wiring:
+    """Ring nodes join their two ring neighbours and the same slot on the
+    adjacent rings; the centre joins every innermost-ring node.
+
+    An interior ring node (j, k) takes the ring chord (j, k-1) -> (j, k+1)
+    and the spoke chord (j-1, k) -> (j+1, k), ring 0 being the centre.  The
+    centre takes two chords of ring 1, slot 0 -> h and q -> q + h with
+    h = floor(NODES_PER_RING/2) and q = ceil(NODES_PER_RING/4); these are
+    not parallel on a regular ring.
+    """
+    npr = NODES_PER_RING
+    # grid[j, k] is node (j, k); row 0 repeats the centre under every slot
+    grid = np.zeros((RINGS + 1, npr), dtype=np.intp)
+    grid[1:] = np.arange(1, NODES).reshape(RINGS, npr)
+    after = np.roll(grid, -1, axis=1)
+    edges = np.concatenate([np.stack([grid[1:], after[1:]], axis=-1).reshape(-1, 2),
+                            np.stack([grid[:-1], grid[1:]], axis=-1).reshape(-1, 2)])
+    half, quarter = npr // 2, -(-npr // 4)
+    ring = np.stack([np.roll(grid, 1, axis=1), after], axis=-1)[1:-1]
+    spoke = np.stack([grid[:-2], grid[2:]], axis=-1)
+    chords = np.concatenate([grid[1, [[[0, half], [quarter, quarter + half]]]],
+                             np.stack([ring, spoke], axis=2).reshape(-1, 2, 2)])
+    lap = laplacian(NODES, edges)
+    wiring = Wiring(edges, chords, lap[INTERIOR], implicit_step_matrix(lap, INTERIOR, STEP))
+    for array in wiring:
+        array.flags.writeable = False
+    return wiring
 
 
 @dataclass(frozen=True)
 class WebSheet:
-    """Node positions plus fixed web wiring; boundary nodes never move.
+    """Node positions of the web; boundary nodes never move."""
 
-    chords[alpha] holds two (tail, head) node pairs; the chords
-    x[head] - x[tail] span interior node alpha's tangent plane.
-    """
-
-    positions: np.ndarray            # (V, n)
-    edges: tuple[tuple[int, int], ...]
-    boundary: np.ndarray             # (V,) bool, True = fixed
-    chords: np.ndarray               # (V, 2, 2) int
+    positions: np.ndarray  # (NODES, n)
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
-        object.__setattr__(self, "boundary", np.asarray(self.boundary, dtype=bool))
-        object.__setattr__(self, "chords", np.asarray(self.chords, dtype=np.intp))
-
-    def neighbor_lists(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.positions.shape[0])]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
+        positions = np.asarray(self.positions, dtype=float)
+        if positions.ndim != 2 or len(positions) != NODES:
+            raise InvalidInputError(f"a web sheet has {NODES} node rows")
+        object.__setattr__(self, "positions", positions)
 
 
 def _resample_closed_polyline(loop: np.ndarray, count: int) -> np.ndarray:
@@ -77,25 +116,14 @@ def _resample_closed_polyline(loop: np.ndarray, count: int) -> np.ndarray:
     return loop[i] + ((targets - cum[i]) / lengths[i])[:, None] * seg[i]
 
 
-def initial_sheet(boundary_loop: np.ndarray, rings: int = RINGS,
-                  nodes_per_ring: int = NODES_PER_RING) -> WebSheet:
+def initial_sheet(boundary_loop: np.ndarray) -> WebSheet:
     """Web over a closed boundary loop: concentric rings plus a center node.
 
     Node 0 is the center (average of the resampled boundary); ring j of
-    ``rings`` sits at interpolation fraction j/rings between center and
-    boundary.  Ring nodes join their two ring neighbors and the same-index
-    node on adjacent rings; the center joins every innermost-ring node.
-    Only the outermost ring is flagged as fixed boundary.  A last point equal
+    ``RINGS`` sits at interpolation fraction j/RINGS between center and
+    boundary, and the outermost is the fixed boundary.  A last point equal
     to the first closes the loop and is dropped before the loop is counted.
-
-    An interior ring node (j, k) takes the ring chord (j, k-1) -> (j, k+1)
-    and the spoke chord (j-1, k) -> (j+1, k), ring 0 being the center.  The
-    center takes two chords of ring 1, slot 0 -> h and q -> q + h with
-    h = floor(npr/2) and q = ceil(npr/4); these are never parallel on a
-    regular polygon.  Boundary nodes get zero chords (node 0 -> node 0).
     """
-    if rings < 1 or nodes_per_ring < 3:
-        raise InvalidInputError("need rings >= 1 and nodes_per_ring >= 3")
     loop = np.asarray(boundary_loop, dtype=float)
     if loop.ndim == 2 and len(loop) and np.array_equal(loop[0], loop[-1]):
         loop = loop[:-1]
@@ -103,41 +131,10 @@ def initial_sheet(boundary_loop: np.ndarray, rings: int = RINGS,
         raise ConstructionError("boundary loop needs at least 3 points besides "
                                 "a closing repeat of the first")
 
-    outer = _resample_closed_polyline(loop, nodes_per_ring)
+    outer = _resample_closed_polyline(loop, NODES_PER_RING)
     center = outer.mean(axis=0)
-
-    npr = nodes_per_ring
-    n_nodes = 1 + rings * npr
-    positions = np.empty((n_nodes, loop.shape[1]))
-    positions[0] = center
-    for j in range(1, rings + 1):
-        frac = j / rings
-        positions[1 + (j - 1) * npr: 1 + j * npr] = center + frac * (outer - center)
-
-    def node(j: int, k: int) -> int:  # ring j in 1..rings, slot k
-        return 1 + (j - 1) * npr + (k % npr)
-
-    edges = []
-    for j in range(1, rings + 1):
-        for k in range(npr):
-            edges.append((node(j, k), node(j, k + 1)))
-            if j < rings:
-                edges.append((node(j, k), node(j + 1, k)))
-    for k in range(npr):
-        edges.append((0, node(1, k)))
-
-    chords = np.zeros((n_nodes, 2, 2), dtype=np.intp)
-    half, quarter = npr // 2, -(-npr // 4)
-    chords[0] = [[node(1, 0), node(1, half)], [node(1, quarter), node(1, quarter + half)]]
-    j, k = np.divmod(np.arange(npr, rings * npr), npr)  # interior ring j >= 1, slot k
-    inner = np.where(j > 1, node(j - 1, k), 0)
-    chords[node(j, k)] = np.array([[node(j, k - 1), node(j, k + 1)],
-                                   [inner, node(j + 1, k)]]).transpose(2, 0, 1)
-
-    boundary = np.zeros(n_nodes, dtype=bool)
-    boundary[1 + (rings - 1) * npr:] = True
-    return WebSheet(positions=positions, edges=tuple(edges), boundary=boundary,
-                    chords=chords)
+    rings = center + (np.arange(1, RINGS + 1) / RINGS)[:, None, None] * (outer - center)
+    return WebSheet(np.vstack([center, rings.reshape(-1, loop.shape[1])]))
 
 
 def _grid_bases(positions: np.ndarray, chords: np.ndarray) -> np.ndarray:
@@ -167,13 +164,10 @@ def _grid_bases(positions: np.ndarray, chords: np.ndarray) -> np.ndarray:
     return np.stack([first, second / length])
 
 
-def _interior_neighbors(sheet: WebSheet, alpha: int) -> list[int]:
-    if sheet.boundary[alpha]:
-        raise InvalidInputError("forces and tangent planes are defined at interior nodes only")
-    neighbors = sheet.neighbor_lists()[alpha]
-    if len(neighbors) < TANGENT_DIM:
-        raise InvalidInputError(f"node {alpha} has fewer than {TANGENT_DIM} neighbors")
-    return neighbors
+def _check_interior(alpha: int) -> None:
+    if not 0 <= alpha < INTERIOR.stop:
+        raise InvalidInputError("forces and tangent planes are defined at interior "
+                                f"nodes only, 0 <= alpha < {INTERIOR.stop}")
 
 
 def tangent_space(sheet: WebSheet, alpha: int) -> tuple[np.ndarray, bool]:
@@ -184,8 +178,8 @@ def tangent_space(sheet: WebSheet, alpha: int) -> tuple[np.ndarray, bool]:
     span less than a plane, the available directions are returned and the
     deficiency flag is set.  A boundary node has no chords.
     """
-    _interior_neighbors(sheet, alpha)
-    basis = _grid_bases(sheet.positions, sheet.chords[[alpha]])[:, :, 0]
+    _check_interior(alpha)
+    basis = _grid_bases(sheet.positions, _wiring().chords[[alpha]])[:, :, 0]
     basis = basis[basis.any(axis=1)]
     return basis, len(basis) < TANGENT_DIM
 
@@ -194,17 +188,16 @@ def sheet_force(field: DensityField, sheet: WebSheet, alpha: int) -> np.ndarray:
     """Perpendicular gradient force plus the neighbor-difference spring sum
     at interior node alpha: its row of the batched force over all interior
     nodes, so it equals the solver's force bitwise."""
-    _interior_neighbors(sheet, alpha)
-    interior = np.flatnonzero(~sheet.boundary)
-    rows = laplacian(len(sheet.positions), sheet.edges)[interior]
-    forces = _interior_forces(field, sheet.positions, interior, rows, sheet.chords[interior])
-    return forces[np.searchsorted(interior, alpha)]
+    _check_interior(alpha)
+    wiring = _wiring()
+    return _interior_forces(field, sheet.positions, wiring.rows, wiring.chords)[alpha]
 
 
-def _interior_forces(field: DensityField, positions: np.ndarray, interior: np.ndarray,
-                     rows: np.ndarray, chords: np.ndarray) -> np.ndarray:
-    """Forces at the interior nodes; rows and chords hold the interior
-    nodes' rows of the web's (V, V) Laplacian and of ``WebSheet.chords``.
+def _interior_forces(field: DensityField, positions: np.ndarray, rows: np.ndarray,
+                     chords: np.ndarray) -> np.ndarray:
+    """Forces at the interior nodes, the first len(rows) nodes; rows and
+    chords hold their rows of the web's (V, V) Laplacian and their grid
+    chords, as ``Wiring`` does.
 
     Each force starts as the spring sum -(L x) of its Laplacian row, one
     matmul for all nodes.  The rows sum to zero, so the positions are taken
@@ -219,7 +212,7 @@ def _interior_forces(field: DensityField, positions: np.ndarray, interior: np.nd
     forces = rows @ (positions[0] - positions)
     if positions.shape[1] > TANGENT_DIM:
         bases = _grid_bases(positions, chords)
-        g = field.gradient_batch(positions[interior])
+        g = field.gradient_batch(positions[:len(rows)])
         along = np.einsum("knr,rn->kr", bases, g)
         forces += field.c * (g - np.einsum("kr,knr->rn", along, bases))
     return forces
@@ -229,34 +222,32 @@ def relax_sheet(field: DensityField, sheet: WebSheet,
                 counts: dict | None = None) -> WebSheet | None:
     """Relax the interior nodes through ``cwcomplex.relax`` at step STEP.
 
-    The web's Laplacian is built once: its interior rows give the spring
-    sums and ``relax`` forms the implicit step from it.  The sheet is a
-    one-item stack; it converges at ``TOLERANCE`` within ``MAX_STEPS``, or
-    it runs out of steps or turns non-finite and the relaxation returns
-    None.  Boundary positions are bitwise untouched.
+    The springs and the implicit step come from the shared ``_wiring``, so
+    a sheet forms no Laplacian and no inverse.  The sheet is a one-item
+    stack; it converges at ``TOLERANCE`` within ``MAX_STEPS``, or it runs
+    out of steps or turns non-finite and the relaxation returns None.
+    Boundary positions are bitwise untouched.
     ``counts["sheet_steps"]`` gains one per force evaluation,
     ``counts["sheet_gradient_rows"]`` the rows those evaluations send to the
     density gradient (every interior node off the plane, none in R^1 and
     R^2), and ``counts["sheet_final_force"]`` keeps the largest final mean
     force norm of a converged sheet.  Off the plane each
-    evaluation takes the tangent planes from the sheet's grid chords.
+    evaluation takes the tangent planes from the web's grid chords.
     """
     counts = {} if counts is None else counts
     counts.setdefault("sheet_steps", 0)
     counts.setdefault("sheet_gradient_rows", 0)
     counts.setdefault("sheet_final_force", 0.0)
-    interior = np.flatnonzero(~sheet.boundary)
-    lap = laplacian(len(sheet.positions), sheet.edges)
-    rows, chords = lap[interior], sheet.chords[interior]
+    wiring = _wiring()
 
     def forces(stack):
-        return _interior_forces(field, stack[0], interior, rows, chords)[None]
+        return _interior_forces(field, stack[0], wiring.rows, wiring.chords)[None]
 
-    (out,), _, steps, final_force = relax(sheet.positions[None], lap, interior,
-                                         STEP, forces, TOLERANCE, MAX_STEPS)
+    (out,), _, steps, final_force = relax(sheet.positions[None], wiring.step, INTERIOR,
+                                         forces, TOLERANCE, MAX_STEPS)
     counts["sheet_steps"] += steps
     if sheet.positions.shape[1] > TANGENT_DIM:
-        counts["sheet_gradient_rows"] += steps * len(interior)
+        counts["sheet_gradient_rows"] += steps * INTERIOR.stop
     counts["sheet_final_force"] = max(counts["sheet_final_force"], final_force)
     return None if out is None else replace(sheet, positions=out)
 

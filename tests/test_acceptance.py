@@ -25,6 +25,7 @@ from morsecells import (KernelDensity, MorseFiltration, NebParams,
 from morsecells.band import arc_band, band_density
 from morsecells.cli import main as cli_main
 from morsecells.ingestion import PatchConfig
+from morsecells.sheet import INTERIOR, _wiring
 
 from conftest import ConstantField, grid_search_mode
 from test_cwcomplex import (b1_from_intervals, dense_gf2_b1, edge, face,
@@ -298,21 +299,23 @@ def test_criterion_10_sheet_equilibrium():
     theta = np.linspace(0, 2 * math.pi, 40, endpoint=False)
     loop2 = np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
-    sheet = initial_sheet(loop2, rings=10, nodes_per_ring=20)
+    sheet = initial_sheet(loop2)
     out = relax_sheet(ConstantField(2), sheet)
     ok = out is not None
     residual = float("inf")
     if ok:
-        adj = out.neighbor_lists()
-        interior = np.flatnonzero(~out.boundary)
+        adj = [[] for _ in out.positions]
+        for a, b in _wiring().edges.tolist():
+            adj[a].append(b)
+            adj[b].append(a)
         residual = float(np.mean([
             np.linalg.norm((out.positions[adj[i]] - out.positions[i]).sum(axis=0))
-            for i in interior
+            for i in range(INTERIOR.stop)
         ]))
         ok = residual < 1e-3
 
     loop3 = np.hstack([loop2, np.zeros((40, 1))])
-    sheet3 = initial_sheet(loop3, rings=10, nodes_per_ring=20)
+    sheet3 = initial_sheet(loop3)
     out3 = relax_sheet(ConstantField(3), sheet3)
     planar = float("inf")
     if out3 is not None:

@@ -8,7 +8,7 @@ from scipy.sparse.csgraph import connected_components
 
 from morsecells import (Cell, MorseFiltration, betti, loop_persistence,
                         superlevel_complex)
-from morsecells.cwcomplex import components, laplacian, relax
+from morsecells.cwcomplex import components, implicit_step_matrix, laplacian, relax
 from morsecells.errors import InvalidComplexError, InvalidInputError
 
 
@@ -481,10 +481,11 @@ def test_betti_b0_matches_scipy_on_random_one_skeletons(graph, shuffle):
     assert betti(cells)[0] == len(scipy_partition(n, pairs))
 
 
-# relax on the Laplacian of a path graph of five vertices in the plane; item
-# k runs from (0, 0) to (1, k), so a force callback can tell the items apart
+# relax at the implicit step of a path graph of five vertices in the plane;
+# item k runs from (0, 0) to (1, k), so a force callback can tell the items apart
 PATH = laplacian(5, [(i, i + 1) for i in range(4)])
 PATH_INTERIOR = np.arange(1, 4)
+PATH_STEP = implicit_step_matrix(PATH, PATH_INTERIOR, 0.5)
 
 
 def _path_stack(items: int) -> np.ndarray:
@@ -500,7 +501,7 @@ def _springs(stack):
 
 def test_relax_springs_space_a_path_evenly():
     stack = _path_stack(3)
-    out, iterations, item_steps, final = relax(stack, PATH, PATH_INTERIOR, 0.5,
+    out, iterations, item_steps, final = relax(stack, PATH_STEP, PATH_INTERIOR,
                                                _springs, 1e-8, 10_000)
     for x, start in zip(out, stack):
         assert np.allclose(x, np.linspace(start[0], start[-1], 5), atol=1e-7)
@@ -510,8 +511,8 @@ def test_relax_springs_space_a_path_evenly():
 
 
 def test_relax_out_of_steps_gives_none():
-    out, iterations, item_steps, final = relax(_path_stack(1), PATH, PATH_INTERIOR,
-                                               0.5, _springs, 1e-8, 3)
+    out, iterations, item_steps, final = relax(_path_stack(1), PATH_STEP, PATH_INTERIOR,
+                                               _springs, 1e-8, 3)
     assert out == [None]
     assert iterations == item_steps == 4  # a force evaluation per step and one at the end
     assert final == 0.0
@@ -528,9 +529,9 @@ def test_relax_non_finite_item_leaves_its_stack_mate_alone():
         return force
 
     stack = _path_stack(2)
-    out, iterations, item_steps, _ = relax(stack, PATH, PATH_INTERIOR, 0.5, forces,
+    out, iterations, item_steps, _ = relax(stack, PATH_STEP, PATH_INTERIOR, forces,
                                            1e-8, 10_000)
-    alone, *_ = relax(stack[1:], PATH, PATH_INTERIOR, 0.5, _springs, 1e-8, 10_000)
+    alone, *_ = relax(stack[1:], PATH_STEP, PATH_INTERIOR, _springs, 1e-8, 10_000)
     assert out[0] is None
     assert np.array_equal(out[1], alone[0])
     assert item_steps == iterations + 3  # item 0 left after its third evaluation
@@ -538,8 +539,9 @@ def test_relax_non_finite_item_leaves_its_stack_mate_alone():
 
 def test_relax_slice_interior_matches_index_array():
     stack = _path_stack(3)
-    by_index = relax(stack, PATH, PATH_INTERIOR, 0.5, _springs, 1e-8, 10_000)
-    by_slice = relax(stack, PATH, slice(1, 4), 0.5, _springs, 1e-8, 10_000)
+    by_index = relax(stack, PATH_STEP, PATH_INTERIOR, _springs, 1e-8, 10_000)
+    by_slice = relax(stack, implicit_step_matrix(PATH, slice(1, 4), 0.5), slice(1, 4),
+                     _springs, 1e-8, 10_000)
     assert by_slice[1:] == by_index[1:]
     assert all(np.array_equal(a, b) for a, b in zip(by_slice[0], by_index[0]))
 
@@ -561,9 +563,9 @@ def test_relax_item_converges_on_the_step_another_turns_non_finite():
         return force
 
     stack = _path_stack(5)
-    out, iterations, item_steps, _ = relax(stack, PATH, PATH_INTERIOR, 0.5, forces,
+    out, iterations, item_steps, _ = relax(stack, PATH_STEP, PATH_INTERIOR, forces,
                                            1e-8, 10_000)
-    alone, alone_iterations, *_ = relax(stack[2:3], PATH, PATH_INTERIOR, 0.5, _springs,
+    alone, alone_iterations, *_ = relax(stack[2:3], PATH_STEP, PATH_INTERIOR, _springs,
                                         1e-8, 10_000)
     assert [len(s) for s in seen[:6]] == [5, 5, 5, 3, 2, 1]
     assert out[0] is None and out[4] is None
