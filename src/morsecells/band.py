@@ -115,8 +115,10 @@ def _interior_forces(field: DensityField, nodes: np.ndarray) -> np.ndarray:
 
 
 def total_force(field: DensityField, band: Band, i: int) -> np.ndarray:
-    """Total force at interior node i (0-based); raises on a hairpin tangent."""
-    tangent(band, i)  # raise DegenerateTangentError before computing anything
+    """Total force at interior node i (0-based): its row of the batched force
+    over all interior nodes, so it equals the solver's force bitwise."""
+    if not 0 < i < band.node_count - 1:
+        raise InvalidInputError("forces are defined at interior nodes only")
     return _interior_forces(field, band.nodes)[i - 1]
 
 

@@ -143,11 +143,15 @@ class KernelDensity(DensityField):
         s2, norm, c = _kernel_constants(self.sigma, self.dimension)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "resolution", self.sigma / 2.0)
-        centre = np.round(self.cloud.points.mean(axis=0))
-        points = self.cloud.points - centre
-        cols = np.vstack([points.T / s2,
-                          np.einsum("mn,mn->m", points, points) / (-2.0 * s2),
-                          np.full(len(points), -0.5 / s2)])
+        with np.errstate(over="ignore"):
+            centre = np.round(self.cloud.points.mean(axis=0))
+            points = self.cloud.points - centre
+            cols = np.vstack([points.T / s2,
+                              np.einsum("mn,mn->m", points, points) / (-2.0 * s2),
+                              np.full(len(points), -0.5 / s2)])
+        if not np.isfinite(cols).all():
+            raise InvalidInputError(f"the cloud is too spread for sigma = {self.sigma!r}: "
+                                    "its squared distances over sigma^2 overflow")
         object.__setattr__(self, "_norm_const", norm)
         object.__setattr__(self, "_centre", centre)
         object.__setattr__(self, "_exponent_cols", cols)

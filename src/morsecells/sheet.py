@@ -3,17 +3,17 @@
 A candidate 2-cell is a web spanning a closed boundary loop of 1-cell
 nodes: a centre and ``RINGS`` rings of ``NODES_PER_RING`` nodes, the
 outermost ring fixed.  Every sheet has this one web, so its wiring (edges,
-grid chords, the interior rows of its graph Laplacian L and the implicit
-step) is built once per process, on first use, by ``_wiring``.  Interior
-nodes feel the density gradient projected perpendicular to the web's
-tangent plane plus the sum of neighbor differences, -(L x).  In R^n with
-n <= 2 the tangent plane of a 2-cell is all of R^n, so the projected
-gradient is zero and the force is the spring sum alone.  Off the plane each
-node's tangent plane is the span of two chords of the web's own grid of
-rings and spokes, orthonormalised in closed form for all nodes at once.  A
-sheet relaxes through ``cwcomplex.relax``, the loop the elastic bands use
-too: semi-implicit steps (implicit springs, explicit gradient) until the
-mean interior force norm is below ``TOLERANCE``.
+grid chords, the interior rows of its graph Laplacian L, the implicit step
+and the harmonic extension) is built once per process, on first use, by
+``_wiring``.  Interior nodes feel the density gradient projected
+perpendicular to the web's tangent plane plus the spring sum -(L x), and
+every web starts where its springs balance, at its loop's harmonic
+extension.  In R^n with n <= 2 a 2-cell's tangent plane is all of R^n, so
+the force is the spring sum alone and the start is the relaxed web.  Off
+the plane each node's tangent plane is the span of two chords of the web's
+own grid, orthonormalised in closed form for all nodes at once, and the
+sheet relaxes through ``cwcomplex.relax`` as the elastic bands do, by
+semi-implicit steps until its mean interior force norm is below TOLERANCE.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .errors import ConstructionError, InvalidInputError
 
 TANGENT_DIM = 2  # 2-cells
 STEP = 1.0  # implicit step h of relax_sheet
-# a sheet converges when its mean interior force norm falls below this, the
-# mean residual acceptance criterion 10 requires of a web on the unit circle
+# off the plane a sheet converges when its mean interior force norm falls
+# below this; a planar web starts at its equilibrium, with a round-off force
 TOLERANCE = 1e-3
 MAX_STEPS = 200_000  # force evaluations before a sheet gives up
 RINGS, NODES_PER_RING = 10, 20  # the web the pipeline spans over each loop
@@ -46,13 +46,15 @@ class Wiring(NamedTuple):
     1 + (j - 1) NODES_PER_RING onward, slot k at offset k.  edges is (E, 2).
     chords[alpha] holds interior node alpha's two (tail, head) node pairs;
     the chords x[head] - x[tail] span its tangent plane.  rows holds the
-    interior rows of L, and step is S = STEP (I + STEP L_II)^-1.
+    interior rows of L, step is S = STEP (I + STEP L_II)^-1, and harmonic is
+    H = -L_II^-1 L_IB, whose rows sum to 1: x_I = H x_B zeroes the springs.
     """
 
-    edges: np.ndarray   # (E, 2) int
-    chords: np.ndarray  # (I, 2, 2) int
-    rows: np.ndarray    # (I, NODES)
-    step: np.ndarray    # (I, I)
+    edges: np.ndarray     # (E, 2) int
+    chords: np.ndarray    # (I, 2, 2) int
+    rows: np.ndarray      # (I, NODES)
+    step: np.ndarray      # (I, I)
+    harmonic: np.ndarray  # (I, NODES_PER_RING)
 
 
 @functools.cache
@@ -79,7 +81,8 @@ def _wiring() -> Wiring:
     chords = np.concatenate([grid[1, [[[0, half], [quarter, quarter + half]]]],
                              np.stack([ring, spoke], axis=2).reshape(-1, 2, 2)])
     lap = laplacian(NODES, edges)
-    wiring = Wiring(edges, chords, lap[INTERIOR], implicit_step_matrix(lap, INTERIOR, STEP))
+    wiring = Wiring(edges, chords, lap[INTERIOR], implicit_step_matrix(lap, INTERIOR, STEP),
+                    np.linalg.solve(lap[INTERIOR, INTERIOR], -lap[INTERIOR, INTERIOR.stop:]))
     for array in wiring:
         array.flags.writeable = False
     return wiring
@@ -117,12 +120,12 @@ def _resample_closed_polyline(loop: np.ndarray, count: int) -> np.ndarray:
 
 
 def initial_sheet(boundary_loop: np.ndarray) -> WebSheet:
-    """Web over a closed boundary loop: concentric rings plus a center node.
+    """Web over a closed boundary loop: its harmonic extension.
 
-    Node 0 is the center (average of the resampled boundary); ring j of
-    ``RINGS`` sits at interpolation fraction j/RINGS between center and
-    boundary, and the outermost is the fixed boundary.  A last point equal
-    to the first closes the loop and is dropped before the loop is counted.
+    The outer ring x_B is the loop resampled evenly by arc length and the
+    interior is H x_B (``Wiring``), taken relative to x_B[0], as H's rows
+    sum to 1, to keep a far loop's precision.  A last point equal to the
+    first closes the loop and is dropped before the loop is counted.
     """
     loop = np.asarray(boundary_loop, dtype=float)
     if loop.ndim == 2 and len(loop) and np.array_equal(loop[0], loop[-1]):
@@ -132,9 +135,7 @@ def initial_sheet(boundary_loop: np.ndarray) -> WebSheet:
                                 "a closing repeat of the first")
 
     outer = _resample_closed_polyline(loop, NODES_PER_RING)
-    center = outer.mean(axis=0)
-    rings = center + (np.arange(1, RINGS + 1) / RINGS)[:, None, None] * (outer - center)
-    return WebSheet(np.vstack([center, rings.reshape(-1, loop.shape[1])]))
+    return WebSheet(np.vstack([_wiring().harmonic @ (outer - outer[0]) + outer[0], outer]))
 
 
 def _grid_bases(positions: np.ndarray, chords: np.ndarray) -> np.ndarray:
@@ -231,8 +232,7 @@ def relax_sheet(field: DensityField, sheet: WebSheet,
     ``counts["sheet_gradient_rows"]`` the rows those evaluations send to the
     density gradient (every interior node off the plane, none in R^1 and
     R^2), and ``counts["sheet_final_force"]`` keeps the largest final mean
-    force norm of a converged sheet.  Off the plane each
-    evaluation takes the tangent planes from the web's grid chords.
+    force norm of a converged sheet.
     """
     counts = {} if counts is None else counts
     counts.setdefault("sheet_steps", 0)

@@ -248,6 +248,23 @@ def test_evolve_straightens_a_fold():
     assert np.abs(out.nodes - smooth.nodes).max() <= 1e-3
 
 
+def test_total_force_at_a_fold_is_the_solver_force():
+    # at the exact fold of the band above the tangent stays the reference
+    # and raises, but the force is the solver's row for that node, bitwise;
+    # an index outside 1 <= i <= N - 2 does not wrap round to another node
+    field = KernelDensity(PointCloud([[-2.0, 0.0], [2.0, 0.0]]), 1.0)
+    nodes = np.linspace([-2.0, 0.0], [2.0, 0.0], 8)
+    nodes[5] = nodes[3]
+    nodes[4] = nodes[3] + [0.0, 1.0]
+    with pytest.raises(DegenerateTangentError):
+        tangent(Band(nodes), 4)
+    assert np.array_equal(total_force(field, Band(nodes), 4),
+                          band._interior_forces(field, nodes)[3])
+    for i in (-1, 0, 7, 8):
+        with pytest.raises(InvalidInputError, match="interior"):
+            total_force(field, Band(nodes), i)
+
+
 def test_bands_of_the_bumpy_circle_never_fold(monkeypatch):
     # no node of any band ever comes near a fold, where |u+ + u-| is 0: the
     # premise on which a fold needs no rule of its own

@@ -265,6 +265,14 @@ def test_analyze_missing_input_exit_2(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_analyze_cloud_too_spread_for_sigma_exit_2(tmp_path, capsys):
+    # squared distances that overflow are a data error, not non-convergence
+    cloud = tmp_path / "far.csv"
+    cloud.write_text("0,0\n1e300,1e300\n")
+    assert run_cli("analyze", str(cloud), str(tmp_path / "o.json"), "--sigma", "0.5") == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_analyze_nonconvergence_exit_3(tmp_path, two_blob_csv, capsys, monkeypatch):
     monkeypatch.setattr(maxima, "MAX_ITERATIONS", 2)
     assert run_cli("analyze", two_blob_csv, str(tmp_path / "o.json")) == 3

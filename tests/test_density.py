@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -194,6 +195,18 @@ def test_sigma_out_of_kernel_range_rejected(sigma, n):
     # under- or overflows; sigma itself is finite and positive
     with pytest.raises(InvalidInputError):
         KernelDensity(PointCloud(np.zeros((1, n))), sigma)
+
+
+@pytest.mark.parametrize("points, sigma", [([[0.0, 0.0], [1e160, 0.0]], 1.0),
+                                           ([[0.0, 0.0], [1e300, 1e300]], 0.5),
+                                           ([[0.0], [1e150]], 1e-10)])
+def test_cloud_too_spread_for_sigma_rejected(points, sigma):
+    # the squared distances from the cloud's centre, over sigma^2, overflow:
+    # the field is refused, with no warning, rather than answer NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="too spread"):
+            KernelDensity(PointCloud(points), sigma)
 
 
 def test_gradient_zero_at_symmetric_midpoint():

@@ -182,11 +182,14 @@ def test_report_sheet_and_loop_counters(bumpy_result, monkeypatch):
     # a 2-cell's tangent plane in R^2 is all of R^2, so the sheet takes no
     # gradient and no tangent basis
     assert counts["sheet_gradient_rows"] == 0
-    # the same run with a sheet step budget of one step, and with the loop
-    # of three 1-cells over MAX_LOOP_LENGTH
+    # the same run with a sheet that cannot converge in its budget of one
+    # step (a harmonic web converges at its first evaluation under any
+    # budget, so the tolerance is 0), and with the loop of three 1-cells
+    # over MAX_LOOP_LENGTH
     cloud = synth_bumpy_circle(3, 2.0, 1000, np.random.default_rng(3),
                                angular_spread=0.45)
     config = PipelineConfig(sigma=0.8, seed=3, neb=NebParams(trials_per_pair=6))
+    monkeypatch.setattr(sheet, "TOLERANCE", 0.0)
     monkeypatch.setattr(sheet, "MAX_STEPS", 1)
     counts = run(cloud, config)[1].counts
     assert counts["two_cells"] == counts["loops_dropped"] == 0
@@ -222,6 +225,28 @@ def test_bumpy_circle_cells_follow_the_scale(bumpy_result, scale):
     zeros = [c.geometry[0] / scale for c in filtration.cells if c.dimension == 0]
     for z, e in zip(zeros, expected):
         assert np.linalg.norm(z - e) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [0.003, 0.01, 1.0, 10.0])
+def test_planar_two_cell_is_harmonic_at_every_scale(scale):
+    # the web starts at its loop's harmonic extension, where the spring sums
+    # are round-off at any scale, so in R^2 the sheet converges at its first
+    # force evaluation; the absolute TOLERANCE plays no part.  The largest
+    # mean residual measured 9.2e-16 of the scale, against 0.085 when the
+    # web started from a cone and stopped at TOLERANCE
+    cloud = synth_bumpy_circle(3, 2.0, 1000, np.random.default_rng(3),
+                               angular_spread=0.45)
+    config = PipelineConfig(sigma=0.8 * scale, seed=3, neb=NebParams(trials_per_pair=6))
+    filtration, report = run(PointCloud(scale * cloud.points), config)
+    assert [report.counts[k] for k in ("zero_cells", "one_cells", "two_cells")] == [3, 3, 1]
+    assert report.counts["sheet_steps"] == 1
+    (web,) = [c.geometry for c in filtration.cells if c.dimension == 2]
+    a, b = sheet._wiring().edges.T
+    springs = np.zeros_like(web)
+    np.add.at(springs, a, web[b] - web[a])
+    np.add.at(springs, b, web[a] - web[b])
+    residual = np.linalg.norm(springs[sheet.INTERIOR], axis=1).mean()
+    assert residual <= 1e-12 * scale
 
 
 _ROTATION = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])

@@ -40,6 +40,17 @@ def neighbor_lists(edges=None, count=NODES):
 INNER = INTERIOR.stop  # interior nodes; the outer ring follows them
 
 
+def cone_sheet(loop):
+    """A web away from its equilibrium, for tests of the relaxation: the
+    loop resampled as the outer ring, their mean as the centre and ring j at
+    fraction j / RINGS of the way from the centre to the outer ring."""
+    outer = sheet_module._resample_closed_polyline(np.asarray(loop, dtype=float),
+                                                  NODES_PER_RING)
+    center = outer.mean(axis=0)
+    rings = center + (np.arange(1, RINGS) / RINGS)[:, None, None] * (outer - center)
+    return WebSheet(np.vstack([center, rings.reshape(-1, outer.shape[1]), outer]))
+
+
 # ---------------------------------------------------------------------------
 # the web's shared wiring
 
@@ -71,21 +82,25 @@ def test_wiring_is_built_on_first_use_only():
 
 @pytest.mark.parametrize("dim", [2, 8])
 def test_relax_sheet_builds_no_wiring(monkeypatch, dim):
-    # once the wiring is built, a sheet forms no Laplacian and no inverse
+    # once the wiring is built, a sheet forms no Laplacian, no inverse and no
+    # solve, whether it starts at its equilibrium or away from it
     import morsecells.cwcomplex as cwcomplex_module
     sheet_module._wiring()
     calls = []
     for module, name in [(sheet_module, "laplacian"), (sheet_module, "implicit_step_matrix"),
                          (cwcomplex_module, "laplacian"),
-                         (cwcomplex_module, "implicit_step_matrix"), (np.linalg, "inv")]:
+                         (cwcomplex_module, "implicit_step_matrix"), (np.linalg, "inv"),
+                         (np.linalg, "solve")]:
         monkeypatch.setattr(module, name, lambda *args, real=getattr(module, name), name=name:
                             calls.append(name) or real(*args))
     field = KernelDensity(PointCloud(np.zeros((1, dim))), 1.0)
     counts = {}
     for radius in (1.0, 1.5):
+        assert relax_sheet(field, cone_sheet(circle_loop(radius=radius, dim=dim)),
+                           counts) is not None
         assert relax_sheet(field, initial_sheet(circle_loop(radius=radius, dim=dim)),
                            counts) is not None
-    assert counts["sheet_steps"] > 2
+    assert counts["sheet_steps"] > 4
     assert calls == []
 
 
@@ -93,14 +108,24 @@ def test_relax_sheet_builds_no_wiring(monkeypatch, dim):
 # initial_sheet
 
 def test_initial_sheet_unit_circle_geometry():
+    # the harmonic web of a regular 40-gon: the centre at 0, each ring a
+    # regular 20-gon, the radii rising with j from 0.028 at ring 1 (not the
+    # cone's 0.1) to the unit circle at ring 10
     sheet = initial_sheet(circle_loop())
     assert sheet.positions.shape == (1 + 10 * 20, 2)
     assert sheet.positions[0] == pytest.approx([0.0, 0.0], abs=1e-12)
-    # ring j sits at radius j/10
+    radii = []
     for j in range(1, 11):
         ring = sheet.positions[1 + (j - 1) * 20: 1 + j * 20]
-        assert np.linalg.norm(ring, axis=1) == pytest.approx(
-            np.full(20, j / 10), abs=1e-9)
+        radius = np.linalg.norm(ring, axis=1)
+        assert radius == pytest.approx(np.full(20, radius.mean()), rel=1e-12)
+        sides = np.linalg.norm(ring - np.roll(ring, 1, axis=0), axis=1)
+        assert sides == pytest.approx(np.full(20, 2 * radius.mean() * math.sin(math.pi / 20)),
+                                      rel=1e-12)
+        radii.append(radius.mean())
+    assert np.all(np.diff(radii) > 0)
+    assert radii[0] == pytest.approx(0.028, abs=5e-4)
+    assert radii[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_initial_sheet_boundary_is_outer_ring_only():
@@ -157,15 +182,16 @@ def test_web_sheet_holds_the_web_nodes():
     assert WebSheet(np.zeros((NODES, 3))).positions.shape == (NODES, 3)
 
 
-def test_initial_sheet_positions_are_ring_interpolations(rng):
-    # ring j is center + (j / RINGS) * (outer - center), bit for bit
-    loop = rng.normal(size=(13, 3))
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_initial_sheet_interior_is_the_harmonic_extension(rng, dim):
+    # the outer ring is the resampled loop, bit for bit, and the interior
+    # solves L_II x_I = -L_IB x_B, the spring-only equilibrium, in any R^n
+    loop = rng.normal(size=(13, dim))
+    sheet = initial_sheet(loop)
     outer = sheet_module._resample_closed_polyline(loop, NODES_PER_RING)
-    center = outer.mean(axis=0)
-    expected = [center]
-    for j in range(1, RINGS + 1):
-        expected.extend(center + (j / RINGS) * (outer - center))
-    assert np.array_equal(initial_sheet(loop).positions, np.array(expected))
+    assert np.array_equal(sheet.positions[INNER:], outer)
+    expected = harmonic_interior(sheet)
+    assert np.abs(sheet.positions[INTERIOR] - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_initial_sheet_chords_join_grid_neighbors():
@@ -363,8 +389,9 @@ def test_relax_sheet_boundary_bitwise_untouched():
 
 
 def test_relax_sheet_max_steps_returns_none(monkeypatch):
-    # the sheet converges on its 23rd force evaluation, after 22 steps
-    sheet = initial_sheet(circle_loop())
+    # from the cone the sheet converges on its 23rd force evaluation, after
+    # 22 steps
+    sheet = cone_sheet(circle_loop())
     field = KernelDensity(PointCloud([[0.0, 0.0]]), 1.0)
     monkeypatch.setattr(sheet_module, "MAX_STEPS", 21)
     assert relax_sheet(field, sheet) is None
