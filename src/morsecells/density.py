@@ -144,7 +144,10 @@ class KernelDensity(DensityField):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "resolution", self.sigma / 2.0)
         with np.errstate(over="ignore"):
-            centre = np.round(self.cloud.points.mean(axis=0))
+            # the mean taken from the first point, so that no coordinate sum
+            # of a tight cloud near the largest float overflows
+            first = self.cloud.points[0]
+            centre = np.round(first + (self.cloud.points - first).mean(axis=0))
             points = self.cloud.points - centre
             cols = np.vstack([points.T / s2,
                               np.einsum("mn,mn->m", points, points) / (-2.0 * s2),

@@ -209,6 +209,18 @@ def test_cloud_too_spread_for_sigma_rejected(points, sigma):
             KernelDensity(PointCloud(points), sigma)
 
 
+def test_tight_cloud_near_the_largest_float_is_not_too_spread():
+    # the coordinate sum of 1000 rows at 1e308 overflows, but the centre is
+    # taken without it: the cloud is accepted, and its field at the rows is
+    # the kernel's peak
+    points = np.full((1000, 2), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = KernelDensity(PointCloud(points), 0.5)
+        assert f.value_batch(points[:1])[0] == pytest.approx(1.0 / (2 * math.pi * 0.25),
+                                                            rel=1e-12)
+
+
 def test_gradient_zero_at_symmetric_midpoint():
     f = KernelDensity(PointCloud([[-1.0], [1.0]]), 1.0)
     assert f.gradient(np.array([0.0])) == pytest.approx([0.0], abs=1e-15)
